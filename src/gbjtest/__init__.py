@@ -14,8 +14,7 @@ from .ebb import EBBMatch, EBBParams, ebb_log_pmf, ebb_match
 from .errors import (BracketError, DegenerateInputError, DomainError, GBJError,
                      ModelError, NumericalError, SizeError)
 from .exceedance import (CorrPowerProfile, CountMoments, corr_powers,
-                         count_mean, count_moments, count_variance,
-                         count_variance_null)
+                         count_mean, count_moments, count_variance)
 from .gauss import (bivar_abs_tail, find_root, hermite, mvn_cdf_small,
                     std_normal, std_normal_inv, sym_eigvals)
 from .omnibus import (OmniResult, bootstrap_corr, bootstrap_corr_individual,
@@ -33,8 +32,8 @@ __all__ = [
     "NumericalError", "OmniResult", "SimConfig", "SizeError", "TestOutcome",
     "ZVector", "bivar_abs_tail", "block_sigma", "bootstrap_corr",
     "bootstrap_corr_individual", "compute_statistic", "corr_powers",
-    "count_mean", "count_moments", "count_variance", "count_variance_null",
-    "crossing_pvalue", "ebb_log_pmf", "ebb_match", "exact_small_pvalue",
+    "count_mean", "count_moments", "count_variance", "crossing_pvalue",
+    "ebb_log_pmf", "ebb_match", "exact_small_pvalue",
     "find_root", "fit_null", "gbj_objective", "hermite", "invert_bounds",
     "mvn_cdf_small", "omni_pvalue", "omnibus_test", "pvalue", "ref_panel_cov",
     "rejection_region", "run_study", "score_stats", "sim_genotypes",

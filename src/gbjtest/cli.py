@@ -236,8 +236,6 @@ def cmd_simulate(args) -> int:
     t0 = time.time()
     result = simlab.run_study(config, args.mode)
     manifest.warnings.extend(result.diagnostics)
-    if result.failed_replicates:
-        manifest.warnings.append(f"failed_replicates={result.failed_replicates}")
     _emit(simlab.result_to_tsv(result), args.out)
     manifest.wall_time_s = time.time() - t0
     manifest.write(_manifest_path(args))
@@ -254,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="master seed for all randomized components "
                              "(default 0 where one is needed)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="advisory; computation is vectorized in-process")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--manifest", default=None,
                         help="manifest path (default <out>.manifest.json, "

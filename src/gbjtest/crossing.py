@@ -23,17 +23,12 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from . import gauss, setstats
-from .ebb import GAMMA_CLAMP_MARGIN, gamma_floor
+from .ebb import _log_factor_prefixes, match_gamma
 from .errors import DomainError, NumericalError, SizeError
 from .exceedance import CorrPowerProfile, corr_powers, DEFAULT_R_MAX
 
 PVALUE_FLOOR = 1e-16
 MONOTONE_REPAIR_FLAG = 1e-6
-# a boundary search takes 7 to 14 steps where the objective is smooth and up
-# to about 25 where rounding makes it step; past _INTERP_STEPS it bisects,
-# which needs at most 60 more steps on t in (0, 38]
-_INTERP_STEPS = 30
-_ROOT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -185,26 +180,18 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
             ratios = np.clip(ratios, 0.0, 1.0)
             numer = 2.0 * np.sum(ratios - lam * lam)
             frac = numer / (d * (d - 1) * lam * (1.0 - lam))
-            if frac >= 1.0:
-                frac = 1.0 - 1e-12
-                flags.append("ebb_gamma_clamped")
-            gamma = frac / (1.0 - frac)
         else:
             tails_k = tails_prev
-            gamma = 0.0
+            frac = 0.0
         m_max = cap_prev
-        floor = gamma_floor(lam, max(m_max, 1))
-        if gamma <= floor:
-            gamma = floor * (1.0 - GAMMA_CLAMP_MARGIN)
+        gamma, clamped = match_gamma(lam, frac, max(m_max, 1))
+        if clamped:
             flags.append("ebb_gamma_clamped")
 
         # conditional law: S(t_k) | S(t_{k-1}) = m  ~  EBB(m, lam, gamma);
         # pmf over all (m <= m_max, a <= m) from shared log-factor prefixes,
         # one transition-matrix row per m that carries mass
-        ks = np.arange(max(m_max, 1), dtype=float)
-        pre_a = np.concatenate(([0.0], np.cumsum(np.log(lam + gamma * ks))))
-        pre_b = np.concatenate(([0.0], np.cumsum(np.log1p(-lam + gamma * ks))))
-        pre_c = np.concatenate(([0.0], np.cumsum(np.log1p(gamma * ks))))
+        pre_a, pre_b, pre_c = _log_factor_prefixes(m_max, lam, gamma)
         ms = np.nonzero(q[: m_max + 1] > 0.0)[0]
         m = ms[:, None]
         a = np.arange(m_max + 1)
@@ -228,56 +215,6 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
         return p, CrossingTable(thresholds, caps, tuple(q_rows),
                                 np.array(leaks), tuple(flags))
     return p
-
-
-def _bracketed_roots(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
-                     fb: np.ndarray) -> np.ndarray:
-    """Roots of the increasing functions f(., k) bracketed by fa < 0 <= fb.
-
-    Vectorized Chandrupatla iteration: inverse quadratic interpolation where
-    the last three points admit it, bisection otherwise, each step kept a
-    tolerance away from the bracket ends.  ``f(x, k)`` evaluates at points x
-    for entry positions k.  An entry stops once its bracket is within a few
-    ulps of the root; entries still open after _INTERP_STEPS steps are
-    bisected, which closes any bracket on t in (0, 38] within _ROOT_MAX_STEPS.
-    """
-    eps = np.finfo(float).eps
-    root = np.empty(a.size)
-    k = np.arange(a.size)
-    # x1 is the newest point, x2 the other bracket end, x3 the point dropped
-    x1, f1, x2, f2 = a, fa, b, fb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = f1 / (f1 - f2)                    # first step by false position
-    step = np.where((step > 0.0) & (step < 1.0), step, 0.5)
-    for it in range(_ROOT_MAX_STEPS):
-        xt = x1 + step * (x2 - x1)
-        ft = f(xt, k)
-        same = (ft >= 0.0) == (f1 >= 0.0)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xt, ft
-        best1 = np.abs(f1) < np.abs(f2)
-        xm, fm = np.where(best1, x1, x2), np.where(best1, f1, f2)
-        with np.errstate(divide="ignore"):
-            tl = 2.0 * eps * np.abs(xm) / np.abs(x2 - x1)
-        done = (tl > 0.5) | (fm == 0.0)
-        root[k[done]] = xm[done]
-        live = ~done
-        if not live.any():
-            return root
-        k, tl = k[live], tl[live]
-        x1, f1, x2, f2, x3, f3 = (v[live] for v in (x1, f1, x2, f2, x3, f3))
-        if it + 1 >= _INTERP_STEPS:
-            step = np.full(k.size, 0.5)
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (f1 / (f2 - f1) * f3 / (f2 - f3)
-                   + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
-        use = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(iqi)
-        step = np.clip(np.where(use, iqi, 0.5), tl, 1.0 - tl)
-    raise NumericalError("bracketed root search did not converge")
 
 
 def invert_bounds(method: str, g: float, d: int,
@@ -337,7 +274,7 @@ def invert_bounds(method: str, g: float, d: int,
             else:
                 raise NumericalError(f"{method}: bracket expansion failed at g={g}")
             j_open = js[open_]
-            roots[open_] = _bracketed_roots(lambda t, k: excess(t, j_open[k]), lo[open_],
+            roots[open_] = gauss._bracketed_roots(lambda t, k: excess(t, j_open[k]), lo[open_],
                                             hi[open_], f_lo[open_], f_hi[open_])
     b[d - js] = roots                           # index d - j + 1, 0-based d - j
 
@@ -412,27 +349,17 @@ def rejection_region(method: str, alpha: float, d: int, Sigma: np.ndarray,
     else:
         raise NumericalError(f"{method}: could not bracket alpha={alpha}")
 
-    # Illinois iteration on log p, which is close to linear in g
+    # log p is close to linear in g; the search stops at a g whose p is
+    # within 0.2 rel_tol of alpha
     la = math.log(alpha)
-    fl, fh = math.log(max(p_lo, 1e-300)) - la, math.log(max(p_hi, 1e-300)) - la
-    g_star, achieved = g_hi, p_hi
-    side = 0
-    for _ in range(80):
-        g_star = g_lo + (g_hi - g_lo) * fl / (fl - fh)
-        achieved = pv(g_star)
-        f = math.log(max(achieved, 1e-300)) - la
-        if abs(achieved - alpha) <= 0.2 * rel_tol * alpha:
-            break
-        if f > 0:
-            g_lo, fl = g_star, f
-            if side == 1:
-                fh *= 0.5
-            side = 1
-        else:
-            g_hi, fh = g_star, f
-            if side == -1:
-                fl *= 0.5
-            side = -1
+
+    def log_excess(p: float) -> float:
+        return la - math.log(max(p, 1e-300))
+
+    g_star = float(gauss._bracketed_roots(
+        lambda g, k: np.array([log_excess(pv(float(g[0])))]),
+        np.array([g_lo]), np.array([g_hi]), np.array([log_excess(p_lo)]),
+        np.array([log_excess(p_hi)]), ftol=0.2 * rel_tol)[0])
     bounds = invert_bounds(method, g_star, d, profile)
     achieved = crossing_pvalue(bounds, Sigma)
     if abs(achieved - alpha) > rel_tol * alpha:

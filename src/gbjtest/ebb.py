@@ -20,13 +20,13 @@ LAMBDA_EPS = 1e-12
 GAMMA_CLAMP_MARGIN = 1e-6
 
 
-def gamma_floor(lam: float, size: int) -> float:
+def gamma_floor(lam, size: int):
     """Smallest feasible gamma for EBB(size, lam, .): every PMF factor
     lam + gamma*k, 1 - lam + gamma*k, 1 + gamma*k must stay positive for
-    k = 0 .. size-1."""
+    k = 0 .. size-1.  Vectorized over lam."""
     if size <= 1:
         return -np.inf
-    return -min(lam, 1.0 - lam) / (size - 1)
+    return -np.minimum(lam, 1.0 - lam) / (size - 1)
 
 
 def _first_violation(size: int, lam: float, gamma: float) -> str | None:
@@ -78,25 +78,37 @@ def ebb_log_pmf(v: int, params: EBBParams) -> float:
 
 def ebb_log_pmf_vec(v: np.ndarray, size: int, lam: float, gamma: float) -> np.ndarray:
     """Vectorized log PMF over v (array of ints in 0..size)."""
+    violation = _first_violation(size, lam, gamma)
+    if violation is not None:
+        raise DomainError(f"infeasible EBB parameters (d={size}, lambda={lam}, "
+                          f"gamma={gamma}): {violation}")
     pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
     v = np.asarray(v, dtype=int)
     comb = gammaln(size + 1) - gammaln(v + 1) - gammaln(size - v + 1)
     return comb + pre_a[v] + pre_b[size - v] - pre_c[size]
 
 
-def _log_factor_prefixes(size: int, lam: float, gamma: float):
-    """Prefix sums of the three log factor sequences, index x = number of
-    factors taken (0..size).  Shared by all v and, in the crossing recursion,
-    by all conditioning sizes m <= size."""
-    violation = _first_violation(size, lam, gamma)
-    if violation is not None:
-        raise DomainError(f"infeasible EBB parameters (d={size}, lambda={lam}, "
-                          f"gamma={gamma}): {violation}")
-    ks = np.arange(size, dtype=float)
-    pre_a = np.concatenate(([0.0], np.cumsum(np.log(lam + gamma * ks))))
-    pre_b = np.concatenate(([0.0], np.cumsum(np.log(1.0 - lam + gamma * ks))))
-    pre_c = np.concatenate(([0.0], np.cumsum(np.log(1.0 + gamma * ks))))
-    return pre_a, pre_b, pre_c
+def _log_factor_prefixes(size: int, lam, gamma):
+    """Prefix sums of the three log factor sequences of the EBB pmf,
+    log(lam + gamma k), log(1 - lam + gamma k) and log(1 + gamma k), along a
+    last axis indexed by the number of factors taken (0..size):
+
+        log Pr(V = v) = log C(size, v) + pre_a[v] + pre_b[size - v] - pre_c[size],
+
+    and the same prefixes serve every size m <= size.  ``lam`` and ``gamma``
+    broadcast; arrays of shape S give prefixes of shape S + (size + 1,).  The
+    parameters must be feasible for ``size`` (gamma above gamma_floor); this
+    kernel does not check.
+    """
+    lam, gk = np.broadcast_arrays(np.asarray(lam, dtype=float)[..., None],
+                                  np.asarray(gamma, dtype=float)[..., None]
+                                  * np.arange(size, dtype=float))
+    zero = np.zeros(gk.shape[:-1] + (1,))
+
+    def prefix(x):
+        return np.concatenate((zero, np.cumsum(x, axis=-1)), axis=-1)
+
+    return prefix(np.log(lam + gk)), prefix(np.log1p(gk - lam)), prefix(np.log1p(gk))
 
 
 @dataclass(frozen=True)
@@ -139,14 +151,25 @@ def ebb_match(mean: float, variance: float, d: int) -> EBBMatch:
         return EBBMatch(EBBParams(1, lam, 0.0), lambda_clamped=lam_clamped)
 
     base = d * lam * (1.0 - lam)
-    ratio = (variance - base) / ((d - 1) * base)
-    gam_clamped = False
-    if ratio >= 1.0:
-        # variance at or beyond the perfectly-correlated ceiling d^2 lam(1-lam)
-        ratio, gam_clamped = 1.0 - 1e-12, True
+    gamma, gam_clamped = match_gamma(lam, (variance - base) / ((d - 1) * base), d)
+    return EBBMatch(EBBParams(d, lam, float(gamma)),
+                    lambda_clamped=lam_clamped, gamma_clamped=bool(gam_clamped))
+
+
+def match_gamma(lam, ratio, size: int):
+    """Dispersion gamma of EBB(size, lam, gamma) with gamma / (1 + gamma) =
+    ratio, the pairwise correlation of the indicators, clamped into the
+    feasible region.
+
+    A ratio at or above 1 (variance at or beyond the perfectly-correlated
+    ceiling size^2 lam (1 - lam)) is taken as 1 - 1e-12; a gamma at or below
+    gamma_floor(lam, size) is moved just inside it.  Vectorized over lam and
+    ratio.  Returns (gamma, clamped mask).
+    """
+    ratio = np.asarray(ratio, dtype=float)
+    high = ratio >= 1.0
+    ratio = np.where(high, 1.0 - 1e-12, ratio)
     gamma = ratio / (1.0 - ratio)
-    floor = gamma_floor(lam, d)
-    if gamma <= floor:
-        gamma, gam_clamped = floor * (1.0 - GAMMA_CLAMP_MARGIN), True
-    return EBBMatch(EBBParams(d, lam, gamma),
-                    lambda_clamped=lam_clamped, gamma_clamped=gam_clamped)
+    floor = gamma_floor(lam, size)
+    low = gamma <= floor
+    return np.where(low, floor * (1.0 - GAMMA_CLAMP_MARGIN), gamma), high | low

@@ -123,11 +123,6 @@ def count_variance(t, mu, profile: CorrPowerProfile):
     return np.maximum(var, 1e-300)
 
 
-def count_variance_null(t, profile: CorrPowerProfile):
-    """Null variance Var_0 S(t): the mu = 0 entry point (same implementation)."""
-    return count_variance(t, 0.0, profile)
-
-
 @dataclass(frozen=True)
 class CountMoments:
     """First two moments of S(t) at one (t, mu)."""

@@ -174,20 +174,7 @@ def bootstrap_corr(Sigma: np.ndarray, B: int = DEFAULT_BOOTSTRAP_REPS,
     Sigma = gauss.check_correlation(Sigma)
     d = Sigma.shape[0]
     L = _safe_cholesky(Sigma)
-    cols = []
-    dropped = 0
-    for rep in range(B):
-        rng = np.random.default_rng([seed, rep])
-        z = L @ rng.standard_normal(d)
-        try:
-            pv = component_pvalues(setstats.ZVector(z), Sigma, r_max=r_max)
-        except GBJError:
-            dropped += 1
-            continue
-        cols.append([pv[c] for c in OMNI_COMPONENTS])
-    if len(cols) < B // 2:
-        raise NumericalError(f"bootstrap lost {dropped} of {B} replicates")
-    return repair_correlation(_correlate_columns(_transformed(np.array(cols)))), dropped
+    return _bootstrap_replicates(lambda rng: L @ rng.standard_normal(d), Sigma, B, seed, r_max)
 
 
 def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix,
@@ -211,18 +198,27 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
     Sigma = (A.T @ A) * dinv[:, None] * dinv[None, :]
     np.fill_diagonal(Sigma, 1.0)
     Sigma = repair_correlation(0.5 * (Sigma + Sigma.T))
-
-    cols = []
-    dropped = 0
     n = G.n
-    for rep in range(B):
-        rng = np.random.default_rng([seed, rep])
+
+    def draw(rng):
         if fit.family == scores.GAUSSIAN:
             ystar = fit.mu0 + math.sqrt(fit.dispersion) * rng.standard_normal(n)
         else:
             ystar = (rng.uniform(size=n) < fit.mu0).astype(float)
-        num = G.values.T @ (ystar - fit.mu0)
-        z = num * dinv
+        return (G.values.T @ (ystar - fit.mu0)) * dinv
+
+    return _bootstrap_replicates(draw, Sigma, B, seed, r_max)
+
+
+def _bootstrap_replicates(draw, Sigma: np.ndarray, B: int, seed: int, r_max: int):
+    """Correlation of the four transformed component p-values over B null
+    replicates; ``draw(rng)`` returns one replicate's score vector from that
+    replicate's generator, seeded (seed, rep).  Replicates whose components
+    fail are dropped.  Returns (R_hat, dropped_count)."""
+    cols = []
+    dropped = 0
+    for rep in range(B):
+        z = draw(np.random.default_rng([seed, rep]))
         try:
             pv = component_pvalues(setstats.ZVector(z), Sigma, r_max=r_max)
         except GBJError:

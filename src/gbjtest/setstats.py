@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from . import gauss
-from .ebb import GAMMA_CLAMP_MARGIN
+from .ebb import _log_factor_prefixes, match_gamma
 from .errors import DegenerateInputError, DomainError
 from .exceedance import (CorrPowerProfile, corr_powers, count_variance,
                          exceed_prob, zero_profile, DEFAULT_R_MAX)
@@ -77,12 +77,14 @@ def solve_mu(t: float, j: int, d: int) -> float:
     """The positive mean shift at which E #(|Z_i| >= t) equals j.
 
     Solves j/d = 1 - {Phi(t - mu) - Phi(-t - mu)} by safeguarded Newton on
-    mu in (0, t + ndtri(1 - j/(2d)) + 10].  Requires 2*sf(t) < j/d.
+    mu in (0, t + ndtri(1 - j/(2d)) + 10].  Requires 1 <= j < d (the
+    exceedance probability stays below 1 for every mu, so j = d has no root)
+    and 2*sf(t) < j/d.
     """
     if t <= 0:
         raise DomainError(f"solve_mu requires t > 0, got {t!r}")
-    if not (1 <= j <= d):
-        raise DomainError(f"solve_mu requires 1 <= j <= d, got j={j}, d={d}")
+    if not (1 <= j < d):
+        raise DomainError(f"solve_mu requires 1 <= j < d, got j={j}, d={d}")
     if 2.0 * float(gauss.norm_sf(t)) >= j / d:
         raise DomainError(f"indicator violated: 2*sf({t}) >= {j}/{d}")
     return float(_solve_mu_vec(np.array([t]), np.array([j]), d)[0])
@@ -126,42 +128,6 @@ def _solve_mu_vec(t: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
     return mu
 
 
-def _match_gamma_vec(lam: np.ndarray, var: np.ndarray, d: int):
-    """Vectorized gamma recovery from (lambda, variance), with the feasibility
-    clamp of ebb_match.  Returns (gamma, clamped_mask)."""
-    base = d * lam * (1.0 - lam)
-    if d == 1:
-        return np.zeros_like(lam), np.zeros_like(lam, dtype=bool)
-    ratio = (var - base) / ((d - 1) * base)
-    clamped = ratio >= 1.0
-    ratio = np.where(clamped, 1.0 - 1e-12, ratio)
-    gamma = ratio / (1.0 - ratio)
-    floor = -np.minimum(lam, 1.0 - lam) / (d - 1)
-    low = gamma <= floor
-    gamma = np.where(low, floor * (1.0 - GAMMA_CLAMP_MARGIN), gamma)
-    return gamma, clamped | low
-
-
-def _ebb_log_pmf_at(v: np.ndarray, d: int, lam: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """log EBB pmf at single points v, with per-entry (lambda, gamma).
-
-    All factors are positive for k < d because gamma respects the size-d
-    feasibility floor, so the masked log sums below are safe.
-    """
-    v = np.asarray(v, dtype=int)
-    k = np.arange(d, dtype=float)
-    la = lam[:, None]
-    ga = gamma[:, None]
-    log_a = np.log(la + ga * k)
-    log_b = np.log1p(-la + ga * k)
-    log_c = np.log1p(ga * k)
-    mask_a = k[None, :] < v[:, None]
-    mask_b = k[None, :] < (d - v)[:, None]
-    comb = gammaln(d + 1) - gammaln(v + 1) - gammaln(d - v + 1)
-    return (comb + np.where(mask_a, log_a, 0.0).sum(axis=1)
-            + np.where(mask_b, log_b, 0.0).sum(axis=1) - log_c.sum(axis=1))
-
-
 def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
                      profile: CorrPowerProfile):
     """Per-index objective for a supremum statistic at thresholds t.
@@ -190,12 +156,18 @@ def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
     if method == GBJ:
         mu = np.concatenate((np.zeros(n), _solve_mu_vec(t, j, d)))
         var = count_variance(np.concatenate((t, t)), mu, profile)
-        gamma, clamped = _match_gamma_vec(lam, var, d)
+        base = d * lam * (1.0 - lam)
+        gamma, clamped = match_gamma(lam, (var - base) / ((d - 1) * base), d)
         if np.any(clamped):
             flags.append("ebb_gamma_clamped")
     else:
         gamma = np.zeros(2 * n)
-    logp = _ebb_log_pmf_at(np.concatenate((j, j)), d, lam, gamma)
+    # log EBB(d, lam, gamma) pmf at count j; the j-independent log C(d, j)
+    # cancels in the ratio
+    pre_a, pre_b, pre_c = _log_factor_prefixes(d, lam, gamma)
+    rows = np.arange(2 * n)
+    jj = np.concatenate((j, j))
+    logp = pre_a[rows, jj] + pre_b[rows, d - jj] - pre_c[:, d]
     return logp[n:] - logp[:n], tuple(flags)
 
 

@@ -148,7 +148,6 @@ class StudyRow:
 @dataclass(frozen=True)
 class StudyResult:
     rows: tuple
-    failed_replicates: int
     diagnostics: tuple
 
 
@@ -248,8 +247,7 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
                              rho2=st.rho2, rho3=st.rho3, beta=config.beta,
                              alpha=config.alpha, reps=config.reps, rejections=r,
                              rate=rate, se=se))
-    return StudyResult(rows=tuple(rows), failed_replicates=0,
-                       diagnostics=tuple(diagnostics))
+    return StudyResult(rows=tuple(rows), diagnostics=tuple(diagnostics))
 
 
 def result_to_tsv(result: StudyResult) -> str:

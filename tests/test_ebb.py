@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from gbjtest.ebb import EBBParams, ebb_log_pmf, ebb_log_pmf_vec, ebb_match, gamma_floor
+from gbjtest.ebb import (EBBParams, _log_factor_prefixes, ebb_log_pmf, ebb_log_pmf_vec,
+                        ebb_match, gamma_floor, match_gamma)
 from gbjtest.errors import DomainError
 
 
@@ -118,6 +119,19 @@ class TestMatch:
         m = ebb_match(d * lam, 2.0 * d * d * lam * (1 - lam), d)
         assert m.gamma_clamped
 
+    def test_vectorized_matcher_equals_ebb_match(self):
+        # binomial, over- and underdispersed, beyond the ceiling, below the floor
+        d = 8
+        lam = np.array([0.35, 0.2, 0.6, 0.5, 0.3, 0.9, 1e-9])
+        base = d * lam * (1 - lam)
+        var = base * np.array([1.0, 2.5, 0.6, 2.0 * d, 1e-4, 1e-6, 3.0])
+        gamma, clamped = match_gamma(lam, (var - base) / ((d - 1) * base), d)
+        assert clamped.tolist() == [False, False, False, True, True, True, False]
+        for i in range(lam.size):
+            m = ebb_match(d * lam[i], var[i], d)
+            assert m.params.gamma == gamma[i]
+            assert m.gamma_clamped == clamped[i]
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ebb_match(0.0, 1.0, 5)
@@ -125,6 +139,22 @@ class TestMatch:
             ebb_match(5.0, 1.0, 5)
         with pytest.raises(DomainError):
             ebb_match(2.0, -1.0, 5)
+
+
+def test_broadcast_prefixes_equal_per_row_prefixes(rng):
+    d = 30
+    lam = rng.uniform(0.05, 0.95, size=(3, 4))
+    gamma = rng.uniform(0.7, 1.0, size=(3, 4)) * gamma_floor(lam, d)
+    gamma[0] = rng.uniform(0.0, 0.6, size=4)
+    pre = _log_factor_prefixes(d, lam, gamma)
+    assert all(p.shape == (3, 4, d + 1) for p in pre)
+    for idx in np.ndindex(3, 4):
+        row = _log_factor_prefixes(d, lam[idx], gamma[idx])
+        for p, r in zip(pre, row):
+            assert np.array_equal(p[idx], r)
+    # a scalar gamma broadcasts against an array of lambda
+    pre_a, pre_b, _ = _log_factor_prefixes(d, lam[0], 0.0)
+    assert np.array_equal(pre_b[2], np.cumsum(np.r_[0.0, np.full(d, np.log1p(-lam[0, 2]))]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -95,13 +95,6 @@ class TestCountVariance:
             b = float(exceedance.count_variance(t, -mu, prof))
             assert a == pytest.approx(b, rel=1e-13)
 
-    def test_null_entry_point_identical(self, rng):
-        prof = exceedance.corr_powers(rand_corr(5, rng))
-        t = np.linspace(0.1, 4.0, 17)
-        a = exceedance.count_variance(t, 0.0, prof)
-        b = exceedance.count_variance_null(t, prof)
-        assert np.all(a == b)
-
     def test_monte_carlo_agreement(self, rng):
         for d, Sigma in ((5, exchangeable(5, 0.3)), (20, rand_corr(20, rng))):
             prof = exceedance.corr_powers(Sigma, r_max=25)

@@ -261,9 +261,32 @@ class TestFindRoot:
         root = gauss.find_root(lambda x: gauss.std_normal(x).cdf - 0.975, 0.0, 5.0, 1e-12)
         assert abs(root - 1.959964) < 1e-5
 
+    def test_decreasing_function_within_tol(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(-x) - 0.3
+
+        for tol in (1e-3, 1e-8, 1e-12):
+            calls.clear()
+            root = gauss.find_root(f, 0.0, 10.0, tol)
+            assert abs(root - math.log(1 / 0.3)) <= tol + 4e-16 * root
+            assert all(0.0 <= x <= 10.0 for x in calls)
+        coarse = len(calls)
+        calls.clear()
+        gauss.find_root(f, 0.0, 10.0, 1e-2)
+        assert len(calls) < coarse
+
+    def test_bracket_endpoints_returned(self):
+        assert gauss.find_root(lambda x: 3.0 - x, 3.0, 8.0) == 3.0
+        assert gauss.find_root(lambda x: x - 8.0, 3.0, 8.0) == 8.0
+
     def test_bracket_failure(self):
         with pytest.raises(BracketError):
             gauss.find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
+        with pytest.raises(BracketError):
+            gauss.find_root(lambda x: -math.exp(x), -1.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -43,6 +43,9 @@ class TestSolveMu:
             setstats.solve_mu(0.3, 1, 10)
         with pytest.raises(DomainError):
             setstats.solve_mu(-1.0, 1, 10)
+        # lambda(mu) < 1 for every mu, so there is no root at j = d
+        with pytest.raises(DomainError):
+            setstats.solve_mu(2.0, 10, 10)
 
 
 def straight_line_gbj_objective(t, j, d, Sigma):
