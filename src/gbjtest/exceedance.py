@@ -105,7 +105,14 @@ def count_variance(t, mu, profile: CorrPowerProfile):
     base = d * lam * (1.0 - lam)
     if d == 1:
         return base
+    var = base + d * (d - 1) * _pair_cov(t, mu, profile)
+    return np.maximum(var, 1e-300)
 
+
+def _pair_cov(t, mu, profile: CorrPowerProfile):
+    """Average covariance of two exceedance indicators, Var S(t) = d lam
+    (1 - lam) + d (d - 1) _pair_cov, by the Hermite series truncated at the
+    profile's r_max.  Vectorized over t and mu."""
     a = t - mu
     b = -t - mu
     rmax = profile.r_max
@@ -118,9 +125,7 @@ def count_variance(t, mu, profile: CorrPowerProfile):
     sC = np.tensordot(w, ha * hb, axes=(0, 0))
     phia = gauss.norm_pdf(a)
     phib = gauss.norm_pdf(b)
-    cross = phia * phia * sA + phib * phib * sB - 2.0 * phia * phib * sC
-    var = base + d * (d - 1) * cross
-    return np.maximum(var, 1e-300)
+    return phia * phia * sA + phib * phib * sB - 2.0 * phia * phib * sC
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from scipy.special import ndtr, ndtri
 from . import gauss
 from .ebb import _log_factor_prefixes, match_gamma
 from .errors import DegenerateInputError, DomainError
-from .exceedance import (CorrPowerProfile, corr_powers, count_variance,
+from .exceedance import (CorrPowerProfile, _pair_cov, corr_powers, count_variance,
                          exceed_prob, zero_profile, DEFAULT_R_MAX)
 
 GBJ = "GBJ"
@@ -155,15 +155,17 @@ def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
     lam = np.concatenate((lam0, j / float(d)))
     if method == GBJ:
         mu = np.concatenate((np.zeros(n), _solve_mu_vec(t, j, d)))
-        var = count_variance(np.concatenate((t, t)), mu, profile)
-        base = d * lam * (1.0 - lam)
-        gamma, clamped = match_gamma(lam, (var - base) / ((d - 1) * base), d)
+        # gamma / (1 + gamma) is the indicators' pairwise correlation; taken
+        # from the covariance itself, not from Var S minus its binomial part,
+        # which cancel in deep tails
+        cov = _pair_cov(np.concatenate((t, t)), mu, profile)
+        gamma, clamped = match_gamma(lam, cov / (lam * (1.0 - lam)), d)
         if np.any(clamped):
             flags.append("ebb_gamma_clamped")
     else:
         gamma = np.zeros(2 * n)
-    # log EBB(d, lam, gamma) pmf at count j; the j-independent log C(d, j)
-    # cancels in the ratio
+    # log EBB(d, lam, gamma) pmf at count j, less log C(d, j): both rows
+    # carry it, so it cancels in the ratio
     pre_a, pre_b, pre_c = _log_factor_prefixes(d, lam, gamma)
     rows = np.arange(2 * n)
     jj = np.concatenate((j, j))

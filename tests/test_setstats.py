@@ -130,6 +130,18 @@ class TestGbjObjective:
             vals, _ = setstats.objective_values("GBJ", ts, np.full(ts.size, j), d, prof)
             assert np.all(np.diff(vals) > 0)
 
+    def test_smooth_on_a_deep_tail_grid(self):
+        # at t = 7.1144 the null lambda is 1.1e-12; recovering the null
+        # dispersion from Var S minus its binomial part cancelled there and
+        # made the objective step by 4e-10 and fall back
+        d = 5
+        prof = exceedance.corr_powers(exchangeable(d, 0.3))
+        ts = np.linspace(7.1144, 7.1144 + 1e-9, 2001)
+        vals, _ = setstats.objective_values("GBJ", ts, np.full(ts.size, 2), d, prof)
+        steps = np.diff(vals)
+        assert np.all(steps >= 0.0)
+        assert np.max(steps) <= 1e-10
+
     def test_indicator_enforced(self):
         prof = exceedance.zero_profile(10)
         with pytest.raises(DomainError):
