@@ -274,8 +274,8 @@ def invert_bounds(method: str, g: float, d: int,
             else:
                 raise NumericalError(f"{method}: bracket expansion failed at g={g}")
             j_open = js[open_]
-            roots[open_] = gauss._bracketed_roots(lambda t, k: excess(t, j_open[k]), lo[open_],
-                                            hi[open_], f_lo[open_], f_hi[open_])
+            roots[open_] = gauss._bracketed_roots(lambda t, k: excess(t, j_open[k]),
+                                                  lo[open_], hi[open_], f_lo[open_], f_hi[open_])
     b[d - js] = roots                           # index d - j + 1, 0-based d - j
 
     # monotone repair over the finite tail

@@ -395,9 +395,9 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     if flo * fhi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
     sign = 1.0 if flo < 0.0 else -1.0            # the search needs f increasing
-    root = _bracketed_roots(lambda x, k: np.array([sign * f(float(x[0]))]), np.array([float(lo)]),
-                            np.array([float(hi)]), np.array([sign * flo]),
-                            np.array([sign * fhi]), xtol=tol)
+    root = _bracketed_roots(lambda x, k: np.array([sign * f(float(x[0]))]),
+                            np.array([float(lo)]), np.array([float(hi)]),
+                            np.array([sign * flo]), np.array([sign * fhi]), xtol=tol)
     return float(root[0])
 
 

@@ -174,7 +174,13 @@ def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
 
 
 def gbj_objective(t: float, j: int, d: int, profile: CorrPowerProfile) -> float:
-    """The GBJ per-index objective: the EBB log likelihood ratio at count j."""
+    """The GBJ per-index objective: the EBB log likelihood ratio at count j.
+
+    Requires 1 <= j < d, where the alternative's mean shift (solve_mu)
+    exists, and 2*sf(t) < j/d.
+    """
+    if not (1 <= j < d):
+        raise DomainError(f"gbj_objective requires 1 <= j < d, got j={j}, d={d}")
     if 2.0 * float(gauss.norm_sf(t)) >= j / d:
         raise DomainError(f"indicator violated: 2*sf({t}) >= {j}/{d}")
     vals, _ = objective_values(GBJ, np.array([t]), np.array([j]), d, profile)

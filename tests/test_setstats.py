@@ -146,6 +146,9 @@ class TestGbjObjective:
         prof = exceedance.zero_profile(10)
         with pytest.raises(DomainError):
             setstats.gbj_objective(0.5, 1, 10, prof)
+        # no alternative mean shift exists at j = d
+        with pytest.raises(DomainError):
+            setstats.gbj_objective(2.0, 10, 10, prof)
 
 
 class TestComputeStatistic:
