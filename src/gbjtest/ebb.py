@@ -96,17 +96,18 @@ def _log_factor_prefixes(size: int, lam, gamma):
         log Pr(V = v) = log C(size, v) + pre_a[v] + pre_b[size - v] - pre_c[size],
 
     and the same prefixes serve every size m <= size.  ``lam`` and ``gamma``
-    broadcast; arrays of shape S give prefixes of shape S + (size + 1,).  The
+    broadcast: arrays of shape S give prefixes of shape S + (size + 1,)
+    (pre_c, which does not involve lam, follows gamma's shape).  The
     parameters must be feasible for ``size`` (gamma above gamma_floor); this
     kernel does not check.
     """
-    lam, gk = np.broadcast_arrays(np.asarray(lam, dtype=float)[..., None],
-                                  np.asarray(gamma, dtype=float)[..., None]
-                                  * np.arange(size, dtype=float))
-    zero = np.zeros(gk.shape[:-1] + (1,))
+    lam = np.asarray(lam, dtype=float)[..., None]
+    gk = np.asarray(gamma, dtype=float)[..., None] * np.arange(size, dtype=float)
 
     def prefix(x):
-        return np.concatenate((zero, np.cumsum(x, axis=-1)), axis=-1)
+        out = np.zeros(x.shape[:-1] + (size + 1,))
+        np.cumsum(x, axis=-1, out=out[..., 1:])
+        return out
 
     return prefix(np.log(lam + gk)), prefix(np.log1p(gk - lam)), prefix(np.log1p(gk))
 
