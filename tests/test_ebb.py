@@ -153,7 +153,7 @@ def test_broadcast_prefixes_equal_per_row_prefixes(rng):
         for p, r in zip(pre, row):
             assert np.array_equal(p[idx], r)
     # a scalar gamma broadcasts against an array of lambda
-    pre_a, pre_b, _ = _log_factor_prefixes(d, lam[0], 0.0)
+    _, pre_b, _ = _log_factor_prefixes(d, lam[0], 0.0)
     assert np.array_equal(pre_b[2], np.cumsum(np.r_[0.0, np.full(d, np.log1p(-lam[0, 2]))]))
 
 

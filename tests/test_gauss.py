@@ -273,10 +273,10 @@ class TestFindRoot:
             root = gauss.find_root(f, 0.0, 10.0, tol)
             assert abs(root - math.log(1 / 0.3)) <= tol + 4e-16 * root
             assert all(0.0 <= x <= 10.0 for x in calls)
-        coarse = len(calls)
+        fine = len(calls)
         calls.clear()
         gauss.find_root(f, 0.0, 10.0, 1e-2)
-        assert len(calls) < coarse
+        assert len(calls) < fine
 
     def test_bracket_endpoints_returned(self):
         assert gauss.find_root(lambda x: 3.0 - x, 3.0, 8.0) == 3.0
