@@ -101,16 +101,19 @@ def _stages(bounds: BoundaryVector):
     return np.array(thresholds), np.array(caps, dtype=int)
 
 
-def _pair_tails(rhos: np.ndarray, t: float, lam_single: float) -> np.ndarray:
+def _pair_tails(rhos: np.ndarray, perfect: np.ndarray | None, t: float,
+                lam_single: float) -> np.ndarray:
     """Pr(|Z_k| >= t, |Z_l| >= t) per off-diagonal pair.  Perfectly
     (anti)correlated pairs share one absolute value, so their joint tail is
-    the single-coordinate tail."""
-    out = np.empty_like(rhos)
-    perfect = np.abs(rhos) >= 1.0 - 1e-12
-    if np.any(~perfect):
-        out[~perfect] = gauss.bivar_abs_tail_many(t, rhos[~perfect])
-    out[perfect] = lam_single
-    return np.clip(out, 0.0, 1.0)
+    the single-coordinate tail.  ``perfect`` marks those pairs (None when
+    there are none) and ``rhos`` holds the other pairs' correlations."""
+    if perfect is None:
+        out = gauss.bivar_abs_tail_many(t, rhos)
+    else:
+        out = np.full(perfect.size, lam_single)
+        if rhos.size:
+            out[~perfect] = gauss.bivar_abs_tail_many(t, rhos)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
@@ -149,6 +152,11 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
     iu = np.triu_indices(d, k=1)
     rhos = Sigma[iu]
     npairs = rhos.size
+    perfect = np.abs(rhos) >= 1.0 - 1e-12
+    if perfect.any():
+        rhos = rhos[~perfect]
+    else:
+        perfect = None
 
     log_fact = gammaln(np.arange(d + 1) + 1.0)  # log m! for m = 0 .. d
     sf_prev = 0.5                               # sf at t_0 = 0
@@ -170,15 +178,15 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
             lam = 1.0 - 1e-16
         # conditional dispersion from pairwise tail ratios
         if d >= 2:
-            tails_k = _pair_tails(rhos, t_k, 2.0 * sf_k)
+            tails_k = _pair_tails(rhos, perfect, t_k, 2.0 * sf_k)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratios = tails_k / tails_prev
-            bad = ~np.isfinite(ratios)
-            if np.any(bad):
+            if not np.isfinite(ratios).all():
                 flags.append("pair_tail_underflow")
-                ratios[bad] = lam * lam
-            ratios = np.clip(ratios, 0.0, 1.0)
-            numer = 2.0 * np.sum(ratios - lam * lam)
+                ratios[~np.isfinite(ratios)] = lam * lam
+            np.clip(ratios, 0.0, 1.0, out=ratios)
+            ratios -= lam * lam
+            numer = 2.0 * np.sum(ratios)
             frac = numer / (d * (d - 1) * lam * (1.0 - lam))
         else:
             tails_k = tails_prev
@@ -319,7 +327,8 @@ def rejection_region(method: str, alpha: float, d: int, Sigma: np.ndarray,
 
     Root-finds the observed value g at which the analytic p-value hits alpha
     (the p-value decreases monotonically in g), then returns the inverted
-    bounds at that g.
+    bounds at that g.  The root search returns a point it has evaluated, so
+    its bounds and p-value are reused, not recomputed.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -328,8 +337,16 @@ def rejection_region(method: str, alpha: float, d: int, Sigma: np.ndarray,
         raise DomainError(f"d={d} does not match correlation dimension {Sigma.shape[0]}")
     profile = corr_powers(Sigma, r_max=r_max)
 
+    evaluated: dict[float, tuple[BoundaryVector, float]] = {}
+
+    def evaluate(g: float) -> tuple[BoundaryVector, float]:
+        if g not in evaluated:
+            bounds = invert_bounds(method, g, d, profile)
+            evaluated[g] = bounds, crossing_pvalue(bounds, Sigma)
+        return evaluated[g]
+
     def pv(g: float) -> float:
-        return crossing_pvalue(invert_bounds(method, g, d, profile), Sigma)
+        return evaluate(g)[1]
 
     if method == setstats.MINP:
         g_lo = 1e-8
@@ -360,8 +377,7 @@ def rejection_region(method: str, alpha: float, d: int, Sigma: np.ndarray,
         lambda g, k: np.array([log_excess(pv(float(g[0])))]),
         np.array([g_lo]), np.array([g_hi]), np.array([log_excess(p_lo)]),
         np.array([log_excess(p_hi)]), ftol=0.2 * rel_tol)[0])
-    bounds = invert_bounds(method, g_star, d, profile)
-    achieved = crossing_pvalue(bounds, Sigma)
+    bounds, achieved = evaluate(g_star)
     if abs(achieved - alpha) > rel_tol * alpha:
         raise NumericalError(f"{method}: rejection region missed alpha "
                              f"({achieved:.6g} vs {alpha:.6g})")

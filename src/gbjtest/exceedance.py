@@ -56,8 +56,12 @@ def corr_powers(Sigma: np.ndarray, r_max: int = DEFAULT_R_MAX) -> CorrPowerProfi
         return CorrPowerProfile(rbar=np.zeros(r_max), d=1)
     iu = np.triu_indices(d, k=1)
     off = Sigma[iu]
-    pw = off[None, :] ** np.arange(1, r_max + 1)[:, None]
-    rbar = 2.0 * pw.sum(axis=1) / (d * (d - 1))
+    sums = np.empty(r_max)
+    pw = np.ones_like(off)                      # off^r by running products
+    for r in range(r_max):
+        pw *= off
+        sums[r] = pw.sum()
+    rbar = 2.0 * sums / (d * (d - 1))
     return CorrPowerProfile(rbar=rbar, d=d,
                             high_corr=bool(off.size and np.max(np.abs(off)) > HIGH_CORR_FLAG_LEVEL))
 

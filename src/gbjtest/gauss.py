@@ -13,7 +13,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import dblquad
 from scipy.special import log_ndtr, ndtr, ndtri, roots_legendre
 
 from .errors import BracketError, DomainError, NumericalError
@@ -134,43 +133,60 @@ def bivar_abs_tail(t: float, rho: float, tol: float = 1e-12, r_cap: int = 1000) 
 
 
 def bivar_abs_tail_many(t: float, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 1000) -> np.ndarray:
-    """Vectorized ``bivar_abs_tail`` over many correlations at one threshold."""
+    """Vectorized ``bivar_abs_tail`` over many correlations at one threshold.
+
+    The series is a polynomial in x = rho^2 with coefficients h_{r-1}(t)^2 / r
+    at even r.  Its terms are nonnegative and increase with x, so the pair
+    with the largest rho^2 has the largest partial sums: the coefficients and
+    the stopping order are found on that pair alone, with scalars, and the
+    polynomial is then evaluated over all pairs by Horner's rule.
+    """
     if t < 0:
         raise DomainError(f"bivar_abs_tail requires t >= 0, got {t!r}")
     rhos = np.asarray(rhos, dtype=float)
-    if rhos.size and np.max(np.abs(rhos)) >= 1.0:
+    if rhos.size == 0:
+        return np.empty_like(rhos)
+    x = rhos * rhos
+    x_max = float(np.max(x))
+    if x_max >= 1.0:               # rounding keeps rho^2 < 1 for |rho| < 1
         raise DomainError("bivar_abs_tail requires |rho| < 1")
-    sf = float(_sf_scalar(t))
-    base = (2.0 * sf) ** 2
+    base = (2.0 * float(_sf_scalar(t))) ** 2
     phi2 = math.exp(-t * t) / (2.0 * math.pi)
-    rho2 = rhos * rhos
-    rho_pow = rho2.copy()          # rho^r at even r, starting r = 2
-    total = np.zeros_like(rhos)
-    h_prev, h_curr = 1.0, t        # h_0, h_1
-    r = 2
     # Cramer envelope |h_r(t)| <= kappa e^{t^2/4}: the residual past order r is
     # below env * rho^{r+2} / ((r+2)(1 - rho^2)), a rigorous stopping bound
     env = (2.0 / math.pi) * 1.18 * math.exp(-0.5 * t * t)
-    rmax_abs = float(np.max(rho2)) if rhos.size else 0.0
+    coefs: list[float] = []
+    x_pow, total_max = x_max, 0.0  # x_max^(r/2) and the series at x_max
+    h_prev, h_curr = 1.0, t        # h_0, h_1
+    r = 2
     while r <= r_cap:
-        term = rho_pow * (h_curr * h_curr / r)
-        total += term
-        if rhos.size == 0:
-            break
-        scale = max(base, 4.0 * phi2 * float(total.max()), 1e-300)
-        residual = env * rmax_abs ** (r // 2 + 1) / ((r + 2) * (1.0 - rmax_abs))
+        coefs.append(h_curr * h_curr / r)
+        total_max += x_pow * coefs[-1]
+        scale = max(base, 4.0 * phi2 * total_max, 1e-300)
+        residual = env * x_max ** (r // 2 + 1) / ((r + 2) * (1.0 - x_max))
         if residual <= tol * scale:
             break
         for rr in (r, r + 1):      # advance h by two orders
             h_prev, h_curr = h_curr, t * h_curr / math.sqrt(rr) - h_prev * math.sqrt((rr - 1) / rr)
-        rho_pow *= rho2
+        x_pow *= x_max
         r += 2
-    return base + 4.0 * phi2 * total
+    if not coefs:
+        return np.full_like(rhos, base)
+    acc = np.full_like(x, coefs[-1])
+    for c in reversed(coefs[:-1]):
+        np.multiply(acc, x, out=acc)
+        acc += c
+    acc *= x                       # the series starts at x^1
+    acc *= 4.0 * phi2
+    acc += base
+    return acc
 
 
 def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
     """Oracle: the same probability by 2-D adaptive quadrature over the four
     tail quadrants.  Slow; intended for tests only."""
+    from scipy.integrate import dblquad
+
     if t < 0:
         raise DomainError(f"bivar_abs_tail requires t >= 0, got {t!r}")
     det = 1.0 - rho * rho

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import chi2, ncx2
 
 from . import crossing, gauss, scores, setstats
 from .errors import DegenerateInputError, DomainError, GBJError, NumericalError
@@ -71,6 +70,8 @@ def skat_pvalue_from_q(q: float, Sigma: np.ndarray) -> float:
 
     Exact when Sigma is the identity (the match degenerates to chi^2_d).
     """
+    from scipy.stats import chi2, ncx2    # loading scipy.stats costs ~40 MiB
+
     eigs = gauss.sym_eigvals(Sigma)
     dof, delta, mu_q, sigma_q, mu_x, sigma_x = _liu_params(eigs)
     t_final = (q - mu_q) / sigma_q * sigma_x + mu_x

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,13 +177,37 @@ class TestCrossingPvalue:
             assert total <= retained_prev + 1e-12
             retained_prev = total - leak
 
-    def test_perfectly_correlated_pair_supported(self):
+    def test_perfectly_correlated_pair_supported(self, monkeypatch):
         d = 3
         Sigma = np.eye(3)
         Sigma[0, 1] = Sigma[1, 0] = 1.0
         bounds = np.array([np.inf, np.inf, 2.0])
         p = crossing.crossing_pvalue(BoundaryVector(b=bounds), Sigma)
         assert 0.0 < p < 1.0
+        # Z_0 = Z_1: their pair never reaches the series (|rho| = 1 is outside
+        # its domain) and carries the single-coordinate tail 2 sf(t) instead
+        seen = []
+        series = gauss.bivar_abs_tail_many
+
+        def record(t, rhos, *args, **kwargs):
+            seen.append(np.array(rhos))
+            return series(t, rhos, *args, **kwargs)
+
+        monkeypatch.setattr(gauss, "bivar_abs_tail_many", record)
+        Sigma = exchangeable(4, 0.3)
+        Sigma[0, 1] = Sigma[1, 0] = 1.0
+        bv = BoundaryVector(b=np.array([np.inf, 1.5, 2.0, 2.5]))
+        p = crossing.crossing_pvalue(bv, Sigma)
+        assert 0.0 < p < 1.0
+        assert len(seen) == 3
+        assert all(r.size == 5 and np.all(np.abs(r) < 1.0) for r in seen)
+        flip = np.diag([1.0, -1.0, 1.0, 1.0])     # Z_1 = -Z_0: same |Z|
+        assert crossing.crossing_pvalue(bv, flip @ Sigma @ flip) == p
+        # d = 2, one perfect pair: |Z|_(1) > b_1 is the whole event
+        seen.clear()
+        p2 = crossing.crossing_pvalue(BoundaryVector(b=np.array([1.5, 2.0])), np.ones((2, 2)))
+        assert not seen
+        assert p2 == pytest.approx(2.0 * gauss.std_normal(1.5).sf, rel=1e-9)
 
     def test_non_monotone_bounds_rejected(self):
         with pytest.raises(DomainError):
@@ -252,6 +279,20 @@ class TestExactSmall:
 
 
 class TestPvalue:
+    def test_pvalue_loads_neither_scipy_stats_nor_integrate(self):
+        # a fresh interpreter: pytest itself may have loaded both modules
+        import gbjtest
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gbjtest.__file__)))
+        code = ("import sys; import numpy as np; import gbjtest; "
+                "S = np.full((5, 5), 0.3); np.fill_diagonal(S, 1.0); "
+                "z = gbjtest.ZVector(np.array([2.5, 1.0, 0.3, -1.2, 3.1])); "
+                "gbjtest.pvalue('GBJ', z, S); "
+                "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
     def test_zero_statistic_pvalue_one(self):
         Z = setstats.ZVector(np.array([0.1, 0.2, 0.3, 0.4]))
         out = crossing.pvalue("GBJ", Z, np.eye(4))
@@ -327,6 +368,21 @@ class TestRejectionRegion:
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             crossing.rejection_region("GBJ", 0.0, 5, np.eye(5))
+
+    def test_searched_point_is_not_recomputed(self, monkeypatch):
+        # the root search returns a point it has evaluated; its bounds and
+        # p-value are reused, so no bounds reach the recursion twice
+        evaluated = []
+        recursion = crossing.crossing_pvalue
+
+        def record(bounds, Sigma, return_table=False):
+            evaluated.append(bounds.b.copy())
+            return recursion(bounds, Sigma, return_table)
+
+        monkeypatch.setattr(crossing, "crossing_pvalue", record)
+        bv = crossing.rejection_region("GBJ", 0.01, 10, exchangeable(10, 0.3))
+        assert len({tuple(b) for b in evaluated}) == len(evaluated)
+        assert any(np.array_equal(bv.b, b) for b in evaluated)
 
 
 def test_region_serialization_format():

@@ -154,18 +154,30 @@ class TestBivarAbsTail:
         assert np.all(np.diff(vals) > 0)
 
     def test_vectorized_matches_scalar(self, rng):
-        # the batch path stops the shared series on the worst element, so
-        # agreement is at the accuracy contract, not bit level
+        # the batch runs the series to the order its largest |rho| needs and
+        # each scalar call to its own, so agreement is at the 1e-12 stopping
+        # tolerance, not bit level
         rhos = rng.uniform(-0.9, 0.9, size=20)
         many = gauss.bivar_abs_tail_many(1.3, rhos)
         for r, v in zip(rhos, many):
             assert v == pytest.approx(gauss.bivar_abs_tail(1.3, r), rel=1e-9)
+        rhos = rng.uniform(0.0, 0.95, size=2000) * rng.choice((-1.0, 1.0), size=2000)
+        for t in (0.5, 2.0, 4.0, 6.0):
+            many = gauss.bivar_abs_tail_many(t, rhos)
+            one = np.array([gauss.bivar_abs_tail(t, r) for r in rhos])
+            np.testing.assert_allclose(many, one, rtol=1e-11, atol=0.0)
+
+    def test_empty_batch(self):
+        out = gauss.bivar_abs_tail_many(2.0, np.array([]))
+        assert out.shape == (0,) and out.dtype == float
 
     def test_domain(self):
         with pytest.raises(DomainError):
             gauss.bivar_abs_tail(-0.5, 0.2)
         with pytest.raises(DomainError):
             gauss.bivar_abs_tail(1.0, 1.0)
+        with pytest.raises(DomainError):
+            gauss.bivar_abs_tail_many(1.0, np.array([0.3, -1.0]))
 
 
 class TestMvnCdfSmall:
