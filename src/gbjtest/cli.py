@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 
-from . import __version__, crossing, fileio, gauss, omnibus, scores, setstats, simlab
+from . import __version__, crossing, exceedance, fileio, omnibus, scores, setstats, simlab
 from .errors import BracketError, DomainError, GBJError, ModelError, NumericalError
 
 
@@ -132,20 +132,18 @@ def cmd_test(args) -> int:
                            seed=args.seed, methods=methods, versions=_versions())
     t0 = time.time()
     ids, z = fileio.read_zstats(args.zstats)
-    Sigma = fileio.read_correlation(args.correlation)
-    if Sigma.shape[0] != z.size:
-        raise fileio.ParseError(f"{z.size} statistics but "
-                                f"{Sigma.shape[0]}x{Sigma.shape[1]} correlation")
-    Sigma = gauss.check_correlation(Sigma)
+    model = exceedance.correlation_model(fileio.read_correlation(args.correlation))
+    if model.d != z.size:
+        raise fileio.ParseError(f"{z.size} statistics but {model.d}x{model.d} correlation")
     Z = setstats.ZVector(z)
     lines = ["method\tstatistic\tpvalue\tachieving_index\tflags"]
     for method in methods:
         if method == "SKAT":
             q = omnibus.skat_statistic(Z)
-            p = omnibus.skat_lite(Z, Sigma)
+            p = omnibus.skat_lite(Z, model)
             lines.append(f"SKAT\t{q:.10g}\t{p:.6g}\tNA\t-")
         elif method == "OMNI":
-            res = omnibus.omnibus_test(Z, Sigma, B=args.bootstrap_reps,
+            res = omnibus.omnibus_test(Z, model, B=args.bootstrap_reps,
                                        seed=args.seed or 0)
             flags = list(res.diagnostics)
             flags.append(f"bootstrap_reps={res.bootstrap_reps}")
@@ -155,7 +153,7 @@ def cmd_test(args) -> int:
             lines.append(f"OMNI\t{res.omni_stat:.10g}\t{res.p_omni:.6g}\tNA\t"
                          + ";".join(flags))
         else:
-            out = crossing.pvalue(method, Z, Sigma)
+            out = crossing.pvalue(method, Z, model)
             idx = "NA" if out.achieving_index is None else str(out.achieving_index)
             flags = ";".join(sorted(out.diagnostics)) if out.diagnostics else "-"
             manifest.warnings.extend(out.diagnostics)
@@ -175,9 +173,8 @@ def cmd_region(args) -> int:
                            inputs={"correlation": args.correlation},
                            seed=args.seed, methods=[method], versions=_versions())
     t0 = time.time()
-    Sigma = gauss.check_correlation(fileio.read_correlation(args.correlation))
-    d = Sigma.shape[0]
-    bounds = crossing.rejection_region(method, args.alpha, d, Sigma)
+    model = exceedance.correlation_model(fileio.read_correlation(args.correlation))
+    bounds = crossing.rejection_region(method, args.alpha, model.d, model)
     manifest.warnings.extend(bounds.diagnostics)
     _emit(crossing.region_to_tsv(bounds, method, args.alpha), args.out)
     manifest.wall_time_s = time.time() - t0

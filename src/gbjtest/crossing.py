@@ -25,7 +25,7 @@ from scipy.special import gammaln, ndtri
 from . import gauss, setstats
 from .ebb import _log_factor_prefixes, match_gamma
 from .errors import DomainError, NumericalError, SizeError
-from .exceedance import CorrPowerProfile, corr_powers, DEFAULT_R_MAX
+from .exceedance import CorrelationModel, CorrPowerProfile, correlation_model
 
 PVALUE_FLOOR = 1e-16
 MONOTONE_REPAIR_FLAG = 1e-6
@@ -116,7 +116,7 @@ def _pair_tails(rhos: np.ndarray, perfect: np.ndarray | None, t: float,
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
+def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel,
                     return_table: bool = False):
     """Pr(any |Z|_(j) > b_j) for Z ~ MVN(0, Sigma) by the conditional-EBB
     threshold recursion.
@@ -126,13 +126,13 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
     bounds : BoundaryVector
         Monotone thresholds; +inf entries are skipped (their constraints are
         vacuous) and the allowed exceedance counts adjust accordingly.
-    Sigma : array
+    Sigma : array or CorrelationModel
         Correlation matrix of the marginal statistics.
     return_table : bool
         Also return the CrossingTable of working probabilities.
     """
-    Sigma = gauss.check_correlation(Sigma)
-    d = Sigma.shape[0]
+    model = correlation_model(Sigma)
+    d = model.d
     if bounds.d != d:
         raise DomainError(f"bounds dimension {bounds.d} != correlation dimension {d}")
     thresholds, caps = _stages(bounds)
@@ -149,14 +149,10 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
             return p, CrossingTable(thresholds, caps, (), np.array([p]), tuple(flags))
         return p
 
-    iu = np.triu_indices(d, k=1)
-    rhos = Sigma[iu]
+    rhos, perfect = model.pairs
     npairs = rhos.size
-    perfect = np.abs(rhos) >= 1.0 - 1e-12
-    if perfect.any():
+    if perfect is not None:
         rhos = rhos[~perfect]
-    else:
-        perfect = None
 
     log_fact = gammaln(np.arange(d + 1) + 1.0)  # log m! for m = 0 .. d
     sf_prev = 0.5                               # sf at t_0 = 0
@@ -226,13 +222,13 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
 
 
 def invert_bounds(method: str, g: float, d: int,
-                  profile: CorrPowerProfile) -> BoundaryVector:
+                  profile: CorrPowerProfile | None) -> BoundaryVector:
     """Boundary points of a supremum statistic at observed value g.
 
     For each index j in the maximization range, b_{d-j+1} is the root in t of
     objective(t, j) = g over the indicator region; remaining entries are
     +inf.  MinP binds only |Z|_(d).  A final cumulative-maximum pass repairs
-    round-off monotonicity violations.
+    round-off monotonicity violations.  Only GBJ and GHC read ``profile``.
     """
     if g < 0:
         raise DomainError(f"invert_bounds requires g >= 0, got {g!r}")
@@ -244,9 +240,6 @@ def invert_bounds(method: str, g: float, d: int,
         raise DomainError(f"cannot invert method {method!r}")
     if d < 2:
         raise DomainError(f"{method} bounds require d >= 2")
-    if method in (setstats.BJ, setstats.HC):
-        profile = CorrPowerProfile(rbar=np.zeros(profile.r_max), d=d)
-
     jmax = setstats.max_index(d)
     js = np.arange(1, jmax + 1)
     t_min = ndtri(1.0 - js / (2.0 * d))        # indicator boundary per index
@@ -296,24 +289,21 @@ def invert_bounds(method: str, g: float, d: int,
     return BoundaryVector(b=b, diagnostics=tuple(flags))
 
 
-def pvalue(method: str, Z: setstats.ZVector, Sigma: np.ndarray,
-           r_max: int = DEFAULT_R_MAX) -> setstats.TestOutcome:
+def pvalue(method: str, Z: setstats.ZVector,
+           Sigma: np.ndarray | CorrelationModel) -> setstats.TestOutcome:
     """Observed statistic plus its analytic boundary-crossing p-value.
 
     A statistic of exactly zero (indicator never satisfied) reports p = 1.
     P-values are clamped into [1e-16, 1].
     """
-    Sigma = gauss.check_correlation(Sigma)
-    outcome = setstats.compute_statistic(method, Z, Sigma, r_max=r_max)
+    model = correlation_model(Sigma)
+    outcome = setstats.compute_statistic(method, Z, model)
     if outcome.statistic <= 0.0 and method != setstats.MINP:
         outcome.pvalue = 1.0
         return outcome
-    if method in (setstats.GBJ, setstats.GHC):
-        profile = corr_powers(Sigma, r_max=r_max)
-    else:
-        profile = CorrPowerProfile(rbar=np.zeros(r_max), d=Z.d)
+    profile = model.profile if method in setstats.PROFILE_METHODS else None
     bounds = invert_bounds(method, outcome.statistic, Z.d, profile)
-    p, table = crossing_pvalue(bounds, Sigma, return_table=True)
+    p, table = crossing_pvalue(bounds, model, return_table=True)
     outcome.pvalue = float(min(1.0, max(PVALUE_FLOOR, p)))
     outcome.diagnostics = tuple(sorted(set(outcome.diagnostics)
                                        | set(bounds.diagnostics)
@@ -321,8 +311,9 @@ def pvalue(method: str, Z: setstats.ZVector, Sigma: np.ndarray,
     return outcome
 
 
-def rejection_region(method: str, alpha: float, d: int, Sigma: np.ndarray,
-                     rel_tol: float = 1e-4, r_max: int = DEFAULT_R_MAX) -> BoundaryVector:
+def rejection_region(method: str, alpha: float, d: int,
+                     Sigma: np.ndarray | CorrelationModel,
+                     rel_tol: float = 1e-4) -> BoundaryVector:
     """Boundary points whose crossing probability equals alpha.
 
     Root-finds the observed value g at which the analytic p-value hits alpha
@@ -332,17 +323,17 @@ def rejection_region(method: str, alpha: float, d: int, Sigma: np.ndarray,
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
-    Sigma = gauss.check_correlation(Sigma)
-    if Sigma.shape[0] != d:
-        raise DomainError(f"d={d} does not match correlation dimension {Sigma.shape[0]}")
-    profile = corr_powers(Sigma, r_max=r_max)
+    model = correlation_model(Sigma)
+    if model.d != d:
+        raise DomainError(f"d={d} does not match correlation dimension {model.d}")
+    profile = model.profile if method in setstats.PROFILE_METHODS else None
 
     evaluated: dict[float, tuple[BoundaryVector, float]] = {}
 
     def evaluate(g: float) -> tuple[BoundaryVector, float]:
         if g not in evaluated:
             bounds = invert_bounds(method, g, d, profile)
-            evaluated[g] = bounds, crossing_pvalue(bounds, Sigma)
+            evaluated[g] = bounds, crossing_pvalue(bounds, model)
         return evaluated[g]
 
     def pv(g: float) -> float:
@@ -407,7 +398,7 @@ def _admissible(sorted_shells, caps) -> bool:
     return True
 
 
-def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
+def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel,
                        npts: int = 8192, nshift: int = 8) -> float:
     """Exact crossing probability for small sets (d <= 8).
 
@@ -418,7 +409,7 @@ def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray,
     evaluated by deterministic numerical integration.  At d = 2 this reduces
     to the classical two-term permutation formula.
     """
-    Sigma = gauss.check_correlation(Sigma)
+    Sigma = correlation_model(Sigma).matrix
     d = Sigma.shape[0]
     if d > 8:
         raise SizeError(f"exact_small_pvalue supports d <= 8, got {d}")

@@ -8,7 +8,8 @@ moments used by the correlation-adjusted supremum statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,16 +47,55 @@ class CorrPowerProfile:
         return self.rbar.size
 
 
-def corr_powers(Sigma: np.ndarray, r_max: int = DEFAULT_R_MAX) -> CorrPowerProfile:
+@dataclass(frozen=True, eq=False)
+class CorrelationModel:
+    """A correlation matrix validated once by ``gauss.check_correlation``,
+    with the eigenvalues that check computes (non-increasing; they give the
+    quadratic-form component its null law).  The power profile at
+    DEFAULT_R_MAX and the off-diagonal pairs are computed on first use."""
+
+    matrix: np.ndarray
+    eigvals: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        matrix, eigvals = gauss.check_correlation(self.matrix)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "eigvals", eigvals)
+
+    @property
+    def d(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def profile(self) -> CorrPowerProfile:
+        return corr_powers(self)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Off-diagonal correlations rho_kl, k < l, in row-major order, and the
+        mask of those with |rho| = 1 within 1e-12 (None if there are none)."""
+        upper = self.matrix[np.triu_indices(self.d, k=1)]
+        perfect = np.abs(upper) >= 1.0 - 1e-12
+        return upper, (perfect if perfect.any() else None)
+
+
+def correlation_model(Sigma: np.ndarray | CorrelationModel) -> CorrelationModel:
+    """``Sigma`` itself if it is a model, else the model of the array."""
+    if isinstance(Sigma, CorrelationModel):
+        return Sigma
+    return CorrelationModel(Sigma)
+
+
+def corr_powers(Sigma: np.ndarray | CorrelationModel,
+                r_max: int = DEFAULT_R_MAX) -> CorrPowerProfile:
     """Averaged off-diagonal correlation powers of a correlation matrix."""
-    Sigma = gauss.check_correlation(Sigma)
-    d = Sigma.shape[0]
+    model = correlation_model(Sigma)
+    d = model.d
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     if d == 1:
-        return CorrPowerProfile(rbar=np.zeros(r_max), d=1)
-    iu = np.triu_indices(d, k=1)
-    off = Sigma[iu]
+        return zero_profile(1, r_max)
+    off = model.pairs[0]
     sums = np.empty(r_max)
     pw = np.ones_like(off)                      # off^r by running products
     for r in range(r_max):
@@ -63,7 +103,7 @@ def corr_powers(Sigma: np.ndarray, r_max: int = DEFAULT_R_MAX) -> CorrPowerProfi
         sums[r] = pw.sum()
     rbar = 2.0 * sums / (d * (d - 1))
     return CorrPowerProfile(rbar=rbar, d=d,
-                            high_corr=bool(off.size and np.max(np.abs(off)) > HIGH_CORR_FLAG_LEVEL))
+                            high_corr=bool(np.max(np.abs(off)) > HIGH_CORR_FLAG_LEVEL))
 
 
 def zero_profile(d: int, r_max: int = DEFAULT_R_MAX) -> CorrPowerProfile:

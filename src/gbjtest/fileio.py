@@ -149,6 +149,8 @@ def read_correlation(path: str) -> np.ndarray:
     rows = []
     for i, ln in enumerate(lines, start=1):
         fields = _split(ln)
+        if rows and len(fields) != len(rows[0]):
+            raise ParseError(f"{path}:{i}: expected {len(rows[0])} fields, got {len(fields)}")
         try:
             rows.append([float(f) for f in fields])
         except ValueError as exc:

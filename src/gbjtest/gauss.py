@@ -2,7 +2,7 @@
 
 Standard-normal functions, probabilists' Hermite polynomials, joint absolute
 tail probabilities of a bivariate normal, a deterministic low-dimension
-multivariate normal integrator, symmetric eigenvalues, and bracketed
+multivariate normal integrator, a correlation-matrix check, and bracketed
 root-finding.  Everything here is a pure function; nothing caches mutable
 state, so concurrent use is unrestricted.
 """
@@ -204,23 +204,26 @@ def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
     return total
 
 
-def check_correlation(R: np.ndarray, eig_tol: float = 1e-8) -> np.ndarray:
-    """Validate a correlation matrix: square, symmetric, unit diagonal, PSD
-    within ``-eig_tol``.  Returns the matrix as a float array."""
+def check_correlation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a correlation matrix: square, finite, symmetric within 1e-10,
+    unit diagonal within 1e-8, entries in [-1, 1] within 1e-8, and PSD within
+    -1e-8.  Returns the matrix as a float array and the eigenvalues of its
+    symmetric part in non-increasing order."""
     R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise DomainError(f"correlation matrix must be square, got shape {R.shape}")
-    if not np.allclose(R, R.T, atol=1e-10):
+    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.size == 0:
+        raise DomainError(f"correlation matrix must be square and non-empty, got shape {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise DomainError("correlation matrix entries must be finite")
+    if not np.allclose(R, R.T, rtol=0.0, atol=1e-10):
         raise DomainError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(R), 1.0, atol=1e-8):
+    if not np.allclose(np.diag(R), 1.0, rtol=0.0, atol=1e-8):
         raise DomainError("correlation matrix must have unit diagonal")
     if np.max(np.abs(R)) > 1.0 + 1e-8:
         raise DomainError("correlation entries must lie in [-1, 1]")
-    if R.shape[0] > 1:
-        lo = float(np.linalg.eigvalsh(R)[0])
-        if lo < -eig_tol:
-            raise DomainError(f"correlation matrix not PSD (min eigenvalue {lo:.3e})")
-    return R
+    eigvals = np.linalg.eigvalsh(0.5 * (R + R.T))[::-1]
+    if eigvals[-1] < -1e-8:
+        raise DomainError(f"correlation matrix not PSD (min eigenvalue {eigvals[-1]:.3e})")
+    return R, eigvals
 
 
 def bvn_cdf(x: float, y: float, rho: float) -> float:
@@ -367,7 +370,7 @@ def mvn_cdf_small(z: float, R: np.ndarray, npts: int = 16384,
     coordinate pairs are collapsed before integration, which covers the
     degenerate single-factor case exactly.
     """
-    R = check_correlation(R)
+    R, _ = check_correlation(R)
     if R.shape[0] > 4:
         raise DomainError(f"mvn_cdf_small supports dimension <= 4, got {R.shape[0]}")
     if not math.isfinite(z):
@@ -386,18 +389,6 @@ def mvn_cdf_small(z: float, R: np.ndarray, npts: int = 16384,
     if return_error:
         return p, err
     return p
-
-
-def sym_eigvals(M: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, non-increasing order."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"sym_eigvals requires a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.T)) > sym_tol * scale:
-        raise DomainError("sym_eigvals requires a symmetric matrix")
-    vals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return vals[::-1]
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -17,7 +17,7 @@ from scipy.special import ndtri
 
 from . import crossing, gauss, scores, setstats
 from .errors import DegenerateInputError, DomainError, GBJError, NumericalError
-from .exceedance import DEFAULT_R_MAX
+from .exceedance import CorrelationModel, correlation_model
 
 OMNI_COMPONENTS = (setstats.GBJ, setstats.GHC, "SKAT", setstats.MINP)
 DEFAULT_BOOTSTRAP_REPS = 100
@@ -65,57 +65,56 @@ def _liu_params(eigs: np.ndarray):
     return dof, delta, mu_q, sigma_q, mu_x, sigma_x
 
 
-def skat_pvalue_from_q(q: float, Sigma: np.ndarray) -> float:
+def skat_pvalue_from_q(q: float, Sigma: np.ndarray | CorrelationModel) -> float:
     """Survival probability of sum(lambda_i chi^2_1) at q, Liu approximation.
 
     Exact when Sigma is the identity (the match degenerates to chi^2_d).
     """
     from scipy.stats import chi2, ncx2    # loading scipy.stats costs ~40 MiB
 
-    eigs = gauss.sym_eigvals(Sigma)
-    dof, delta, mu_q, sigma_q, mu_x, sigma_x = _liu_params(eigs)
+    dof, delta, mu_q, sigma_q, mu_x, sigma_x = _liu_params(correlation_model(Sigma).eigvals)
     t_final = (q - mu_q) / sigma_q * sigma_x + mu_x
     if delta < 1e-12:
         return float(chi2.sf(t_final, dof))
     return float(ncx2.sf(t_final, dof, delta))
 
 
-def skat_lite(Z: setstats.ZVector, Sigma: np.ndarray) -> float:
+def skat_lite(Z: setstats.ZVector, Sigma: np.ndarray | CorrelationModel) -> float:
     """P-value of the unit-weight quadratic-form component."""
-    Sigma = gauss.check_correlation(Sigma)
-    if Sigma.shape[0] != Z.d:
+    model = correlation_model(Sigma)
+    if model.d != Z.d:
         raise DomainError("dimension mismatch between Z and Sigma")
-    return skat_pvalue_from_q(skat_statistic(Z), Sigma)
+    return skat_pvalue_from_q(skat_statistic(Z), model)
 
 
-def skat_threshold(alpha: float, Sigma: np.ndarray) -> float:
+def skat_threshold(alpha: float, Sigma: np.ndarray | CorrelationModel) -> float:
     """Observed Q at which the quadratic-form p-value equals alpha."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
-    d = Sigma.shape[0]
-    lo, hi = 1e-8, 10.0 * d
-    while skat_pvalue_from_q(hi, Sigma) > alpha:
+    model = correlation_model(Sigma)
+    lo, hi = 1e-8, 10.0 * model.d
+    while skat_pvalue_from_q(hi, model) > alpha:
         hi *= 2.0
         if hi > 1e9:
             raise NumericalError("cannot bracket quadratic-form threshold")
-    return gauss.find_root(lambda q: skat_pvalue_from_q(q, Sigma) - alpha, lo, hi, tol=1e-10)
+    return gauss.find_root(lambda q: skat_pvalue_from_q(q, model) - alpha, lo, hi, tol=1e-10)
 
 
-def component_pvalues(Z: setstats.ZVector, Sigma: np.ndarray,
-                      r_max: int = DEFAULT_R_MAX) -> dict:
+def component_pvalues(Z: setstats.ZVector, Sigma: np.ndarray | CorrelationModel) -> dict:
     """The four omnibus component p-values on one set.
 
     At d = 1 every component collapses to the two-sided normal test, so the
     supremum methods are evaluated as MinP there.
     """
+    model = correlation_model(Sigma)
     out = {}
     if Z.d == 1:
         p1 = float(min(1.0, 2.0 * gauss.norm_sf(abs(Z.z[0]))))
         out = {setstats.GBJ: p1, setstats.GHC: p1, "SKAT": p1, setstats.MINP: p1}
         return out
     for method in (setstats.GBJ, setstats.GHC, setstats.MINP):
-        out[method] = float(crossing.pvalue(method, Z, Sigma, r_max=r_max).pvalue)
-    out["SKAT"] = skat_lite(Z, Sigma)
+        out[method] = float(crossing.pvalue(method, Z, model).pvalue)
+    out["SKAT"] = skat_lite(Z, model)
     return out
 
 
@@ -158,8 +157,8 @@ def _correlate_columns(X: np.ndarray) -> np.ndarray:
     return R
 
 
-def bootstrap_corr(Sigma: np.ndarray, B: int = DEFAULT_BOOTSTRAP_REPS,
-                   seed: int = 0, r_max: int = DEFAULT_R_MAX):
+def bootstrap_corr(Sigma: np.ndarray | CorrelationModel, B: int = DEFAULT_BOOTSTRAP_REPS,
+                   seed: int = 0):
     """Inter-test correlation by parametric bootstrap, summary-statistic mode.
 
     Null replicates draw Z* ~ MVN(0, Sigma) directly (the constant-null-mean
@@ -172,15 +171,14 @@ def bootstrap_corr(Sigma: np.ndarray, B: int = DEFAULT_BOOTSTRAP_REPS,
     """
     if B < 20:
         raise DomainError(f"bootstrap needs B >= 20 replicates, got {B}")
-    Sigma = gauss.check_correlation(Sigma)
-    d = Sigma.shape[0]
-    L = _safe_cholesky(Sigma)
-    return _bootstrap_replicates(lambda rng: L @ rng.standard_normal(d), Sigma, B, seed, r_max)
+    model = correlation_model(Sigma)
+    L = _safe_cholesky(model.matrix)
+    return _bootstrap_replicates(lambda rng: L @ rng.standard_normal(model.d), model, B, seed)
 
 
 def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix,
                               X: np.ndarray, B: int = DEFAULT_BOOTSTRAP_REPS,
-                              seed: int = 0, r_max: int = DEFAULT_R_MAX):
+                              seed: int = 0):
     """Individual-level bootstrap: simulate outcomes from the fitted null per
     subject, rebuild the score vector against the original fit, and correlate
     the four transformed component p-values.
@@ -198,7 +196,7 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
     dinv = 1.0 / np.sqrt(denom2)
     Sigma = (A.T @ A) * dinv[:, None] * dinv[None, :]
     np.fill_diagonal(Sigma, 1.0)
-    Sigma = repair_correlation(0.5 * (Sigma + Sigma.T))
+    model = correlation_model(repair_correlation(0.5 * (Sigma + Sigma.T)))
     n = G.n
 
     def draw(rng):
@@ -208,10 +206,10 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
             ystar = (rng.uniform(size=n) < fit.mu0).astype(float)
         return (G.values.T @ (ystar - fit.mu0)) * dinv
 
-    return _bootstrap_replicates(draw, Sigma, B, seed, r_max)
+    return _bootstrap_replicates(draw, model, B, seed)
 
 
-def _bootstrap_replicates(draw, Sigma: np.ndarray, B: int, seed: int, r_max: int):
+def _bootstrap_replicates(draw, model: CorrelationModel, B: int, seed: int):
     """Correlation of the four transformed component p-values over B null
     replicates; ``draw(rng)`` returns one replicate's score vector from that
     replicate's generator, seeded (seed, rep).  Replicates whose components
@@ -221,7 +219,7 @@ def _bootstrap_replicates(draw, Sigma: np.ndarray, B: int, seed: int, r_max: int
     for rep in range(B):
         z = draw(np.random.default_rng([seed, rep]))
         try:
-            pv = component_pvalues(setstats.ZVector(z), Sigma, r_max=r_max)
+            pv = component_pvalues(setstats.ZVector(z), model)
         except GBJError:
             dropped += 1
             continue
@@ -250,7 +248,7 @@ def omni_pvalue(component_pvals: dict, R_hat: np.ndarray,
     R_hat = np.asarray(R_hat, dtype=float)
     if R_hat.shape != (4, 4):
         raise DomainError(f"R_hat must be 4x4, got {R_hat.shape}")
-    R_hat = gauss.check_correlation(repair_correlation(R_hat))
+    R_hat = repair_correlation(R_hat)
     omni = float(min(component_pvals[c] for c in OMNI_COMPONENTS))
     omni_c = min(max(omni, _P_CLIP), 1.0 - _P_CLIP)
     z = float(ndtri(1.0 - omni_c))
@@ -285,11 +283,10 @@ def omni_threshold(alpha: float, R_hat: np.ndarray) -> float:
     return gauss.find_root(f, lo, alpha, tol=1e-14)
 
 
-def omnibus_test(Z: setstats.ZVector, Sigma: np.ndarray,
-                 B: int = DEFAULT_BOOTSTRAP_REPS, seed: int = 0,
-                 r_max: int = DEFAULT_R_MAX) -> OmniResult:
+def omnibus_test(Z: setstats.ZVector, Sigma: np.ndarray | CorrelationModel,
+                 B: int = DEFAULT_BOOTSTRAP_REPS, seed: int = 0) -> OmniResult:
     """Full summary-statistic omnibus pipeline on one set."""
-    Sigma = gauss.check_correlation(Sigma)
-    pvals = component_pvalues(Z, Sigma, r_max=r_max)
-    R_hat, dropped = bootstrap_corr(Sigma, B=B, seed=seed, r_max=r_max)
+    model = correlation_model(Sigma)
+    pvals = component_pvalues(Z, model)
+    R_hat, dropped = bootstrap_corr(model, B=B, seed=seed)
     return omni_pvalue(pvals, R_hat, bootstrap_reps=B, dropped=dropped)

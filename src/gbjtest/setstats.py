@@ -17,8 +17,8 @@ from scipy.special import ndtr, ndtri
 from . import gauss
 from .ebb import _log_factor_prefixes, match_gamma
 from .errors import DegenerateInputError, DomainError
-from .exceedance import (CorrPowerProfile, _pair_cov, corr_powers, count_variance,
-                         exceed_prob, zero_profile, DEFAULT_R_MAX)
+from .exceedance import (CorrelationModel, CorrPowerProfile, _pair_cov, correlation_model,
+                         count_variance, exceed_prob)
 
 GBJ = "GBJ"
 BJ = "BJ"
@@ -27,6 +27,7 @@ GHC = "GHC"
 MINP = "MinP"
 
 SUPREMUM_METHODS = (GBJ, BJ, HC, GHC)
+PROFILE_METHODS = (GBJ, GHC)   # the objectives that read the power profile
 ALL_METHODS = (GBJ, BJ, HC, GHC, MINP)
 
 # deepest threshold the inversion machinery will chase; sf(38) is still a
@@ -129,11 +130,12 @@ def _solve_mu_vec(t: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
 
 
 def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
-                     profile: CorrPowerProfile):
+                     profile: CorrPowerProfile | None):
     """Per-index objective for a supremum statistic at thresholds t.
 
     ``t`` and ``j`` are parallel arrays; every entry must satisfy the
-    indicator 2*sf(t) < j/d.  Returns (values, diagnostics tuple).
+    indicator 2*sf(t) < j/d; only GBJ and GHC read ``profile``.  Returns
+    (values, diagnostics tuple).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     j = np.atleast_1d(np.asarray(j, dtype=int))
@@ -192,9 +194,8 @@ def max_index(d: int) -> int:
     return d // 2
 
 
-def compute_statistic(method: str, Z: ZVector, Sigma: np.ndarray | None = None,
-                      r_max: int = DEFAULT_R_MAX,
-                      profile: CorrPowerProfile | None = None) -> TestOutcome:
+def compute_statistic(method: str, Z: ZVector,
+                      Sigma: np.ndarray | CorrelationModel | None = None) -> TestOutcome:
     """Observed value of one set-based statistic.
 
     GBJ and GHC consume the correlation structure through its averaged power
@@ -204,11 +205,12 @@ def compute_statistic(method: str, Z: ZVector, Sigma: np.ndarray | None = None,
     if method not in ALL_METHODS:
         raise DomainError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
     d = Z.d
+    model = None
     if Sigma is not None:
-        Sigma = gauss.check_correlation(Sigma)
-        if Sigma.shape[0] != d:
+        model = correlation_model(Sigma)
+        if model.d != d:
             raise DomainError(f"dimension mismatch: {d} statistics vs "
-                              f"{Sigma.shape[0]}x{Sigma.shape[0]} correlation")
+                              f"{model.d}x{model.d} correlation")
 
     if method == MINP:
         return TestOutcome(method=MINP, statistic=float(Z.abs_order[-1]),
@@ -216,21 +218,19 @@ def compute_statistic(method: str, Z: ZVector, Sigma: np.ndarray | None = None,
     if d < 2:
         raise DegenerateInputError(f"{method} requires d >= 2; only MinP is defined at d=1")
 
-    if profile is None:
-        if method in (GBJ, GHC):
-            if Sigma is None:
-                raise DomainError(f"{method} requires a correlation matrix")
-            profile = corr_powers(Sigma, r_max=r_max)
-        else:
-            profile = zero_profile(d, r_max=r_max)
+    flags: list[str] = []
+    profile = None
+    if method in PROFILE_METHODS:
+        if model is None:
+            raise DomainError(f"{method} requires a correlation matrix")
+        profile = model.profile
+        if profile.high_corr:
+            flags.append("high_correlation")
 
     jmax = max_index(d)
     js = np.arange(1, jmax + 1)
     ts = Z.abs_order[d - js]                       # t_j = |Z|_(d-j+1)
     qualifies = 2.0 * gauss.norm_sf(ts) < js / d
-    flags: list[str] = []
-    if profile.high_corr:
-        flags.append("high_correlation")
     if not np.any(qualifies):
         return TestOutcome(method=method, statistic=0.0, indicator_ever_true=False,
                            diagnostics=tuple(flags))

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import crossing, gauss, omnibus, setstats
+from . import crossing, omnibus, setstats
 from .errors import DegenerateInputError, DomainError
-from .exceedance import DEFAULT_R_MAX
+from .exceedance import CorrelationModel, correlation_model
 from .scores import GenotypeMatrix
 
 SIZE = "size"
 POWER = "power"
 DEFAULT_METHODS = ("GBJ", "BJ", "HC", "GHC", "MinP", "SKAT", "OMNI")
+CHUNK = 5000  # outcome replicates per RNG stream (seed, 1, block); seeded results depend on it
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,11 @@ def block_sigma(structure: BlockStructure) -> np.ndarray:
         S[:k, k:] = structure.rho2
         S[k:, :k] = structure.rho2
     np.fill_diagonal(S, 1.0)
-    if d > 1:
-        lo = float(np.linalg.eigvalsh(S)[0])
-        if lo < -1e-10:
-            raise DomainError(f"block parameters give a non-PSD matrix "
-                              f"(min eigenvalue {lo:.3e})")
-    return S
+    return correlation_model(S).matrix
 
 
-def sim_genotypes(n: int, Sigma_latent: np.ndarray, maf: float, seed) -> GenotypeMatrix:
+def sim_genotypes(n: int, Sigma_latent: np.ndarray | CorrelationModel, maf: float,
+                  seed) -> GenotypeMatrix:
     """Latent-Gaussian genotypes: two independent MVN(0, Sigma) draws per
     subject, thresholded at the (1 - maf) normal quantile and summed.
 
@@ -89,7 +86,7 @@ def sim_genotypes(n: int, Sigma_latent: np.ndarray, maf: float, seed) -> Genotyp
     """
     if not (0.0 < maf < 0.5):
         raise DomainError(f"maf must be in (0, 0.5), got {maf}")
-    Sigma_latent = gauss.check_correlation(Sigma_latent)
+    Sigma_latent = correlation_model(Sigma_latent).matrix
     d = Sigma_latent.shape[0]
     L = omnibus._safe_cholesky(Sigma_latent)
     rng = np.random.default_rng(seed)
@@ -113,8 +110,6 @@ class SimConfig:
     seed: int = 0
     methods: tuple = DEFAULT_METHODS
     bootstrap_reps: int = 100
-    r_max: int = DEFAULT_R_MAX
-    chunk: int = 5000
 
     def __post_init__(self):
         if self.reps < 1:
@@ -177,7 +172,7 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
                                    "increase n or adjust maf")
     Sigma_hat = (Gc.T @ Gc) / np.outer(colnorm, colnorm)
     np.fill_diagonal(Sigma_hat, 1.0)
-    Sigma_hat = omnibus.repair_correlation(0.5 * (Sigma_hat + Sigma_hat.T))
+    Sigma_hat = correlation_model(omnibus.repair_correlation(0.5 * (Sigma_hat + Sigma_hat.T)))
 
     diagnostics: list[str] = []
     bound_sets: dict[str, np.ndarray] = {}
@@ -188,19 +183,16 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
         elif method == "OMNI":
             continue
         else:
-            bound_sets[method] = crossing.rejection_region(
-                method, config.alpha, d, Sigma_hat, r_max=config.r_max).b
+            bound_sets[method] = crossing.rejection_region(method, config.alpha, d, Sigma_hat).b
     omni_eval = None
     if "OMNI" in config.methods:
         R_hat, dropped = omnibus.bootstrap_corr(
-            Sigma_hat, B=config.bootstrap_reps,
-            seed=_component_seed(config.seed, 2), r_max=config.r_max)
+            Sigma_hat, B=config.bootstrap_reps, seed=_component_seed(config.seed, 2))
         if dropped:
             diagnostics.append(f"omnibus_bootstrap_dropped={dropped}")
         c_star = omnibus.omni_threshold(config.alpha, R_hat)
         omni_eval = {
-            "bounds": {m: crossing.rejection_region(m, c_star, d, Sigma_hat,
-                                                    r_max=config.r_max).b
+            "bounds": {m: crossing.rejection_region(m, c_star, d, Sigma_hat).b
                        for m in (setstats.GBJ, setstats.GHC, setstats.MINP)},
             "skat": omnibus.skat_threshold(c_star, Sigma_hat),
         }
@@ -210,7 +202,7 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
     chunk_idx = 0
     causal = Gc[:, :k] if k else None
     while done < config.reps:
-        m_chunk = min(config.chunk, config.reps - done)
+        m_chunk = min(CHUNK, config.reps - done)
         rng = np.random.default_rng([config.seed, 1, chunk_idx])
         eps = rng.standard_normal((n, m_chunk))
         if mode == POWER and config.beta != 0.0:

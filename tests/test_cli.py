@@ -210,6 +210,14 @@ class TestTestCommand:
                        "--methods", "minp", "--out", str(tmp_path / "r")])
         assert rc == 2
 
+    def test_ragged_correlation_parse_error(self, tmp_path, capsys):
+        zf = write(tmp_path / "z.tsv", "snp_id\tz\ns1\t2.0\ns2\t1.0\n")
+        cf = write(tmp_path / "c.tsv", "1\t0.5\n0.5\n")
+        rc = cli.main(["test", "--zstats", zf, "--correlation", cf,
+                       "--methods", "minp", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert f"{cf}:2: expected 2 fields, got 1" in capsys.readouterr().err
+
     def test_omni_row_reports_bootstrap(self, tmp_path):
         out = str(tmp_path / "res.tsv")
         rc = cli.main(["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, roots_legendre
 
-from gbjtest import exceedance, gauss
+from gbjtest import crossing, exceedance, gauss, omnibus, setstats
 from gbjtest.errors import DomainError
 from tests.conftest import exchangeable, rand_corr
 
@@ -24,6 +24,58 @@ def pair_count_variance_quadrature(t, mu, rho):
     lam = 1 - below
     both_above = 1 - 2 * below + both_below
     return 2 * lam * (1 - lam) + 2 * (both_above - lam * lam)
+
+
+class TestCorrelationModel:
+    def test_two_by_two_closed_form(self):
+        np.testing.assert_array_equal(exceedance.correlation_model(np.eye(3)).eigvals, [1, 1, 1])
+        for rho in (-0.6, 0.2, 0.9):
+            got = exceedance.correlation_model(np.array([[1.0, rho], [rho, 1.0]])).eigvals
+            np.testing.assert_allclose(got, [1 + abs(rho), 1 - abs(rho)], atol=1e-12)
+
+    def test_eigenvalues_non_increasing_and_sum_to_d(self, rng):
+        vals = exceedance.correlation_model(rand_corr(6, rng, factor=1)).eigvals
+        assert np.all(np.diff(vals) <= 0.0)
+        assert abs(vals.sum() - 6.0) < 1e-12
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(DomainError, match="symmetric"):
+            exceedance.correlation_model(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    def test_model_passes_through_and_pairs_mark_perfect(self):
+        S = exchangeable(3, 0.4)
+        S[0, 1] = S[1, 0] = 1.0
+        model = exceedance.correlation_model(S)
+        assert exceedance.correlation_model(model) is model
+        upper, perfect = model.pairs
+        np.testing.assert_array_equal(upper, [1.0, 0.4, 0.4])
+        np.testing.assert_array_equal(perfect, [True, False, False])
+        assert exceedance.correlation_model(np.eye(3)).pairs[1] is None
+
+    def test_model_or_array_give_identical_results(self):
+        S = exchangeable(8, 0.35)
+        Z = setstats.ZVector(np.linspace(-2.0, 3.8, 8))
+        model = exceedance.correlation_model(S)
+        for method in setstats.ALL_METHODS:
+            a, b = crossing.pvalue(method, Z, S), crossing.pvalue(method, Z, model)
+            assert (a.statistic, a.pvalue, a.diagnostics) == (b.statistic, b.pvalue, b.diagnostics)
+        for method in ("GBJ", "HC"):
+            np.testing.assert_array_equal(crossing.rejection_region(method, 0.05, 8, S).b,
+                                          crossing.rejection_region(method, 0.05, 8, model).b)
+        assert omnibus.skat_lite(Z, S) == omnibus.skat_lite(Z, model)
+
+    def test_omnibus_validates_sigma_once(self, monkeypatch):
+        shapes = []
+        check = gauss.check_correlation
+
+        def counted(R):
+            shapes.append(np.shape(R))
+            return check(R)
+        monkeypatch.setattr(gauss, "check_correlation", counted)
+        d = 10
+        omnibus.omnibus_test(setstats.ZVector(np.linspace(-1.5, 3.5, d)),
+                             exchangeable(d, 0.3), B=20)
+        assert shapes.count((d, d)) == 1
 
 
 class TestCorrPowers:

@@ -242,27 +242,32 @@ class TestMvnRect:
             assert abs(p - mc) < 4 * se + 1e-5
 
 
-class TestSymEigvals:
-    def test_identity(self):
-        np.testing.assert_allclose(gauss.sym_eigvals(np.eye(3)), [1, 1, 1])
+class TestCheckCorrelation:
+    def test_asymmetry_beyond_1e10_rejected(self):
+        R = np.array([[1.0, 0.9], [0.9 + 8e-6, 1.0]])
+        with pytest.raises(DomainError, match="symmetric"):
+            gauss.check_correlation(R)
+        R[1, 0] = 0.9 + 5e-11
+        gauss.check_correlation(R)
 
-    def test_diagonal_ordering(self):
-        np.testing.assert_allclose(gauss.sym_eigvals(np.diag([3.0, 1.0, 2.0])), [3, 2, 1])
+    def test_diagonal_off_one_beyond_1e8_rejected(self):
+        with pytest.raises(DomainError, match="unit diagonal"):
+            gauss.check_correlation(np.array([[0.99999, 0.2], [0.2, 1.0]]))
+        gauss.check_correlation(np.array([[1.0 - 5e-9, 0.2], [0.2, 1.0]]))
 
-    def test_two_by_two_closed_form(self):
-        for rho in (-0.6, 0.2, 0.9):
-            got = gauss.sym_eigvals(np.array([[1.0, rho], [rho, 1.0]]))
-            np.testing.assert_allclose(got, [1 + abs(rho), 1 - abs(rho)], atol=1e-12)
+    def test_empty_or_non_square_rejected(self):
+        for R in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(DomainError, match="square and non-empty"):
+                gauss.check_correlation(R)
 
-    def test_trace_identity(self, rng):
-        M = rng.standard_normal((6, 6))
-        M = M + M.T
-        vals = gauss.sym_eigvals(M)
-        assert abs(vals.sum() - np.trace(M)) < 1e-8 * max(1, np.abs(M).max())
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DomainError):
-            gauss.sym_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    def test_non_finite_entries_named(self):
+        for bad in (np.nan, np.inf):
+            R = np.eye(3)
+            R[0, 2] = R[2, 0] = bad
+            with pytest.raises(DomainError, match="finite"):
+                gauss.check_correlation(R)
+        with pytest.raises(DomainError, match="finite"):
+            gauss.check_correlation(np.full((2, 2), np.nan))
 
 
 class TestFindRoot:
