@@ -270,6 +270,31 @@ class TestCheckCorrelation:
             gauss.check_correlation(np.full((2, 2), np.nan))
 
 
+class TestSymEigvals:
+    """Eigenvalues returned by check_correlation, non-increasing."""
+
+    def test_identity(self):
+        np.testing.assert_allclose(gauss.check_correlation(np.eye(3))[1], [1, 1, 1])
+
+    def test_diagonal_ordering(self):
+        # Blocks {0} and {1, 2} with rho = 0.8: eigenvalues 1, 1.8, 0.2.
+        R = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.8], [0.0, 0.8, 1.0]])
+        np.testing.assert_allclose(gauss.check_correlation(R)[1], [1.8, 1.0, 0.2], atol=1e-12)
+
+    def test_two_by_two_closed_form(self):
+        for rho in (-0.6, 0.2, 0.9):
+            _, got = gauss.check_correlation(np.array([[1.0, rho], [rho, 1.0]]))
+            np.testing.assert_allclose(got, [1 + abs(rho), 1 - abs(rho)], atol=1e-12)
+
+    def test_trace_identity(self, rng):
+        W = rng.standard_normal((6, 6))
+        S = W @ W.T
+        dh = 1.0 / np.sqrt(np.diag(S))
+        R = S * dh[:, None] * dh[None, :]
+        vals = gauss.check_correlation(R)[1]
+        assert abs(vals.sum() - np.trace(R)) < 1e-8
+
+
 class TestFindRoot:
     def test_linear(self):
         assert gauss.find_root(lambda x: x - 2.0, 0.0, 5.0, 1e-12) == pytest.approx(2.0)
