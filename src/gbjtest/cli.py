@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__, crossing, exceedance, fileio, omnibus, scores, setstats, simlab
-from .errors import BracketError, DomainError, GBJError, ModelError, NumericalError
+from .errors import DomainError, GBJError, ModelError
 
 
 @dataclass
@@ -103,7 +103,7 @@ def cmd_score(args) -> int:
     if dropped:
         manifest.warnings.append(f"dropped_columns={','.join(dropped)}")
     fileio.write_zstats(args.out + ".zstats.tsv", kept, Z.z)
-    fileio.write_correlation(args.out + ".cor.tsv", Sigma)
+    _emit(fileio.format_correlation(Sigma), args.out + ".cor.tsv")
     manifest.wall_time_s = time.time() - t0
     manifest.write(_manifest_path(args))
     return 0
@@ -117,8 +117,7 @@ def cmd_cov_ref(args) -> int:
     if panel.imputed:
         manifest.warnings.append(f"mean_imputed_columns={','.join(panel.imputed)}")
     Sigma = scores.ref_panel_cov(panel, m=args.num_pcs)
-    text = "\n".join("\t".join(f"{v:.10g}" for v in row) for row in Sigma) + "\n"
-    _emit(text, args.out)
+    _emit(fileio.format_correlation(Sigma), args.out)
     manifest.wall_time_s = time.time() - t0
     manifest.write(_manifest_path(args))
     return 0
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     except (fileio.ParseError, DomainError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, BracketError, GBJError) as exc:
+    except GBJError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import ndtri
 
-from . import gauss, setstats
-from .ebb import _log_factor_prefixes, match_gamma
+from . import ebb, gauss, setstats
 from .errors import DomainError, NumericalError, SizeError
 from .exceedance import CorrelationModel, CorrPowerProfile, correlation_model
 
@@ -154,7 +153,6 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
     if perfect is not None:
         rhos = rhos[~perfect]
 
-    log_fact = gammaln(np.arange(d + 1) + 1.0)  # log m! for m = 0 .. d
     sf_prev = 0.5                               # sf at t_0 = 0
     tails_prev = np.ones(npairs)                # pair tails at t_0 = 0
     cap_prev = d
@@ -188,27 +186,19 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
             tails_k = tails_prev
             frac = 0.0
         m_max = cap_prev
-        gamma, clamped = match_gamma(lam, frac, max(m_max, 1))
+        gamma, clamped = ebb.match_gamma(lam, frac, max(m_max, 1))
         if clamped:
             flags.append("ebb_gamma_clamped")
 
-        # conditional law: S(t_k) | S(t_{k-1}) = m  ~  EBB(m, lam, gamma);
-        # pmf over all (m <= m_max, a <= m) from shared log-factor prefixes,
+        # conditional law: S(t_k) | S(t_{k-1}) = m  ~  EBB(m, lam, gamma),
         # one transition-matrix row per m that carries mass
-        pre_a, pre_b, pre_c = _log_factor_prefixes(m_max, lam, gamma)
         ms = np.nonzero(q[: m_max + 1] > 0.0)[0]
-        m = ms[:, None]
-        a = np.arange(m_max + 1)
-        below = a <= m
-        ma = np.where(below, m - a, 0)
-        logpmf = (log_fact[m] - log_fact[a] - log_fact[ma]
-                  + pre_a[a] + pre_b[ma] - pre_c[m])
-        q_new = q[ms] @ np.exp(np.where(below, logpmf, -np.inf))
+        q_new = q[ms] @ ebb.transition(ms, m_max, lam, gamma)
         leak = float(q_new[cap_k + 1:].sum())
         leak_total += leak
         q = np.zeros(d + 1)
         q[: cap_k + 1] = q_new[: cap_k + 1]
-        q_rows.append(q_new.copy())
+        q_rows.append(q_new)
         leaks.append(leak)
         sf_prev = sf_k
         tails_prev = tails_k

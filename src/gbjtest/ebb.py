@@ -1,22 +1,19 @@
 """Extended Beta-Binomial distribution.
 
-Log-space PMF evaluation and moment-matched parameter recovery.  The EBB
-generalizes the binomial with a dispersion parameter gamma: gamma = 0 is
-exactly binomial, gamma > 0 overdisperses, and a limited range of gamma < 0
-underdisperses.  Moment matching can request an infeasible gamma; we clamp to
-the feasible boundary and flag rather than fail.
+EBB(m, lam, gamma) is the law the GBJ objective and the crossing recursion
+give an exceedance count.  gamma = 0 is exactly binomial, gamma > 0
+overdisperses, and gamma down to ``gamma_floor`` underdisperses.
+``transition`` gives its pmf rows for several sizes m at one (lam, gamma);
+``match_gamma`` gives the gamma that reproduces a pairwise indicator
+correlation, clamped into the feasible region and flagged rather than
+failing; both build on the log-factor prefixes of ``_log_factor_prefixes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
-
-LAMBDA_EPS = 1e-12
 GAMMA_CLAMP_MARGIN = 1e-6
 
 
@@ -27,65 +24,6 @@ def gamma_floor(lam, size: int):
     if size <= 1:
         return -np.inf
     return -np.minimum(lam, 1.0 - lam) / (size - 1)
-
-
-def _first_violation(size: int, lam: float, gamma: float) -> str | None:
-    ks = np.arange(size, dtype=float)
-    for name, vals in (("lambda + gamma*k", lam + gamma * ks),
-                       ("1 - lambda + gamma*k", 1.0 - lam + gamma * ks),
-                       ("1 + gamma*k", 1.0 + gamma * ks)):
-        bad = np.nonzero(vals <= 0.0)[0]
-        if bad.size:
-            return f"{name} <= 0 at k={bad[0]}"
-    return None
-
-
-@dataclass(frozen=True)
-class EBBParams:
-    """Parameters (size d, lambda, gamma) of one Extended Beta-Binomial law."""
-
-    size: int
-    lam: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.size < 1 or self.size != int(self.size):
-            raise DomainError(f"EBB size must be a positive integer, got {self.size!r}")
-        if not (0.0 < self.lam < 1.0):
-            raise DomainError(f"EBB lambda must be in (0, 1), got {self.lam!r}")
-        violation = _first_violation(self.size, self.lam, self.gamma)
-        if violation is not None:
-            raise DomainError(f"infeasible EBB parameters (d={self.size}, lambda={self.lam}, "
-                              f"gamma={self.gamma}): {violation}")
-
-    @property
-    def mean(self) -> float:
-        return self.size * self.lam
-
-    @property
-    def variance(self) -> float:
-        d, lam, g = self.size, self.lam, self.gamma
-        return d * lam * (1.0 - lam) * (1.0 + (d - 1) * g / (1.0 + g))
-
-
-def ebb_log_pmf(v: int, params: EBBParams) -> float:
-    """log Pr(V = v) for V ~ EBB(params); entirely in log space."""
-    d, lam, g = params.size, params.lam, params.gamma
-    if v < 0 or v > d or v != int(v):
-        raise DomainError(f"EBB support is 0..{d}, got v={v!r}")
-    return float(ebb_log_pmf_vec(np.array([int(v)]), d, lam, g)[0])
-
-
-def ebb_log_pmf_vec(v: np.ndarray, size: int, lam: float, gamma: float) -> np.ndarray:
-    """Vectorized log PMF over v (array of ints in 0..size)."""
-    violation = _first_violation(size, lam, gamma)
-    if violation is not None:
-        raise DomainError(f"infeasible EBB parameters (d={size}, lambda={lam}, "
-                          f"gamma={gamma}): {violation}")
-    pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
-    v = np.asarray(v, dtype=int)
-    comb = gammaln(size + 1) - gammaln(v + 1) - gammaln(size - v + 1)
-    return comb + pre_a[v] + pre_b[size - v] - pre_c[size]
 
 
 def _log_factor_prefixes(size: int, lam, gamma):
@@ -112,49 +50,24 @@ def _log_factor_prefixes(size: int, lam, gamma):
     return prefix(np.log(lam + gk)), prefix(np.log1p(gk - lam)), prefix(np.log1p(gk))
 
 
-@dataclass(frozen=True)
-class EBBMatch:
-    """Result of moment matching: parameters plus clamp diagnostics."""
+def transition(ms, size: int, lam: float, gamma: float) -> np.ndarray:
+    """PMF rows of EBB(m, lam, gamma) for each size m in ``ms``.
 
-    params: EBBParams
-    lambda_clamped: bool = False
-    gamma_clamped: bool = False
-
-    @property
-    def clamped(self) -> bool:
-        return self.lambda_clamped or self.gamma_clamped
-
-
-def ebb_match(mean: float, variance: float, d: int) -> EBBMatch:
-    """Recover (lambda, gamma) reproducing the given mean and variance.
-
-    lambda = mean / d; gamma solves
-    gamma / (1 + gamma) = (variance - d lam (1-lam)) / (d (d-1) lam (1-lam)).
-    The mean is always reproduced exactly.  The variance is reproduced unless
-    the requested gamma falls outside the feasible region, in which case gamma
-    is clamped just inside the boundary and flagged.
+    Row i holds Pr(V = a), V ~ EBB(ms[i], lam, gamma), for a = 0 .. size,
+    and exactly 0 for a > ms[i].  Every m lies in 0 .. size, and gamma must
+    be feasible for ``size`` (above gamma_floor(lam, size)); this kernel
+    does not check.  All rows come from one set of log-factor prefixes and
+    are exponentiated from log space.
     """
-    if d < 1:
-        raise DomainError(f"EBB size must be positive, got {d}")
-    if not (0.0 < mean < d):
-        raise DomainError(f"EBB mean must lie in (0, d)=(0, {d}), got {mean!r}")
-    if variance <= 0.0:
-        raise DomainError(f"EBB variance must be positive, got {variance!r}")
-
-    lam = mean / d
-    lam_clamped = False
-    if lam < LAMBDA_EPS:
-        lam, lam_clamped = LAMBDA_EPS, True
-    elif lam > 1.0 - LAMBDA_EPS:
-        lam, lam_clamped = 1.0 - LAMBDA_EPS, True
-
-    if d == 1:
-        return EBBMatch(EBBParams(1, lam, 0.0), lambda_clamped=lam_clamped)
-
-    base = d * lam * (1.0 - lam)
-    gamma, gam_clamped = match_gamma(lam, (variance - base) / ((d - 1) * base), d)
-    return EBBMatch(EBBParams(d, lam, float(gamma)),
-                    lambda_clamped=lam_clamped, gamma_clamped=bool(gam_clamped))
+    pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
+    log_fact = gammaln(np.arange(size + 1) + 1.0)  # log m! for m = 0 .. size
+    m = np.asarray(ms)[:, None]
+    a = np.arange(size + 1)
+    below = a <= m
+    ma = np.where(below, m - a, 0)
+    logpmf = (log_fact[m] - log_fact[a] - log_fact[ma]
+              + pre_a[a] + pre_b[ma] - pre_c[m])
+    return np.exp(np.where(below, logpmf, -np.inf))
 
 
 def match_gamma(lam, ratio, size: int):

@@ -1,9 +1,10 @@
 """Moments of the exceedance count S(t) = #(|Z_i| >= t).
 
-For Z ~ MVN(mu * 1, Sigma) with unit variances, the mean of S(t) is closed
-form and the variance is a Hermite series driven only by the averaged powers
-of the off-diagonal correlations.  The mu = 0 specialization gives the null
-moments used by the correlation-adjusted supremum statistics.
+For Z ~ MVN(mu * 1, Sigma) with unit variances, the mean of S(t) is d
+times the closed-form ``exceed_prob`` and the variance is a Hermite series
+driven only by the averaged powers of the off-diagonal correlations.  The
+mu = 0 specialization gives the null moments used by the
+correlation-adjusted supremum statistics.
 """
 
 from __future__ import annotations
@@ -111,18 +112,6 @@ def zero_profile(d: int, r_max: int = DEFAULT_R_MAX) -> CorrPowerProfile:
     return CorrPowerProfile(rbar=np.zeros(r_max), d=d)
 
 
-def count_mean(t, mu, d: int):
-    """E S(t) = d * lambda, lambda = 1 - {Phi(t - mu) - Phi(-t - mu)}.
-
-    Vectorized over t and mu.  At mu = 0 this is 2 d sf(t).
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("count_mean requires t >= 0")
-    lam = exceed_prob(t, mu)
-    return d * lam
-
-
 def exceed_prob(t, mu):
     """Per-coordinate probability Pr(|Z| >= t) with Z ~ N(mu, 1).
 
@@ -170,19 +159,3 @@ def _pair_cov(t, mu, profile: CorrPowerProfile):
     phia = gauss.norm_pdf(a)
     phib = gauss.norm_pdf(b)
     return phia * phia * sA + phib * phib * sB - 2.0 * phia * phib * sC
-
-
-@dataclass(frozen=True)
-class CountMoments:
-    """First two moments of S(t) at one (t, mu)."""
-
-    mean: float
-    variance: float
-    t: float
-    mu: float
-
-
-def count_moments(t: float, mu: float, profile: CorrPowerProfile) -> CountMoments:
-    return CountMoments(mean=float(count_mean(t, mu, profile.d)),
-                        variance=float(count_variance(t, mu, profile)),
-                        t=float(t), mu=float(mu))

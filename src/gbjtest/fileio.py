@@ -168,15 +168,6 @@ def write_zstats(path: str, ids, z: np.ndarray) -> None:
             fh.write(f"{gid}\t{zj:.10g}\n")
 
 
-def write_correlation(path: str, Sigma: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in Sigma:
-            fh.write("\t".join(f"{v:.10g}" for v in row) + "\n")
-
-
-def format_float(v: float | None) -> str:
-    if v is None:
-        return "NA"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.10g}"
+def format_correlation(Sigma: np.ndarray) -> str:
+    """One tab-separated line per matrix row, entries to 10 significant digits."""
+    return "".join("\t".join(f"{v:.10g}" for v in row) + "\n" for row in Sigma)

@@ -1,16 +1,18 @@
-"""Scalar and small-matrix Gaussian kernels.
+"""Gaussian kernels.
 
-Standard-normal functions, probabilists' Hermite polynomials, joint absolute
-tail probabilities of a bivariate normal, a deterministic low-dimension
-multivariate normal integrator, a correlation-matrix check, and bracketed
-root-finding.  Everything here is a pure function; nothing caches mutable
-state, so concurrent use is unrestricted.
+The standard normal survival function and density, normalized Hermite
+polynomials, the joint absolute tail of a bivariate normal at many
+correlations, the correlation-matrix check, a deterministic integrator for
+low-dimension multivariate normal rectangles, and bracketed root-finding.
+``hermite`` and ``bivar_abs_tail_quadrature`` are slow scalar references
+that the vectorized kernels are tested against.  Everything here is a pure
+function; nothing caches mutable state, so concurrent use is unrestricted.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, roots_legendre
@@ -27,62 +29,25 @@ _LATTICE_SHIFTS = np.random.default_rng(20240501).uniform(size=(12, 12))
 _GL_NODES, _GL_WEIGHTS = roots_legendre(96)
 
 
-class StdNormal(NamedTuple):
-    pdf: float
-    cdf: float
-    sf: float
-
-
-def std_normal(t: float) -> StdNormal:
-    """Density, CDF and survival function of the standard normal at ``t``.
-
-    The survival function keeps relative accuracy deep into the tail: erfc
-    up to |t| = 30, exp(log-scale survival) beyond, where erfc's internal
-    exponential would underflow (near t = 37.6) long before the value itself
-    leaves the subnormal range.
-    """
-    if not math.isfinite(t):
-        raise DomainError(f"std_normal requires finite t, got {t!r}")
-    pdf = math.exp(-0.5 * t * t) / _SQRT_2PI
-    return StdNormal(pdf=pdf, cdf=float(_sf_scalar(-t)), sf=float(_sf_scalar(t)))
-
-
-def _sf_scalar(t: float) -> float:
-    if t > 30.0:
-        return math.exp(float(log_ndtr(-t)))
-    return float(ndtr(-t))
-
-
-def std_normal_inv(p: float) -> float:
-    """Quantile of the standard normal, 0 < p < 1."""
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"std_normal_inv requires p in (0, 1), got {p!r}")
-    return float(ndtri(p))
-
-
 def norm_sf(t):
-    """Vectorized survival function; log-scale branch past t = 30 avoids the
-    erfc underflow-to-zero near t = 37.6."""
+    """Standard normal survival function, vectorized; the CDF is norm_sf(-t).
+
+    Keeps relative accuracy deep into the tail: erfc up to t = 30,
+    exp(log-scale survival) beyond, where erfc's internal exponential would
+    underflow (near t = 37.6) long before the value itself leaves the
+    subnormal range.
+    """
     t = np.asarray(t, dtype=float)
     out = ndtr(-t)
     deep = t > 30.0
-    if np.any(deep):
+    if deep.any():
         out = np.where(deep, np.exp(log_ndtr(-t)), out)
     return out
-
-
-def norm_cdf(t):
-    return ndtr(np.asarray(t, dtype=float))
 
 
 def norm_pdf(t):
     t = np.asarray(t, dtype=float)
     return np.exp(-0.5 * t * t) / _SQRT_2PI
-
-
-def norm_log_sf(t):
-    """log of the survival function; stable for large t."""
-    return log_ndtr(-np.asarray(t, dtype=float))
 
 
 def hermite(r: int, t: float) -> float:
@@ -116,24 +81,15 @@ def hermite_normalized(r_max: int, t):
     return out
 
 
-def bivar_abs_tail(t: float, rho: float, tol: float = 1e-12, r_cap: int = 1000) -> float:
-    """Pr(|Z1| >= t, |Z2| >= t) for standard bivariate normal, correlation rho.
+def bivar_abs_tail_many(t: float, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 1000) -> np.ndarray:
+    """Pr(|Z1| >= t, |Z2| >= t) for a standard bivariate normal, at one
+    threshold t and each correlation in ``rhos`` (every |rho| < 1).
 
     Evaluated as (2 * sf(t))^2 plus the even-order Hermite covariance series.
     Odd orders cancel under the absolute value, which also makes the result
     even in rho.  The series has nonnegative terms, so the sum keeps relative
     accuracy; terms are added until they fall below ``tol`` relative (past the
     envelope peak near r = t^2) or ``r_cap`` is reached.
-    """
-    if t < 0:
-        raise DomainError(f"bivar_abs_tail requires t >= 0, got {t!r}")
-    if not (-1.0 < rho < 1.0):
-        raise DomainError(f"bivar_abs_tail requires |rho| < 1, got {rho!r}")
-    return float(bivar_abs_tail_many(t, np.array([rho]), tol=tol, r_cap=r_cap)[0])
-
-
-def bivar_abs_tail_many(t: float, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 1000) -> np.ndarray:
-    """Vectorized ``bivar_abs_tail`` over many correlations at one threshold.
 
     The series is a polynomial in x = rho^2 with coefficients h_{r-1}(t)^2 / r
     at even r.  Its terms are nonnegative and increase with x, so the pair
@@ -142,15 +98,15 @@ def bivar_abs_tail_many(t: float, rhos: np.ndarray, tol: float = 1e-12, r_cap: i
     polynomial is then evaluated over all pairs by Horner's rule.
     """
     if t < 0:
-        raise DomainError(f"bivar_abs_tail requires t >= 0, got {t!r}")
+        raise DomainError(f"bivar_abs_tail_many requires t >= 0, got {t!r}")
     rhos = np.asarray(rhos, dtype=float)
     if rhos.size == 0:
         return np.empty_like(rhos)
     x = rhos * rhos
     x_max = float(np.max(x))
     if x_max >= 1.0:               # rounding keeps rho^2 < 1 for |rho| < 1
-        raise DomainError("bivar_abs_tail requires |rho| < 1")
-    base = (2.0 * float(_sf_scalar(t))) ** 2
+        raise DomainError("bivar_abs_tail_many requires |rho| < 1")
+    base = (2.0 * float(norm_sf(t))) ** 2
     phi2 = math.exp(-t * t) / (2.0 * math.pi)
     # Cramer envelope |h_r(t)| <= kappa e^{t^2/4}: the residual past order r is
     # below env * rho^{r+2} / ((r+2)(1 - rho^2)), a rigorous stopping bound
@@ -188,7 +144,7 @@ def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
     from scipy.integrate import dblquad
 
     if t < 0:
-        raise DomainError(f"bivar_abs_tail requires t >= 0, got {t!r}")
+        raise DomainError(f"bivar_abs_tail_quadrature requires t >= 0, got {t!r}")
     det = 1.0 - rho * rho
 
     def dens(y, x):
@@ -214,13 +170,16 @@ def check_correlation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"correlation matrix must be square and non-empty, got shape {R.shape}")
     if not np.all(np.isfinite(R)):
         raise DomainError("correlation matrix entries must be finite")
-    if not np.allclose(R, R.T, rtol=0.0, atol=1e-10):
+    work = R - R.T                  # the one d x d temporary of the check
+    if np.abs(work, out=work).max() > 1e-10:
         raise DomainError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(R), 1.0, rtol=0.0, atol=1e-8):
         raise DomainError("correlation matrix must have unit diagonal")
-    if np.max(np.abs(R)) > 1.0 + 1e-8:
+    if np.abs(R, out=work).max() > 1.0 + 1e-8:
         raise DomainError("correlation entries must lie in [-1, 1]")
-    eigvals = np.linalg.eigvalsh(0.5 * (R + R.T))[::-1]
+    np.add(R, R.T, out=work)
+    work *= 0.5
+    eigvals = np.linalg.eigvalsh(work)[::-1]
     if eigvals[-1] < -1e-8:
         raise DomainError(f"correlation matrix not PSD (min eigenvalue {eigvals[-1]:.3e})")
     return R, eigvals

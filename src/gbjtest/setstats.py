@@ -35,7 +35,7 @@ ALL_METHODS = (GBJ, BJ, HC, GHC, MINP)
 T_MAX = 38.0
 _LAM_FLOOR = 1e-310
 _EPS = float(np.finfo(float).eps)
-# a guard only: solve_mu converges in 1 to 6 steps from d = 2 to 500
+# a guard only: _solve_mu_vec converges in 1 to 6 steps from d = 2 to 500
 _MU_MAX_STEPS = 100
 
 
@@ -74,25 +74,11 @@ class TestOutcome:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
-def solve_mu(t: float, j: int, d: int) -> float:
-    """The positive mean shift at which E #(|Z_i| >= t) equals j.
-
-    Solves j/d = 1 - {Phi(t - mu) - Phi(-t - mu)} by safeguarded Newton on
-    mu in (0, t + ndtri(1 - j/(2d)) + 10].  Requires 1 <= j < d (the
-    exceedance probability stays below 1 for every mu, so j = d has no root)
-    and 2*sf(t) < j/d.
-    """
-    if t <= 0:
-        raise DomainError(f"solve_mu requires t > 0, got {t!r}")
-    if not (1 <= j < d):
-        raise DomainError(f"solve_mu requires 1 <= j < d, got j={j}, d={d}")
-    if 2.0 * float(gauss.norm_sf(t)) >= j / d:
-        raise DomainError(f"indicator violated: 2*sf({t}) >= {j}/{d}")
-    return float(_solve_mu_vec(np.array([t]), np.array([j]), d)[0])
-
-
 def _solve_mu_vec(t: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized solve_mu; assumes the indicator holds.
+    """The positive mean shifts mu at which E #(|Z_i| >= t) equals j, that
+    is j/d = 1 - {Phi(t - mu) - Phi(-t - mu)}, for parallel arrays t and j.
+    Every entry must satisfy 1 <= j < d (at j = d there is no root) and the
+    indicator 2*sf(t) < j/d; this solver does not check.
 
     Newton on f(mu) = Phi(mu - t) + Phi(-mu - t) - j/d, whose derivative is
     phi(mu - t) - phi(mu + t) = -phi(mu - t) expm1(-2 mu t) > 0.  The start is
@@ -173,20 +159,6 @@ def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
     jj = np.concatenate((j, j))
     logp = pre_a[rows, jj] + pre_b[rows, d - jj] - pre_c[:, d]
     return logp[n:] - logp[:n], tuple(flags)
-
-
-def gbj_objective(t: float, j: int, d: int, profile: CorrPowerProfile) -> float:
-    """The GBJ per-index objective: the EBB log likelihood ratio at count j.
-
-    Requires 1 <= j < d, where the alternative's mean shift (solve_mu)
-    exists, and 2*sf(t) < j/d.
-    """
-    if not (1 <= j < d):
-        raise DomainError(f"gbj_objective requires 1 <= j < d, got j={j}, d={d}")
-    if 2.0 * float(gauss.norm_sf(t)) >= j / d:
-        raise DomainError(f"indicator violated: 2*sf({t}) >= {j}/{d}")
-    vals, _ = objective_values(GBJ, np.array([t]), np.array([j]), d, profile)
-    return float(vals[0])
 
 
 def max_index(d: int) -> int:

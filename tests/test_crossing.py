@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import binom
 
 from gbjtest import crossing, exceedance, gauss, setstats
@@ -30,7 +31,7 @@ def independent_ladder(bounds_vec):
     t_prev = 0.0
     crossed = 0.0
     for t, cap in merged:
-        lam = gauss.std_normal(t).sf / gauss.std_normal(t_prev).sf
+        lam = gauss.norm_sf(t) / gauss.norm_sf(t_prev)
         q_new = {}
         for m, pm in q.items():
             for a in range(m + 1):
@@ -68,7 +69,7 @@ class TestInvertBounds:
         prof = exceedance.zero_profile(d)
         bv = crossing.invert_bounds("GBJ", 0.0, d, prof)
         for j in range(1, d // 2 + 1):
-            want = gauss.std_normal_inv(1.0 - j / (2.0 * d))
+            want = ndtri(1.0 - j / (2.0 * d))
             assert bv.b[d - j] == pytest.approx(want, abs=1e-9)
 
     def test_bounds_monotone(self, rng):
@@ -105,14 +106,14 @@ class TestInvertBounds:
 class TestCrossingPvalue:
     def test_single_coordinate(self):
         bv = BoundaryVector(b=np.array([1.7]))
-        want = 2 * gauss.std_normal(1.7).sf
+        want = 2 * gauss.norm_sf(1.7)
         assert crossing.crossing_pvalue(bv, np.eye(1)) == pytest.approx(want, rel=1e-12)
 
     def test_minp_identity_closed_form(self):
         d = 5
         t = 2.575829
         bv = crossing.invert_bounds("MinP", t, d, exceedance.zero_profile(d))
-        want = 1.0 - (1.0 - 2 * gauss.std_normal(t).sf) ** d
+        want = 1.0 - (1.0 - 2 * gauss.norm_sf(t)) ** d
         assert crossing.crossing_pvalue(bv, np.eye(d)) == pytest.approx(want, abs=1e-8)
 
     def test_identity_matches_independent_recursion(self, rng):
@@ -207,7 +208,7 @@ class TestCrossingPvalue:
         seen.clear()
         p2 = crossing.crossing_pvalue(BoundaryVector(b=np.array([1.5, 2.0])), np.ones((2, 2)))
         assert not seen
-        assert p2 == pytest.approx(2.0 * gauss.std_normal(1.5).sf, rel=1e-9)
+        assert p2 == pytest.approx(2.0 * gauss.norm_sf(1.5), rel=1e-9)
 
     def test_non_monotone_bounds_rejected(self):
         with pytest.raises(DomainError):
@@ -226,8 +227,8 @@ class TestExactSmall:
         got = crossing.exact_small_pvalue(bv, np.eye(2))
 
         def box(u1, u2):
-            p1 = 1 - 2 * gauss.std_normal(u1).sf
-            p2 = 1 - 2 * gauss.std_normal(u2).sf
+            p1 = 1 - 2 * gauss.norm_sf(u1)
+            p2 = 1 - 2 * gauss.norm_sf(u2)
             return p1 * p2
 
         want = 1.0 - (box(b1, b2) + box(b2, b1) - box(b1, b1))
@@ -241,7 +242,7 @@ class TestExactSmall:
         for d in (2, 3, 5):
             t = 1.9
             bv = BoundaryVector(b=np.full(d, t))
-            want = 1.0 - (1.0 - 2 * gauss.std_normal(t).sf) ** d
+            want = 1.0 - (1.0 - 2 * gauss.norm_sf(t)) ** d
             got = crossing.exact_small_pvalue(bv, np.eye(d))
             assert got == pytest.approx(want, abs=1e-7)
 
@@ -316,7 +317,7 @@ class TestPvalue:
 
     def test_minp_single_coordinate_two_sided(self):
         out = crossing.pvalue("MinP", setstats.ZVector(np.array([2.3])), np.eye(1))
-        assert out.pvalue == pytest.approx(2 * gauss.std_normal(2.3).sf, rel=1e-10)
+        assert out.pvalue == pytest.approx(2 * gauss.norm_sf(2.3), rel=1e-10)
 
     def test_minp_all_zero_observations(self):
         out = crossing.pvalue("MinP", setstats.ZVector(np.zeros(4)), np.eye(4))
@@ -354,7 +355,7 @@ class TestRejectionRegion:
         alpha = 0.01
         bv = crossing.rejection_region("MinP", alpha, d, np.eye(d))
         per = 1.0 - (1.0 - alpha) ** (1.0 / d)
-        want = gauss.std_normal_inv(1.0 - per / 2.0)
+        want = ndtri(1.0 - per / 2.0)
         assert bv.b[-1] == pytest.approx(want, abs=1e-4)
 
     def test_round_trip_all_methods(self):

@@ -106,21 +106,23 @@ class TestCorrPowers:
 
 
 class TestCountMean:
+    """E S(t) = d * exceed_prob(t, mu)."""
+
     def test_null_tail_value(self):
         # 2 d sf(t) at the 0.025 two-sided point
-        assert exceedance.count_mean(1.959964, 0.0, 100) == pytest.approx(5.0, abs=1e-4)
+        assert 100 * exceedance.exceed_prob(1.959964, 0.0) == pytest.approx(5.0, abs=1e-4)
 
     def test_zero_threshold(self):
-        assert exceedance.count_mean(0.0, 0.7, 12) == pytest.approx(12.0)
+        assert 12 * exceedance.exceed_prob(0.0, 0.7) == pytest.approx(12.0)
 
     def test_mu_equals_t_substitution(self):
         for t in (0.5, 1.5, 3.0):
-            want = 7 * (0.5 + gauss.std_normal(-2 * t).cdf)
-            assert exceedance.count_mean(t, t, 7) == pytest.approx(want, rel=1e-12)
+            want = 7 * (0.5 + ndtr(-2 * t))
+            assert 7 * exceedance.exceed_prob(t, t) == pytest.approx(want, rel=1e-12)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(DomainError):
-            exceedance.count_mean(-0.1, 0.0, 3)
+            exceedance.count_variance(-0.1, 0.0, exceedance.zero_profile(3))
 
 
 class TestCountVariance:
@@ -179,10 +181,3 @@ class TestCountVariance:
         t = np.linspace(0.05, 6, 40)
         assert np.all(exceedance.count_variance(t, 0.0, prof) > 0)
 
-
-def test_count_moments_container():
-    prof = exceedance.corr_powers(exchangeable(3, 0.2))
-    cm = exceedance.count_moments(1.2, 0.5, prof)
-    assert cm.mean == pytest.approx(float(exceedance.count_mean(1.2, 0.5, 3)))
-    assert cm.variance == pytest.approx(float(exceedance.count_variance(1.2, 0.5, prof)))
-    assert cm.t == 1.2 and cm.mu == 0.5

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
 from gbjtest import exceedance, gauss, setstats
@@ -10,14 +11,16 @@ from tests.conftest import exchangeable, rand_corr
 
 
 class TestSolveMu:
+    """``_solve_mu_vec``, the mean shift of the GBJ alternative."""
+
     def test_reproduces_target_fraction(self, rng):
         for _ in range(40):
             d = int(rng.integers(2, 80))
             j = int(rng.integers(1, d // 2 + 1))
-            t_min = gauss.std_normal_inv(1.0 - j / (2.0 * d))
+            t_min = ndtri(1.0 - j / (2.0 * d))
             t = t_min + rng.uniform(0.01, 3.0)
-            mu = setstats.solve_mu(t, j, d)
-            lam = gauss.std_normal(t - mu).sf + gauss.std_normal(t + mu).sf
+            mu = setstats._solve_mu_vec(np.array([t]), np.array([j]), d)[0]
+            lam = gauss.norm_sf(t - mu) + gauss.norm_sf(t + mu)
             assert abs(lam - j / d) < 1e-10
             assert mu > 0
 
@@ -25,39 +28,30 @@ class TestSolveMu:
     def test_newton_edges_reproduce_target_fraction(self, d):
         # at the indicator boundary mu -> 0 and the derivative vanishes; at
         # T_MAX the null tail is subnormal
-        for j in range(1, d // 2 + 1):
-            t_min = gauss.std_normal_inv(1.0 - j / (2.0 * d))
-            for t in (t_min + 1e-9, setstats.T_MAX):
-                mu = setstats.solve_mu(t, j, d)
-                lam = gauss.std_normal(t - mu).sf + gauss.std_normal(t + mu).sf
-                assert abs(lam - j / d) < 1e-10
-                assert mu > 0
+        j = np.arange(1, d // 2 + 1)
+        t_min = ndtri(1.0 - j / (2.0 * d))
+        for t in (t_min + 1e-9, np.full(j.size, setstats.T_MAX)):
+            mu = setstats._solve_mu_vec(t, j, d)
+            lam = gauss.norm_sf(t - mu) + gauss.norm_sf(t + mu)
+            assert np.all(np.abs(lam - j / d) < 1e-10)
+            assert np.all(mu > 0)
 
     def test_known_values(self):
-        assert setstats.solve_mu(2.0, 5, 10) == pytest.approx(2.0, abs=1e-3)
-        assert setstats.solve_mu(1.0, 9, 10) == pytest.approx(2.28, abs=0.01)
-
-    def test_indicator_precondition(self):
-        # at t with 2 sf(t) >= j/d the shift is not defined
-        with pytest.raises(DomainError):
-            setstats.solve_mu(0.3, 1, 10)
-        with pytest.raises(DomainError):
-            setstats.solve_mu(-1.0, 1, 10)
-        # lambda(mu) < 1 for every mu, so there is no root at j = d
-        with pytest.raises(DomainError):
-            setstats.solve_mu(2.0, 10, 10)
+        mu = setstats._solve_mu_vec(np.array([2.0, 1.0]), np.array([5, 9]), 10)
+        assert mu[0] == pytest.approx(2.0, abs=1e-3)
+        assert mu[1] == pytest.approx(2.28, abs=0.01)
 
 
 def straight_line_gbj_objective(t, j, d, Sigma):
     """Independent re-implementation of the per-index EBB likelihood ratio,
     written linearly with no shared code paths."""
-    sf = gauss.std_normal(t).sf
+    sf = gauss.norm_sf(t)
     lam0 = 2 * sf
     iu = np.triu_indices(d, k=1)
     rbar = np.array([np.mean(Sigma[iu] ** r) for r in range(1, 11)])
 
     def hermite_series_variance(mu):
-        lam = 1 - (gauss.std_normal(t - mu).cdf - gauss.std_normal(-t - mu).cdf)
+        lam = 1 - (ndtr(t - mu) - ndtr(-t - mu))
         acc = d * lam * (1 - lam)
         pa = math.exp(-0.5 * (t - mu) ** 2) / math.sqrt(2 * math.pi)
         pb = math.exp(-0.5 * (-t - mu) ** 2) / math.sqrt(2 * math.pi)
@@ -85,31 +79,33 @@ def straight_line_gbj_objective(t, j, d, Sigma):
         return out
 
     g0 = match_gamma(lam0, hermite_series_variance(0.0))
-    mu_hat = setstats.solve_mu(t, j, d)
+    mu_hat = setstats._solve_mu_vec(np.array([t]), np.array([j]), d)[0]
     lam_a = j / d
     ga = match_gamma(lam_a, hermite_series_variance(mu_hat))
     return math.log(ebb_pmf(j, lam_a, ga) / ebb_pmf(j, lam0, g0))
 
 
 class TestGbjObjective:
+    """The GBJ per-index objective, ``objective_values("GBJ", ...)``."""
+
     def test_identity_reduces_to_binomial_ratio(self, rng):
         d = 12
         prof = exceedance.zero_profile(d)
         for _ in range(20):
             j = int(rng.integers(1, d // 2 + 1))
-            t_min = gauss.std_normal_inv(1.0 - j / (2.0 * d))
+            t_min = ndtri(1.0 - j / (2.0 * d))
             t = t_min + rng.uniform(0.05, 2.5)
-            got = setstats.gbj_objective(t, j, d, prof)
-            lam0 = 2 * gauss.std_normal(t).sf
+            got = setstats.objective_values("GBJ", np.array([t]), np.array([j]), d, prof)[0][0]
+            lam0 = 2 * gauss.norm_sf(t)
             want = math.log(binom.pmf(j, d, j / d) / binom.pmf(j, d, lam0))
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_two_of_two_case(self):
         # d=2, observed (3, 0): only j=1 qualifies at t=3
         prof = exceedance.zero_profile(2)
-        lam0 = 2 * gauss.std_normal(3.0).sf
+        lam0 = 2 * gauss.norm_sf(3.0)
         want = math.log(binom.pmf(1, 2, 0.5) / binom.pmf(1, 2, lam0))
-        got = setstats.gbj_objective(3.0, 1, 2, prof)
+        got = setstats.objective_values("GBJ", np.array([3.0]), np.array([1]), 2, prof)[0][0]
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(4.53, abs=0.01)
 
@@ -117,7 +113,7 @@ class TestGbjObjective:
         d = 10
         Sigma = exchangeable(d, 0.3)
         prof = exceedance.corr_powers(Sigma)
-        got = setstats.gbj_objective(2.5, 2, d, prof)
+        got = setstats.objective_values("GBJ", np.array([2.5]), np.array([2]), d, prof)[0][0]
         want = straight_line_gbj_objective(2.5, 2, d, Sigma)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -125,7 +121,7 @@ class TestGbjObjective:
         d = 16
         prof = exceedance.corr_powers(rand_corr(d, rng))
         for j in (1, 3, 8):
-            t_min = gauss.std_normal_inv(1.0 - j / (2.0 * d))
+            t_min = ndtri(1.0 - j / (2.0 * d))
             ts = np.linspace(t_min + 1e-3, t_min + 5.0, 60)
             vals, _ = setstats.objective_values("GBJ", ts, np.full(ts.size, j), d, prof)
             assert np.all(np.diff(vals) > 0)
@@ -141,14 +137,6 @@ class TestGbjObjective:
         steps = np.diff(vals)
         assert np.all(steps >= 0.0)
         assert np.max(steps) <= 1e-10
-
-    def test_indicator_enforced(self):
-        prof = exceedance.zero_profile(10)
-        with pytest.raises(DomainError):
-            setstats.gbj_objective(0.5, 1, 10, prof)
-        # no alternative mean shift exists at j = d
-        with pytest.raises(DomainError):
-            setstats.gbj_objective(2.0, 10, 10, prof)
 
 
 class TestComputeStatistic:
@@ -188,7 +176,7 @@ class TestComputeStatistic:
         best = 0.0
         for j in range(1, d // 2 + 1):
             t = Z.abs_order[d - j]
-            pi0 = 2 * gauss.std_normal(t).sf
+            pi0 = 2 * gauss.norm_sf(t)
             if pi0 < j / d:
                 best = max(best, (j - d * pi0) ** 2 / (d * pi0 * (1 - pi0)))
         assert out.statistic == pytest.approx(best, rel=1e-12)
@@ -240,8 +228,9 @@ class TestComputeStatistic:
             vals = {}
             for j in range(1, d // 2 + 1):
                 t = Z.abs_order[d - j]
-                if 2 * gauss.std_normal(t).sf < j / d:
-                    vals[j] = setstats.gbj_objective(t, j, d, prof)
+                if 2 * gauss.norm_sf(t) < j / d:
+                    vals[j] = setstats.objective_values("GBJ", np.array([t]), np.array([j]),
+                                                        d, prof)[0][0]
             jstar = max(vals, key=vals.get)
             if vals[jstar] > 0:
                 assert out.achieving_index == jstar
