@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: score, cov-ref, test, region, simulate.  Data goes to --out (or
-stdout); diagnostics go to stderr; every run emits a JSON manifest recording
-inputs, seed, versions, wall time and all warnings raised in the pipeline.
+stdout; score needs --out, the prefix of its two files); diagnostics go to
+stderr; every run emits a JSON manifest recording inputs, seed, versions,
+wall time and all warnings raised in the pipeline.
 Exit codes: 0 success, 2 usage or parse failure, 3 numerical failure.
 """
 
@@ -244,11 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
                                             "correlated statistics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, out_prefix=False):
         sp.add_argument("--seed", type=int, default=None,
                         help="master seed for all randomized components "
                              "(default 0 where one is needed)")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        if out_prefix:
+            sp.add_argument("--out", required=True, help="output prefix: writes "
+                            "<out>.zstats.tsv and <out>.cor.tsv")
+        else:
+            sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--manifest", default=None,
                         help="manifest path (default <out>.manifest.json, "
                              "stderr when writing to stdout)")
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--covariates", default=None)
     sp.add_argument("--family", choices=(scores.GAUSSIAN, scores.BINOMIAL),
                     default=scores.GAUSSIAN)
-    common(sp)
+    common(sp, out_prefix=True)
     sp.set_defaults(func=cmd_score)
 
     sp = sub.add_parser("cov-ref", help="correlation from a reference panel")

@@ -100,21 +100,6 @@ def _stages(bounds: BoundaryVector):
     return np.array(thresholds), np.array(caps, dtype=int)
 
 
-def _pair_tails(rhos: np.ndarray, perfect: np.ndarray | None, t: float,
-                lam_single: float) -> np.ndarray:
-    """Pr(|Z_k| >= t, |Z_l| >= t) per off-diagonal pair.  Perfectly
-    (anti)correlated pairs share one absolute value, so their joint tail is
-    the single-coordinate tail.  ``perfect`` marks those pairs (None when
-    there are none) and ``rhos`` holds the other pairs' correlations."""
-    if perfect is None:
-        out = gauss.bivar_abs_tail_many(t, rhos)
-    else:
-        out = np.full(perfect.size, lam_single)
-        if rhos.size:
-            out[~perfect] = gauss.bivar_abs_tail_many(t, rhos)
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
 def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel,
                     return_table: bool = False):
     """Pr(any |Z|_(j) > b_j) for Z ~ MVN(0, Sigma) by the conditional-EBB
@@ -148,13 +133,11 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
             return p, CrossingTable(thresholds, caps, (), np.array([p]), tuple(flags))
         return p
 
-    rhos, perfect = model.pairs
-    npairs = rhos.size
-    if perfect is not None:
-        rhos = rhos[~perfect]
-
+    pairs = model.pair_summary
     sf_prev = 0.5                               # sf at t_0 = 0
-    tails_prev = np.ones(npairs)                # pair tails at t_0 = 0
+    # pair tails at t_0 = 0, one per entry of pairs.rhos, then one for the
+    # perfect pairs if there are any
+    tails_prev = np.ones(pairs.rhos.size + (pairs.n_perfect > 0))
     cap_prev = d
     q = np.zeros(d + 1)
     q[d] = 1.0                                  # S(0) = d with certainty
@@ -172,7 +155,13 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
             lam = 1.0 - 1e-16
         # conditional dispersion from pairwise tail ratios
         if d >= 2:
-            tails_k = _pair_tails(rhos, perfect, t_k, 2.0 * sf_k)
+            tails_k = (gauss.bivar_abs_tail_many(t_k, pairs.rhos) if pairs.rhos.size
+                       else np.empty(0))
+            if pairs.n_perfect:
+                # a perfectly (anti)correlated pair shares one |Z|, so its
+                # joint tail is the single-coordinate tail
+                tails_k = np.append(tails_k, 2.0 * sf_k)
+            np.clip(tails_k, 0.0, 1.0, out=tails_k)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratios = tails_k / tails_prev
             if not np.isfinite(ratios).all():
@@ -180,7 +169,7 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
                 ratios[~np.isfinite(ratios)] = lam * lam
             np.clip(ratios, 0.0, 1.0, out=ratios)
             ratios -= lam * lam
-            numer = 2.0 * np.sum(ratios)
+            numer = 2.0 * pairs.pair_sum(ratios)
             frac = numer / (d * (d - 1) * lam * (1.0 - lam))
         else:
             tails_k = tails_prev

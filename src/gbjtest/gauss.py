@@ -321,15 +321,17 @@ def _dedup_perfect(z: float, R: np.ndarray):
     return np.array(lower), np.array(upper), R[np.ix_(keep, keep)]
 
 
-def mvn_cdf_small(z: float, R: np.ndarray, npts: int = 16384,
-                  return_error: bool = False):
+def mvn_cdf_small(z: float, R, npts: int = 16384, return_error: bool = False):
     """Pr(Z_i <= z for all i) for Z ~ MVN(0, R), dimension <= 4.
 
-    Deterministic; absolute error well under 1e-5.  Perfectly correlated
-    coordinate pairs are collapsed before integration, which covers the
-    degenerate single-factor case exactly.
+    ``R`` is an array or an ``exceedance.CorrelationModel``, which is not
+    validated again.  Deterministic; absolute error well under 1e-5.
+    Perfectly correlated coordinate pairs are collapsed before integration,
+    which covers the degenerate single-factor case exactly.
     """
-    R, _ = check_correlation(R)
+    from .exceedance import correlation_model    # exceedance imports this module
+
+    R = correlation_model(R).matrix
     if R.shape[0] > 4:
         raise DomainError(f"mvn_cdf_small supports dimension <= 4, got {R.shape[0]}")
     if not math.isfinite(z):

@@ -268,7 +268,7 @@ def omni_threshold(alpha: float, R_hat: np.ndarray) -> float:
     the omnibus rejects at level alpha iff min p <= c."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
-    R_hat = repair_correlation(np.asarray(R_hat, dtype=float))
+    R_hat = correlation_model(repair_correlation(np.asarray(R_hat, dtype=float)))
 
     def f(c):
         return 1.0 - gauss.mvn_cdf_small(float(ndtri(1.0 - c)), R_hat) - alpha

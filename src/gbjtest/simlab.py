@@ -61,6 +61,11 @@ class BlockStructure:
 
 def block_sigma(structure: BlockStructure) -> np.ndarray:
     """Assemble and PSD-validate the block correlation matrix."""
+    return _block_model(structure).matrix
+
+
+def _block_model(structure: BlockStructure) -> CorrelationModel:
+    """The block correlation matrix of ``structure`` as a validated model."""
     d, k = structure.d, structure.k
     n_noise = d - k
     n_corr = int(math.floor(n_noise * structure.noise_corr_fraction))
@@ -73,7 +78,7 @@ def block_sigma(structure: BlockStructure) -> np.ndarray:
         S[:k, k:] = structure.rho2
         S[k:, :k] = structure.rho2
     np.fill_diagonal(S, 1.0)
-    return correlation_model(S).matrix
+    return CorrelationModel(S)
 
 
 def sim_genotypes(n: int, Sigma_latent: np.ndarray | CorrelationModel, maf: float,
@@ -163,8 +168,7 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
     d, k, n = st.d, st.k, config.n
     if mode == POWER and k < 1:
         raise DomainError("power mode needs at least one causal column")
-    Sigma_latent = block_sigma(st)
-    G = sim_genotypes(n, Sigma_latent, config.maf, seed=[config.seed, 0])
+    G = sim_genotypes(n, _block_model(st), config.maf, seed=[config.seed, 0])
     Gc = G.values - G.values.mean(axis=0)
     colnorm = np.sqrt(np.einsum("ij,ij->j", Gc, Gc))
     if np.any(colnorm <= 0):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +97,19 @@ class TestScoreCommand:
         rc = cli.main(["score", "--genotypes", geno, "--phenotype", pheno,
                        "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_missing_out_usage_error(self, toy_dataset):
+        # score writes <out>.zstats.tsv and <out>.cor.tsv, so --out is required
+        import gbjtest
+        geno, pheno = toy_dataset
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gbjtest.__file__)))
+        run = subprocess.run([sys.executable, "-m", "gbjtest.cli", "score",
+                              "--genotypes", geno, "--phenotype", pheno],
+                             capture_output=True, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 2
+        assert "--out" in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_binomial_family_end_to_end(self, tmp_path, rng):
         n, d = 60, 3

@@ -201,7 +201,8 @@ class TestCrossingPvalue:
         p = crossing.crossing_pvalue(bv, Sigma)
         assert 0.0 < p < 1.0
         assert len(seen) == 3
-        assert all(r.size == 5 and np.all(np.abs(r) < 1.0) for r in seen)
+        # the five other pairs share |rho| = 0.3, one atom of the pair summary
+        assert all(r.size == 1 and np.all(np.abs(r) < 1.0) for r in seen)
         flip = np.diag([1.0, -1.0, 1.0, 1.0])     # Z_1 = -Z_0: same |Z|
         assert crossing.crossing_pvalue(bv, flip @ Sigma @ flip) == p
         # d = 2, one perfect pair: |Z|_(1) > b_1 is the whole event
@@ -218,6 +219,98 @@ class TestCrossingPvalue:
         bv = BoundaryVector(b=np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             crossing.crossing_pvalue(bv, np.eye(3))
+
+
+def _flipped(S, signs):
+    D = np.diag(signs)
+    return D @ S @ D
+
+
+def _with_perfect_pair(S):
+    S = S.copy()
+    S[1, :] = S[:, 1] = S[0, :]
+    S[1, 1] = 1.0
+    return S
+
+
+def _block_with_zero_blocks(d):
+    S = np.eye(d)
+    for start in range(0, d, 10):
+        if start // 10 % 2 == 0:
+            S[start:start + 10, start:start + 10] = 0.5
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
+ATOM_MATRICES = {
+    "exchangeable": exchangeable(12, 0.3),
+    "block_with_zero_blocks": _block_with_zero_blocks(40),
+    "sign_flipped": _flipped(exchangeable(9, 0.45), [1, -1, 1, 1, -1, -1, 1, -1, 1]),
+    "perfect_pair": _with_perfect_pair(exchangeable(8, 0.35)),
+}
+
+
+def _force_path(monkeypatch, atoms: bool):
+    """Makes models built from now on group their pairs by |rho| (atoms) or
+    keep them one by one."""
+    monkeypatch.setattr(exceedance, "ATOM_FRACTION_MAX", 1.0 if atoms else 0.0)
+
+
+class TestPairSummary:
+    @pytest.mark.parametrize("name", sorted(ATOM_MATRICES))
+    def test_atom_and_per_pair_paths_agree(self, name, monkeypatch):
+        S = ATOM_MATRICES[name]
+        d = S.shape[0]
+        z = setstats.ZVector(np.linspace(0.4, 4.2, d) * np.where(np.arange(d) % 2, 1.0, -1.0))
+        deep = np.full(d, np.inf)
+        deep[-3:] = (1.0, 28.0, 29.0)            # pair tails underflow past t = 27
+        got = {}
+        for atoms in (True, False):
+            _force_path(monkeypatch, atoms)
+            assert (exceedance.CorrelationModel(S).pair_summary.counts is not None) == atoms
+            rows = [crossing.pvalue(m, z, S) for m in ("GBJ", "BJ", "HC", "GHC")]
+            p_deep, table = crossing.crossing_pvalue(BoundaryVector(b=deep), S,
+                                                     return_table=True)
+            got[atoms] = ([r.pvalue for r in rows] + [p_deep],
+                          [r.diagnostics for r in rows] + [table.diagnostics])
+        np.testing.assert_allclose(got[True][0], got[False][0], rtol=1e-12, atol=0.0)
+        assert got[True][1] == got[False][1]
+        assert "pair_tail_underflow" in got[True][1][-1]
+
+    def test_counts_cover_the_non_perfect_pairs(self):
+        S = _with_perfect_pair(_flipped(exchangeable(8, 0.35), [1, 1, -1, 1, 1, -1, 1, 1]))
+        S[2:4, 5:7] = S[5:7, 2:4] = 0.1
+        summary = exceedance.CorrelationModel(S).pair_summary
+        # rows 0 and 1 are one coordinate: 1 perfect pair of 28
+        assert summary.n_perfect == 1
+        assert summary.counts.sum() == 27
+        # +-0.35 and +-0.1 are two atoms, not four
+        np.testing.assert_array_equal(summary.rhos, [0.1, 0.35])
+        np.testing.assert_array_equal(summary.counts, [4, 23])
+
+    def test_distinct_correlations_stay_one_by_one(self, rng):
+        S = rand_corr(10, rng)
+        summary = exceedance.CorrelationModel(S).pair_summary
+        assert summary.counts is None and summary.n_perfect == 0
+        np.testing.assert_array_equal(summary.rhos, S[np.triu_indices(10, k=1)])
+
+    @pytest.mark.parametrize("atoms", (True, False))
+    def test_recursion_reaches_the_series_through_the_module(self, atoms, monkeypatch):
+        # the traced benchmark wraps gauss.bivar_abs_tail_many by name
+        _force_path(monkeypatch, atoms)
+        sizes = []
+        series = gauss.bivar_abs_tail_many
+
+        def record(t, rhos, *args, **kwargs):
+            sizes.append(np.size(rhos))
+            return series(t, rhos, *args, **kwargs)
+
+        monkeypatch.setattr(gauss, "bivar_abs_tail_many", record)
+        S = ATOM_MATRICES["block_with_zero_blocks"]
+        bounds = np.full(40, np.inf)
+        bounds[-4:] = (1.5, 2.0, 2.5, 3.0)
+        crossing.crossing_pvalue(BoundaryVector(b=bounds), S)
+        assert sizes == [2 if atoms else 780] * 4
 
 
 class TestExactSmall:

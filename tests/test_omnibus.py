@@ -164,6 +164,21 @@ class TestOmniPvalue:
         with pytest.raises(DomainError):
             omnibus.omni_pvalue({"GBJ": 0.1}, np.eye(4))
 
+    def test_threshold_validates_r_hat_once(self, monkeypatch):
+        R = 0.5 * np.ones((4, 4)) + 0.5 * np.eye(4)
+        c = omnibus.omni_threshold(0.01, R)
+        calls = []
+        check = gauss.check_correlation
+
+        def counted(M):
+            calls.append(np.shape(M))
+            return check(M)
+        monkeypatch.setattr(gauss, "check_correlation", counted)
+        assert omnibus.omni_threshold(0.01, R) == c
+        assert calls == [(4, 4)]
+        res = omnibus.omni_pvalue({comp: c for comp in omnibus.OMNI_COMPONENTS}, R)
+        assert res.p_omni == pytest.approx(0.01, rel=1e-8)
+
 
 class TestOmnibusPipeline:
     def test_component_pvalues_d1_collapse(self):

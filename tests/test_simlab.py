@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbjtest import simlab
+from gbjtest import gauss, simlab
 from gbjtest.errors import DomainError
 from gbjtest.simlab import BlockStructure, SimConfig
 
@@ -122,6 +122,20 @@ class TestRunStudy:
         fields = lines[1].split("\t")
         assert fields[0] == "MinP"
         assert int(fields[9]) == round(float(fields[10]) * 100)
+
+    def test_latent_block_validated_once(self, monkeypatch):
+        cfg = SimConfig(structure=BlockStructure(d=6, k=0, rho3=0.2), n=300,
+                        reps=50, seed=5, methods=("MinP",))
+        calls = []
+        check = gauss.check_correlation
+
+        def counted(M):
+            calls.append(np.shape(M))
+            return check(M)
+        monkeypatch.setattr(gauss, "check_correlation", counted)
+        simlab.run_study(cfg, simlab.SIZE)
+        # once for the latent block, once for the estimated correlation
+        assert calls == [(6, 6), (6, 6)]
 
     def test_mode_validation(self):
         cfg = SimConfig(structure=BlockStructure(d=4, k=0), reps=10, methods=("MinP",))
