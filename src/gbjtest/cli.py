@@ -83,7 +83,7 @@ def cmd_score(args) -> int:
                                    "phenotype": args.phenotype,
                                    "covariates": args.covariates},
                            seed=args.seed, methods=[], versions=_versions())
-    t0 = time.time()
+    t0 = time.perf_counter()
     G = fileio.read_genotypes(args.genotypes)
     y = fileio.read_phenotype(args.phenotype)
     if y.size != G.n:
@@ -105,7 +105,7 @@ def cmd_score(args) -> int:
         manifest.warnings.append(f"dropped_columns={','.join(dropped)}")
     fileio.write_zstats(args.out + ".zstats.tsv", kept, Z.z)
     _emit(fileio.format_correlation(Sigma), args.out + ".cor.tsv")
-    manifest.wall_time_s = time.time() - t0
+    manifest.wall_time_s = time.perf_counter() - t0
     manifest.write(_manifest_path(args))
     return 0
 
@@ -113,13 +113,13 @@ def cmd_score(args) -> int:
 def cmd_cov_ref(args) -> int:
     manifest = RunManifest(command="cov-ref", inputs={"panel": args.panel},
                            seed=args.seed, methods=[], versions=_versions())
-    t0 = time.time()
+    t0 = time.perf_counter()
     panel = fileio.read_genotypes(args.panel)
     if panel.imputed:
         manifest.warnings.append(f"mean_imputed_columns={','.join(panel.imputed)}")
     Sigma = scores.ref_panel_cov(panel, m=args.num_pcs)
     _emit(fileio.format_correlation(Sigma), args.out)
-    manifest.wall_time_s = time.time() - t0
+    manifest.wall_time_s = time.perf_counter() - t0
     manifest.write(_manifest_path(args))
     return 0
 
@@ -130,7 +130,7 @@ def cmd_test(args) -> int:
                            inputs={"zstats": args.zstats,
                                    "correlation": args.correlation},
                            seed=args.seed, methods=methods, versions=_versions())
-    t0 = time.time()
+    t0 = time.perf_counter()
     ids, z = fileio.read_zstats(args.zstats)
     model = exceedance.correlation_model(fileio.read_correlation(args.correlation))
     if model.d != z.size:
@@ -159,7 +159,7 @@ def cmd_test(args) -> int:
             manifest.warnings.extend(out.diagnostics)
             lines.append(f"{method}\t{out.statistic:.10g}\t{out.pvalue:.6g}\t{idx}\t{flags}")
     _emit("\n".join(lines) + "\n", args.out)
-    manifest.wall_time_s = time.time() - t0
+    manifest.wall_time_s = time.perf_counter() - t0
     manifest.write(_manifest_path(args))
     return 0
 
@@ -172,35 +172,44 @@ def cmd_region(args) -> int:
     manifest = RunManifest(command="region",
                            inputs={"correlation": args.correlation},
                            seed=args.seed, methods=[method], versions=_versions())
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = exceedance.correlation_model(fileio.read_correlation(args.correlation))
     bounds = crossing.rejection_region(method, args.alpha, model.d, model)
     manifest.warnings.extend(bounds.diagnostics)
     _emit(crossing.region_to_tsv(bounds, method, args.alpha), args.out)
-    manifest.wall_time_s = time.time() - t0
+    manifest.wall_time_s = time.perf_counter() - t0
     manifest.write(_manifest_path(args))
     return 0
 
 
 def _load_sim_config(args) -> simlab.SimConfig:
-    cfg: dict[str, str] = {}
+    cfg: dict[str, tuple[str, int]] = {}    # key -> (value, line number)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            for i, ln in enumerate(fh, start=1):
-                ln = ln.strip()
-                if not ln or ln.startswith("#"):
-                    continue
-                if "=" not in ln:
-                    raise fileio.ParseError(f"{args.config}:{i}: expected key=value")
-                key, val = ln.split("=", 1)
-                cfg[key.strip()] = val.strip()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise fileio.ParseError(f"{args.config}: cannot read ({exc})") from exc
+        for i, ln in enumerate(lines, start=1):
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            if "=" not in ln:
+                raise fileio.ParseError(f"{args.config}:{i}: expected key=value")
+            key, val = ln.split("=", 1)
+            cfg[key.strip()] = (val.strip(), i)
 
     def pick(name, flag_val, cast, default):
         if flag_val is not None:
             return flag_val
-        if name in cfg:
-            return cast(cfg[name])
-        return default
+        if name not in cfg:
+            return default
+        val, line = cfg[name]
+        try:
+            return cast(val)
+        except ValueError as exc:
+            raise fileio.ParseError(f"{args.config}:{line}: {name}: not a valid "
+                                    f"{cast.__name__}: {val!r}") from exc
 
     structure = simlab.BlockStructure(
         d=pick("d", args.d, int, 20),
@@ -230,11 +239,11 @@ def cmd_simulate(args) -> int:
                            inputs={"config": args.config},
                            seed=config.seed, methods=list(config.methods),
                            versions=_versions())
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = simlab.run_study(config, args.mode)
     manifest.warnings.extend(result.diagnostics)
     _emit(simlab.result_to_tsv(result), args.out)
-    manifest.wall_time_s = time.time() - t0
+    manifest.wall_time_s = time.perf_counter() - t0
     manifest.write(_manifest_path(args))
     return 0
 

@@ -28,6 +28,10 @@ from .exceedance import CorrelationModel, CorrPowerProfile, correlation_model
 
 PVALUE_FLOOR = 1e-16
 MONOTONE_REPAIR_FLAG = 1e-6
+# Pair-tail values per call of the series in the recursion: the atom path
+# and sets up to d ~ 50 take all their stages in one call, and a d = 500 set
+# (124,750 pairs) one stage per call, which keeps its peak memory where it was.
+PAIR_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,71 +137,93 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
             return p, CrossingTable(thresholds, caps, (), np.array([p]), tuple(flags))
         return p
 
-    pairs = model.pair_summary
-    sf_prev = 0.5                               # sf at t_0 = 0
-    # pair tails at t_0 = 0, one per entry of pairs.rhos, then one for the
-    # perfect pairs if there are any
-    tails_prev = np.ones(pairs.rhos.size + (pairs.n_perfect > 0))
-    cap_prev = d
+    # every stage quantity that does not depend on the count law, as arrays
+    sf = gauss.norm_sf(thresholds)
+    sf_prev = np.concatenate(([0.5], sf[:-1]))  # sf at t_0 = 0, then t_{k-1}
+    lam = np.divide(sf, sf_prev, out=np.zeros_like(sf), where=sf_prev > 0.0)
+    under = lam <= 0.0
+    if under.any():
+        flags.append("lambda_underflow")
+        lam[under] = 1e-300
+    lam[lam >= 1.0] = 1.0 - 1e-16
+    frac = _pair_fractions(thresholds, sf, lam, model, flags) if d >= 2 else np.zeros_like(lam)
+    m_maxes = np.concatenate(([d], caps[:-1]))  # S(t_{k-1}) is at most cap_{k-1}
+    gamma, clamped = ebb.match_gamma(lam, frac, np.maximum(m_maxes, 1))
+    if clamped.any():
+        flags.append("ebb_gamma_clamped")
+
     q = np.zeros(d + 1)
     q[d] = 1.0                                  # S(0) = d with certainty
     leak_total = 0.0
     q_rows: list[np.ndarray] = []
     leaks: list[float] = []
-
-    for t_k, cap_k in zip(thresholds, caps):
-        sf_k = float(gauss.norm_sf(t_k))
-        lam = sf_k / sf_prev if sf_prev > 0.0 else 0.0
-        if lam <= 0.0:
-            flags.append("lambda_underflow")
-            lam = 1e-300
-        if lam >= 1.0:
-            lam = 1.0 - 1e-16
-        # conditional dispersion from pairwise tail ratios
-        if d >= 2:
-            tails_k = (gauss.bivar_abs_tail_many(t_k, pairs.rhos) if pairs.rhos.size
-                       else np.empty(0))
-            if pairs.n_perfect:
-                # a perfectly (anti)correlated pair shares one |Z|, so its
-                # joint tail is the single-coordinate tail
-                tails_k = np.append(tails_k, 2.0 * sf_k)
-            np.clip(tails_k, 0.0, 1.0, out=tails_k)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratios = tails_k / tails_prev
-            if not np.isfinite(ratios).all():
-                flags.append("pair_tail_underflow")
-                ratios[~np.isfinite(ratios)] = lam * lam
-            np.clip(ratios, 0.0, 1.0, out=ratios)
-            ratios -= lam * lam
-            numer = 2.0 * pairs.pair_sum(ratios)
-            frac = numer / (d * (d - 1) * lam * (1.0 - lam))
-        else:
-            tails_k = tails_prev
-            frac = 0.0
-        m_max = cap_prev
-        gamma, clamped = ebb.match_gamma(lam, frac, max(m_max, 1))
-        if clamped:
-            flags.append("ebb_gamma_clamped")
-
+    for m_max, cap_k, lam_k, gamma_k in zip(m_maxes.tolist(), caps.tolist(),
+                                            lam.tolist(), gamma.tolist()):
         # conditional law: S(t_k) | S(t_{k-1}) = m  ~  EBB(m, lam, gamma),
         # one transition-matrix row per m that carries mass
         ms = np.nonzero(q[: m_max + 1] > 0.0)[0]
-        q_new = q[ms] @ ebb.transition(ms, m_max, lam, gamma)
+        q_new = q[ms] @ ebb.transition(ms, m_max, lam_k, gamma_k)
         leak = float(q_new[cap_k + 1:].sum())
         leak_total += leak
         q = np.zeros(d + 1)
         q[: cap_k + 1] = q_new[: cap_k + 1]
         q_rows.append(q_new)
         leaks.append(leak)
-        sf_prev = sf_k
-        tails_prev = tails_k
-        cap_prev = cap_k
 
     p = float(min(max(leak_total, 0.0), 1.0))
     if return_table:
         return p, CrossingTable(thresholds, caps, tuple(q_rows),
                                 np.array(leaks), tuple(flags))
     return p
+
+
+def _pair_fractions(thresholds: np.ndarray, sf: np.ndarray, lam: np.ndarray,
+                    model: CorrelationModel, flags: list[str]) -> np.ndarray:
+    """Per stage, the pairwise indicator correlation the EBB dispersion
+    matches: sum over pairs of (R_k - lam_k^2) over d(d-1)/2 lam_k (1 - lam_k),
+    where R_k is a pair's joint tail at t_k over its joint tail at t_{k-1}
+    (1 at t_0 = 0), clipped into [0, 1].
+
+    The pair tails come from ``gauss.bivar_abs_tail_many`` in blocks of
+    stages with about PAIR_BLOCK_ENTRIES values each, so small sets need one
+    call per p-value and large ones one stage per call.
+    """
+    d = model.d
+    pairs = model.pair_summary
+    n = pairs.rhos.size
+    entries = n + (pairs.n_perfect > 0)         # values per stage
+    numer = np.empty(thresholds.size)
+    rows = max(1, PAIR_BLOCK_ENTRIES // entries)
+    ratios = np.empty((min(rows, thresholds.size), entries))
+    underflow = False
+    # a perfectly (anti)correlated pair shares one |Z|, so its joint tail is
+    # the single-coordinate tail
+    perfect = np.clip(2.0 * sf, 0.0, 1.0)
+    tails_prev = np.ones(n)                     # pair tails at t_0 = 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        perfect_ratios = perfect / np.concatenate(([1.0], perfect[:-1]))
+        for start in range(0, thresholds.size, rows):
+            block = slice(start, min(start + rows, thresholds.size))
+            out = ratios[: block.stop - start]
+            if n:
+                tails = gauss.bivar_abs_tail_many(thresholds[block], pairs.rhos)
+                np.clip(tails, 0.0, 1.0, out=tails)
+                np.divide(tails[0], tails_prev, out=out[0, :n])
+                np.divide(tails[1:], tails[:-1], out=out[1:, :n])
+                tails_prev = tails[-1]
+            if pairs.n_perfect:
+                out[:, n] = perfect_ratios[block]
+            lam2 = lam[block, None] * lam[block, None]
+            bad = ~np.isfinite(out)
+            if bad.any():
+                underflow = True
+                out[bad] = np.broadcast_to(lam2, out.shape)[bad]
+            np.clip(out, 0.0, 1.0, out=out)
+            out -= lam2
+            numer[block] = 2.0 * pairs.pair_sum(out)
+    if underflow:
+        flags.append("pair_tail_underflow")
+    return numer / (d * (d - 1) * lam * (1.0 - lam))
 
 
 def invert_bounds(method: str, g: float, d: int,

@@ -17,13 +17,13 @@ from scipy.special import gammaln
 GAMMA_CLAMP_MARGIN = 1e-6
 
 
-def gamma_floor(lam, size: int):
+def gamma_floor(lam, size):
     """Smallest feasible gamma for EBB(size, lam, .): every PMF factor
     lam + gamma*k, 1 - lam + gamma*k, 1 + gamma*k must stay positive for
-    k = 0 .. size-1.  Vectorized over lam."""
-    if size <= 1:
-        return -np.inf
-    return -np.minimum(lam, 1.0 - lam) / (size - 1)
+    k = 0 .. size-1.  Vectorized over lam and size; -inf where size <= 1."""
+    size = np.asarray(size)
+    floor = -np.minimum(lam, 1.0 - lam) / np.maximum(size - 1, 1)
+    return np.where(size <= 1, -np.inf, floor)
 
 
 def _log_factor_prefixes(size: int, lam, gamma):
@@ -70,15 +70,15 @@ def transition(ms, size: int, lam: float, gamma: float) -> np.ndarray:
     return np.exp(np.where(below, logpmf, -np.inf))
 
 
-def match_gamma(lam, ratio, size: int):
+def match_gamma(lam, ratio, size):
     """Dispersion gamma of EBB(size, lam, gamma) with gamma / (1 + gamma) =
     ratio, the pairwise correlation of the indicators, clamped into the
     feasible region.
 
     A ratio at or above 1 (variance at or beyond the perfectly-correlated
     ceiling size^2 lam (1 - lam)) is taken as 1 - 1e-12; a gamma at or below
-    gamma_floor(lam, size) is moved just inside it.  Vectorized over lam and
-    ratio.  Returns (gamma, clamped mask).
+    gamma_floor(lam, size) is moved just inside it.  Vectorized over lam,
+    ratio and size.  Returns (gamma, clamped mask).
     """
     ratio = np.asarray(ratio, dtype=float)
     high = ratio >= 1.0

@@ -71,14 +71,17 @@ class PairSummary:
     counts: np.ndarray | None
     n_perfect: int
 
-    def pair_sum(self, values: np.ndarray) -> float:
-        """Sum over all pairs of a per-group value, given one value per entry
-        of ``rhos`` followed, if there are perfect pairs, by theirs."""
+    def pair_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum over all pairs of a per-group value, given along the last axis
+        one value per entry of ``rhos`` followed, if there are perfect pairs,
+        by theirs.  Each row's sum is the one its own 1-D call would give."""
         n = self.rhos.size
-        total = np.sum(values[:n]) if self.counts is None else values[:n] @ self.counts
+        head = values[..., :n]
+        # vecdot takes one BLAS dot per row, as ``row @ counts`` does
+        total = head.sum(axis=-1) if self.counts is None else np.vecdot(head, self.counts)
         if self.n_perfect:
-            total += self.n_perfect * values[n]
-        return float(total)
+            total = total + self.n_perfect * values[..., n]
+        return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,9 +81,11 @@ def hermite_normalized(r_max: int, t):
     return out
 
 
-def bivar_abs_tail_many(t: float, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 1000) -> np.ndarray:
-    """Pr(|Z1| >= t, |Z2| >= t) for a standard bivariate normal, at one
-    threshold t and each correlation in ``rhos`` (every |rho| < 1).
+def bivar_abs_tail_many(t, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 1000) -> np.ndarray:
+    """Pr(|Z1| >= t, |Z2| >= t) for a standard bivariate normal, at each
+    threshold in ``t`` and each correlation in ``rhos`` (every |rho| < 1).
+    A scalar t gives one value per correlation; a 1-D t gives an array of
+    shape (t.size, rhos.size), one row per threshold.
 
     Evaluated as (2 * sf(t))^2 plus the even-order Hermite covariance series.
     Odd orders cancel under the absolute value, which also makes the result
@@ -93,49 +95,68 @@ def bivar_abs_tail_many(t: float, rhos: np.ndarray, tol: float = 1e-12, r_cap: i
 
     The series is a polynomial in x = rho^2 with coefficients h_{r-1}(t)^2 / r
     at even r.  Its terms are nonnegative and increase with x, so the pair
-    with the largest rho^2 has the largest partial sums: the coefficients and
-    the stopping order are found on that pair alone, with scalars, and the
-    polynomial is then evaluated over all pairs by Horner's rule.
+    with the largest rho^2 has the largest partial sums: each threshold's
+    coefficients and stopping order are found on that pair alone, with
+    Python floats.  All thresholds' polynomials are then evaluated over all
+    pairs by one Horner pass, the shorter coefficient rows zero-padded at the
+    high-order end, which leaves their values bit-identical.
     """
-    if t < 0:
+    ts = np.asarray(t, dtype=float)
+    if (ts < 0).any():
         raise DomainError(f"bivar_abs_tail_many requires t >= 0, got {t!r}")
     rhos = np.asarray(rhos, dtype=float)
     if rhos.size == 0:
-        return np.empty_like(rhos)
-    x = rhos * rhos
+        return np.empty(ts.shape + rhos.shape)
+    x = np.square(rhos.ravel())
     x_max = float(np.max(x))
     if x_max >= 1.0:               # rounding keeps rho^2 < 1 for |rho| < 1
         raise DomainError("bivar_abs_tail_many requires |rho| < 1")
-    base = (2.0 * float(norm_sf(t))) ** 2
-    phi2 = math.exp(-t * t) / (2.0 * math.pi)
-    # Cramer envelope |h_r(t)| <= kappa e^{t^2/4}: the residual past order r is
-    # below env * rho^{r+2} / ((r+2)(1 - rho^2)), a rigorous stopping bound
-    env = (2.0 / math.pi) * 1.18 * math.exp(-0.5 * t * t)
-    coefs: list[float] = []
-    x_pow, total_max = x_max, 0.0  # x_max^(r/2) and the series at x_max
-    h_prev, h_curr = 1.0, t        # h_0, h_1
-    r = 2
-    while r <= r_cap:
-        coefs.append(h_curr * h_curr / r)
-        total_max += x_pow * coefs[-1]
-        scale = max(base, 4.0 * phi2 * total_max, 1e-300)
-        residual = env * x_max ** (r // 2 + 1) / ((r + 2) * (1.0 - x_max))
-        if residual <= tol * scale:
-            break
-        for rr in (r, r + 1):      # advance h by two orders
-            h_prev, h_curr = h_curr, t * h_curr / math.sqrt(rr) - h_prev * math.sqrt((rr - 1) / rr)
-        x_pow *= x_max
-        r += 2
-    if not coefs:
-        return np.full_like(rhos, base)
-    acc = np.full_like(x, coefs[-1])
-    for c in reversed(coefs[:-1]):
-        np.multiply(acc, x, out=acc)
-        acc += c
-    acc *= x                       # the series starts at x^1
-    acc *= 4.0 * phi2
-    acc += base
-    return acc
+    bases, scales, rows = [], [], []
+    for t_k, sf_k in zip(ts.ravel().tolist(), norm_sf(ts.ravel()).tolist()):
+        base = (2.0 * sf_k) ** 2
+        phi2 = math.exp(-t_k * t_k) / (2.0 * math.pi)
+        # Cramer envelope |h_r(t)| <= kappa e^{t^2/4}: the residual past order
+        # r is below env * rho^{r+2} / ((r+2)(1 - rho^2)), a rigorous
+        # stopping bound
+        env = (2.0 / math.pi) * 1.18 * math.exp(-0.5 * t_k * t_k)
+        coefs: list[float] = []
+        x_pow, total_max = x_max, 0.0  # x_max^(r/2) and the series at x_max
+        h_prev, h_curr = 1.0, t_k      # h_0, h_1
+        r = 2
+        while r <= r_cap:
+            coefs.append(h_curr * h_curr / r)
+            total_max += x_pow * coefs[-1]
+            scale = max(base, 4.0 * phi2 * total_max, 1e-300)
+            residual = env * x_max ** (r // 2 + 1) / ((r + 2) * (1.0 - x_max))
+            if residual <= tol * scale:
+                break
+            for rr in (r, r + 1):      # advance h by two orders
+                h_prev, h_curr = h_curr, (t_k * h_curr / math.sqrt(rr)
+                                          - h_prev * math.sqrt((rr - 1) / rr))
+            x_pow *= x_max
+            r += 2
+        bases.append(base)
+        scales.append(4.0 * phi2)
+        rows.append(coefs)
+    coef = np.zeros((len(rows), max(1, max(map(len, rows)))))
+    for k, coefs in enumerate(rows):
+        coef[k, :len(coefs)] = coefs
+    scales, bases = np.array(scales), np.array(bases)
+    acc = np.empty((len(rows), x.size))
+    if len(rows) == 1:
+        # one threshold runs on 1-D views: numpy takes about 5% longer to
+        # broadcast x over a (1, n) array
+        view, coef, scales, bases = acc[0], coef[0], scales[0], bases[0]
+    else:
+        view, coef, scales, bases = acc, coef.T[..., None], scales[:, None], bases[:, None]
+    view[...] = coef[-1]
+    for c in coef[-2::-1]:
+        np.multiply(view, x, out=view)
+        view += c
+    view *= x                      # the series starts at x^1
+    view *= scales
+    view += bases
+    return acc.reshape(ts.shape + rhos.shape)
 
 
 def bivar_abs_tail_quadrature(t: float, rho: float) -> float:

@@ -320,6 +320,17 @@ class TestSimulateCommand:
         table = open(out).read().strip().split("\n")
         assert table[1].split("\t")[0] == "MinP"
 
+    def test_bad_config_value_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "study.cfg", "# study\nn=300\n\nd=abc\n")
+        assert cli.main(["simulate", "--mode", "size", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: d:" in err and "'abc'" in err
+
+    def test_missing_config_file_usage_error(self, tmp_path, capsys):
+        cfg = str(tmp_path / "absent.cfg")
+        assert cli.main(["simulate", "--mode", "size", "--config", cfg]) == 2
+        assert cfg in capsys.readouterr().err
+
 
 def test_score_then_test_pipeline_detects_planted_signal(tmp_path, rng):
     # end to end: simulate data with one strong causal column, score it from

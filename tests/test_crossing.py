@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import binom
 
-from gbjtest import crossing, exceedance, gauss, setstats
+from gbjtest import crossing, ebb, exceedance, gauss, setstats
 from gbjtest.crossing import BoundaryVector
 from gbjtest.errors import DomainError, SizeError
 from tests.conftest import exchangeable, rand_corr
@@ -40,6 +40,20 @@ def independent_ladder(bounds_vec):
         q = {a: p for a, p in q_new.items() if a <= cap}
         t_prev = t
     return crossed
+
+
+def record_series(monkeypatch):
+    """Routes gauss.bivar_abs_tail_many through a recorder; returns the list
+    that receives (number of thresholds, correlations) for each call."""
+    calls = []
+    series = gauss.bivar_abs_tail_many
+
+    def record(t, rhos, *args, **kwargs):
+        calls.append((np.size(t), np.array(rhos)))
+        return series(t, rhos, *args, **kwargs)
+
+    monkeypatch.setattr(gauss, "bivar_abs_tail_many", record)
+    return calls
 
 
 class TestInvertBounds:
@@ -187,22 +201,16 @@ class TestCrossingPvalue:
         assert 0.0 < p < 1.0
         # Z_0 = Z_1: their pair never reaches the series (|rho| = 1 is outside
         # its domain) and carries the single-coordinate tail 2 sf(t) instead
-        seen = []
-        series = gauss.bivar_abs_tail_many
-
-        def record(t, rhos, *args, **kwargs):
-            seen.append(np.array(rhos))
-            return series(t, rhos, *args, **kwargs)
-
-        monkeypatch.setattr(gauss, "bivar_abs_tail_many", record)
+        seen = record_series(monkeypatch)
         Sigma = exchangeable(4, 0.3)
         Sigma[0, 1] = Sigma[1, 0] = 1.0
         bv = BoundaryVector(b=np.array([np.inf, 1.5, 2.0, 2.5]))
         p = crossing.crossing_pvalue(bv, Sigma)
         assert 0.0 < p < 1.0
-        assert len(seen) == 3
+        # one call evaluates all three stages
+        assert len(seen) == 1 and seen[0][0] == 3
         # the five other pairs share |rho| = 0.3, one atom of the pair summary
-        assert all(r.size == 1 and np.all(np.abs(r) < 1.0) for r in seen)
+        assert all(r.size == 1 and np.all(np.abs(r) < 1.0) for _, r in seen)
         flip = np.diag([1.0, -1.0, 1.0, 1.0])     # Z_1 = -Z_0: same |Z|
         assert crossing.crossing_pvalue(bv, flip @ Sigma @ flip) == p
         # d = 2, one perfect pair: |Z|_(1) > b_1 is the whole event
@@ -294,23 +302,128 @@ class TestPairSummary:
         assert summary.counts is None and summary.n_perfect == 0
         np.testing.assert_array_equal(summary.rhos, S[np.triu_indices(10, k=1)])
 
-    @pytest.mark.parametrize("atoms", (True, False))
-    def test_recursion_reaches_the_series_through_the_module(self, atoms, monkeypatch):
-        # the traced benchmark wraps gauss.bivar_abs_tail_many by name
-        _force_path(monkeypatch, atoms)
-        sizes = []
-        series = gauss.bivar_abs_tail_many
-
-        def record(t, rhos, *args, **kwargs):
-            sizes.append(np.size(rhos))
-            return series(t, rhos, *args, **kwargs)
-
-        monkeypatch.setattr(gauss, "bivar_abs_tail_many", record)
+    @staticmethod
+    def _series_calls(monkeypatch):
+        """(thresholds, pairs) of each call of the series in one p-value."""
+        calls = record_series(monkeypatch)
         S = ATOM_MATRICES["block_with_zero_blocks"]
         bounds = np.full(40, np.inf)
         bounds[-4:] = (1.5, 2.0, 2.5, 3.0)
         crossing.crossing_pvalue(BoundaryVector(b=bounds), S)
-        assert sizes == [2 if atoms else 780] * 4
+        return [(t, r.size) for t, r in calls]
+
+    @pytest.mark.parametrize("atoms", (True, False))
+    def test_recursion_reaches_the_series_through_the_module(self, atoms, monkeypatch):
+        # the traced benchmark wraps gauss.bivar_abs_tail_many by name; one
+        # call evaluates all four stages
+        _force_path(monkeypatch, atoms)
+        assert self._series_calls(monkeypatch) == [(4, 2 if atoms else 780)]
+
+    def test_pairs_filling_a_block_take_one_stage_per_call(self, monkeypatch):
+        _force_path(monkeypatch, False)
+        monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES", 780)
+        assert self._series_calls(monkeypatch) == [(1, 780)] * 4
+
+
+def per_stage_reference(bounds: BoundaryVector, Sigma):
+    """The recursion stage by stage, each stage's pair tails from a scalar
+    call of the series: returns (p, leaks, diagnostics)."""
+    model = exceedance.correlation_model(Sigma)
+    d = model.d
+    thresholds, caps = crossing._stages(bounds)
+    pairs = model.pair_summary
+    n = pairs.rhos.size
+    flags = list(bounds.diagnostics)
+    sf_prev, cap_prev = 0.5, d
+    tails_prev = np.ones(n + (pairs.n_perfect > 0))
+    q = np.zeros(d + 1)
+    q[d] = 1.0
+    leaks = []
+    for t_k, cap_k in zip(thresholds, caps):
+        sf_k = float(gauss.norm_sf(t_k))
+        lam = sf_k / sf_prev if sf_prev > 0.0 else 0.0
+        if lam <= 0.0:
+            flags.append("lambda_underflow")
+            lam = 1e-300
+        if lam >= 1.0:
+            lam = 1.0 - 1e-16
+        if d >= 2:
+            tails_k = gauss.bivar_abs_tail_many(t_k, pairs.rhos) if n else np.empty(0)
+            if pairs.n_perfect:
+                tails_k = np.append(tails_k, 2.0 * sf_k)
+            np.clip(tails_k, 0.0, 1.0, out=tails_k)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratios = tails_k / tails_prev
+            if not np.isfinite(ratios).all():
+                flags.append("pair_tail_underflow")
+                ratios[~np.isfinite(ratios)] = lam * lam
+            np.clip(ratios, 0.0, 1.0, out=ratios)
+            ratios -= lam * lam
+            total = np.sum(ratios[:n]) if pairs.counts is None else ratios[:n] @ pairs.counts
+            if pairs.n_perfect:
+                total += pairs.n_perfect * ratios[n]
+            frac = 2.0 * float(total) / (d * (d - 1) * lam * (1.0 - lam))
+            tails_prev = tails_k
+        else:
+            frac = 0.0
+        gamma, clamped = ebb.match_gamma(lam, frac, max(cap_prev, 1))
+        if clamped:
+            flags.append("ebb_gamma_clamped")
+        ms = np.nonzero(q[: cap_prev + 1] > 0.0)[0]
+        q_new = q[ms] @ ebb.transition(ms, cap_prev, lam, gamma)
+        leaks.append(float(q_new[cap_k + 1:].sum()))
+        q = np.zeros(d + 1)
+        q[: cap_k + 1] = q_new[: cap_k + 1]
+        sf_prev, cap_prev = sf_k, cap_k
+    return float(min(max(sum(leaks), 0.0), 1.0)), np.array(leaks), set(flags)
+
+
+def _reference_bounds(d):
+    """A GBJ-like ladder over the upper half of the indices, and a deep one
+    whose pair tails and lambdas underflow."""
+    ladder = np.full(d, np.inf)
+    ladder[d // 2:] = np.linspace(0.8, 3.6, d - d // 2)
+    deep = np.full(d, np.inf)
+    deep[-4:] = (1.0, 28.0, 39.0, 40.0)
+    return BoundaryVector(b=ladder), BoundaryVector(b=deep)
+
+
+class TestStagesAtOnce:
+    """``crossing_pvalue`` evaluates every stage's pair tails and dispersion
+    before the stage loop; it matches the stage-by-stage recursion exactly."""
+
+    def _check(self, S):
+        """Compares both bounds of _reference_bounds; returns the deep
+        bounds' diagnostics."""
+        for bv in _reference_bounds(S.shape[0]):
+            p, table = crossing.crossing_pvalue(bv, S, return_table=True)
+            want_p, want_leaks, want_flags = per_stage_reference(bv, S)
+            assert p == want_p
+            np.testing.assert_array_equal(table.leaks, want_leaks)
+            assert set(table.diagnostics) == want_flags
+            # each flag is named once, however many stages raise it
+            assert len(table.diagnostics) == len(set(table.diagnostics))
+        return want_flags
+
+    @pytest.mark.parametrize("name", sorted(ATOM_MATRICES))
+    def test_atom_path(self, name):
+        flags = self._check(ATOM_MATRICES[name])
+        assert {"lambda_underflow", "pair_tail_underflow"} <= flags
+
+    def test_per_pair_path(self, rng):
+        S = rand_corr(30, rng)
+        assert exceedance.CorrelationModel(S).pair_summary.counts is None
+        self._check(S)
+
+    def test_tails_carry_across_blocks(self, rng, monkeypatch):
+        # 3 stages per call: the first stage of each block divides by the
+        # last tails of the block before it
+        S = _with_perfect_pair(rand_corr(12, rng))
+        monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES", 3 * 66)
+        calls = record_series(monkeypatch)
+        crossing.crossing_pvalue(_reference_bounds(12)[0], S)
+        assert [t for t, _ in calls] == [3, 3]
+        self._check(S)
 
 
 class TestExactSmall:

@@ -166,6 +166,20 @@ class TestBivarAbsTail:
             one = np.array([gauss.bivar_abs_tail_many(t, np.array([r]))[0] for r in rhos])
             np.testing.assert_allclose(many, one, rtol=1e-11, atol=0.0)
 
+    def test_threshold_vector_equals_scalar_calls(self, rng):
+        # the series stops at a different order at each threshold, so the
+        # shorter coefficient rows are zero-padded
+        ts = np.array([2.0, 0.0, 6.0, 0.5, 4.0])
+        for rhos in (np.array([0.3]), np.array([0.0, 0.5, 0.9]),
+                     rng.uniform(-0.95, 0.95, size=2000)):
+            many = gauss.bivar_abs_tail_many(ts, rhos)
+            assert many.shape == (ts.size, rhos.size)
+            for t, row in zip(ts, many):
+                np.testing.assert_array_equal(row, gauss.bivar_abs_tail_many(t, rhos))
+        assert gauss.bivar_abs_tail_many(ts, np.array([])).shape == (ts.size, 0)
+        with pytest.raises(DomainError):
+            gauss.bivar_abs_tail_many(np.array([1.0, -0.5, 2.0]), np.array([0.2]))
+
     def test_empty_batch(self):
         out = gauss.bivar_abs_tail_many(2.0, np.array([]))
         assert out.shape == (0,) and out.dtype == float
