@@ -28,10 +28,12 @@ from .exceedance import CorrelationModel, CorrPowerProfile, correlation_model
 
 PVALUE_FLOOR = 1e-16
 MONOTONE_REPAIR_FLAG = 1e-6
-# Pair-tail values per call of the series in the recursion: the atom path
-# and sets up to d ~ 50 take all their stages in one call, and a d = 500 set
-# (124,750 pairs) one stage per call, which keeps its peak memory where it was.
+# Pair-tail values (atoms times stages) per call of the series in the
+# recursion: a block or exchangeable design takes all its stages in one call,
+# and a d = 500 set with all-distinct |rho| (124,750 atoms) one stage per
+# call, which keeps its peak memory where it was.
 PAIR_BLOCK_ENTRIES = 1 << 16
+REGION_REL_TOL = 1e-4           # a rejection region hits alpha within this share
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,6 @@ class BoundaryVector:
     @property
     def d(self) -> int:
         return self.b.size
-
-    @property
-    def finite_from(self) -> int:
-        """1-based index of the first finite bound, or d+1 if none."""
-        fin = np.isfinite(self.b)
-        return int(np.argmax(fin)) + 1 if np.any(fin) else self.d + 1
 
 
 @dataclass(frozen=True)
@@ -184,9 +180,11 @@ def _pair_fractions(thresholds: np.ndarray, sf: np.ndarray, lam: np.ndarray,
     where R_k is a pair's joint tail at t_k over its joint tail at t_{k-1}
     (1 at t_0 = 0), clipped into [0, 1].
 
-    The pair tails come from ``gauss.bivar_abs_tail_many`` in blocks of
-    stages with about PAIR_BLOCK_ENTRIES values each, so small sets need one
-    call per p-value and large ones one stage per call.
+    The pair tails come from ``gauss.bivar_abs_tail_many``, one value per
+    distinct |rho| and stage, in blocks of stages with about
+    PAIR_BLOCK_ENTRIES values each: block and exchangeable designs need one
+    call per p-value, and a large set with all-distinct |rho| one stage per
+    call.  Perfect pairs take the last column.
     """
     d = model.d
     pairs = model.pair_summary
@@ -317,8 +315,7 @@ def pvalue(method: str, Z: setstats.ZVector,
 
 
 def rejection_region(method: str, alpha: float, d: int,
-                     Sigma: np.ndarray | CorrelationModel,
-                     rel_tol: float = 1e-4) -> BoundaryVector:
+                     Sigma: np.ndarray | CorrelationModel) -> BoundaryVector:
     """Boundary points whose crossing probability equals alpha.
 
     Root-finds the observed value g at which the analytic p-value hits alpha
@@ -363,7 +360,7 @@ def rejection_region(method: str, alpha: float, d: int,
         raise NumericalError(f"{method}: could not bracket alpha={alpha}")
 
     # log p is close to linear in g; the search stops at a g whose p is
-    # within 0.2 rel_tol of alpha
+    # within 0.2 REGION_REL_TOL of alpha
     la = math.log(alpha)
 
     def log_excess(p: float) -> float:
@@ -372,9 +369,9 @@ def rejection_region(method: str, alpha: float, d: int,
     g_star = float(gauss._bracketed_roots(
         lambda g, k: np.array([log_excess(pv(float(g[0])))]),
         np.array([g_lo]), np.array([g_hi]), np.array([log_excess(p_lo)]),
-        np.array([log_excess(p_hi)]), ftol=0.2 * rel_tol)[0])
+        np.array([log_excess(p_hi)]), ftol=0.2 * REGION_REL_TOL)[0])
     bounds, achieved = evaluate(g_star)
-    if abs(achieved - alpha) > rel_tol * alpha:
+    if abs(achieved - alpha) > REGION_REL_TOL * alpha:
         raise NumericalError(f"{method}: rejection region missed alpha "
                              f"({achieved:.6g} vs {alpha:.6g})")
     return bounds

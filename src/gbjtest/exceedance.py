@@ -19,14 +19,6 @@ from .errors import DomainError
 
 DEFAULT_R_MAX = 10
 HIGH_CORR_FLAG_LEVEL = 0.95
-# The crossing recursion sums over distinct |rho| (atoms) when there are at
-# most this share of atoms per pair with |rho| < 1, else over every pair.
-# Block and exchangeable designs have 1-3 atoms.  A random-factor Sigma has
-# all-distinct |rho|, where atoms only add a sort and a weighted sum per
-# stage: forced on the benchmark's d = 500 random-factor set, they took
-# 3.73 s against 3.59 s per pair for its three p-values (median of 5
-# alternating runs, 2-core VM).
-ATOM_FRACTION_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,25 +52,23 @@ class CorrPowerProfile:
 class PairSummary:
     """The off-diagonal pairs as the crossing recursion sums over them.
 
-    Pair tails depend on rho only through rho^2.  With ``counts`` set,
-    ``rhos`` holds each distinct |rho| < 1 (an atom) once, ascending, and
-    ``counts`` its number of pairs; with ``counts`` None, ``rhos`` holds
-    every pair with |rho| < 1 in row-major order.  ``n_perfect`` counts the
-    pairs with |rho| = 1 within 1e-12, whose two |Z| are equal.
+    Pair tails depend on rho only through rho^2, so the pairs with |rho| < 1
+    are grouped by |rho|: ``rhos`` holds each distinct |rho| (an atom) once,
+    ascending, and ``counts`` its number of pairs, as floats.  ``n_perfect``
+    counts the pairs with |rho| = 1 within 1e-12, whose two |Z| are equal.
     """
 
     rhos: np.ndarray
-    counts: np.ndarray | None
+    counts: np.ndarray
     n_perfect: int
 
     def pair_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum over all pairs of a per-group value, given along the last axis
-        one value per entry of ``rhos`` followed, if there are perfect pairs,
-        by theirs.  Each row's sum is the one its own 1-D call would give."""
+        one value per atom followed, if there are perfect pairs, by theirs.
+        Each row's sum is the one its own 1-D call would give."""
         n = self.rhos.size
-        head = values[..., :n]
         # vecdot takes one BLAS dot per row, as ``row @ counts`` does
-        total = head.sum(axis=-1) if self.counts is None else np.vecdot(head, self.counts)
+        total = np.vecdot(values[..., :n], self.counts)
         if self.n_perfect:
             total = total + self.n_perfect * values[..., n]
         return total
@@ -109,24 +99,17 @@ class CorrelationModel:
         return corr_powers(self)
 
     @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Off-diagonal correlations rho_kl, k < l, in row-major order, and the
-        mask of those with |rho| = 1 within 1e-12 (None if there are none)."""
-        upper = self.matrix[np.triu_indices(self.d, k=1)]
-        perfect = np.abs(upper) >= 1.0 - 1e-12
-        return upper, (perfect if perfect.any() else None)
+    def pairs(self) -> np.ndarray:
+        """Off-diagonal correlations rho_kl, k < l, in row-major order."""
+        return self.matrix[np.triu_indices(self.d, k=1)]
 
     @cached_property
     def pair_summary(self) -> PairSummary:
-        """The pairs grouped by |rho| when there are at most
-        ATOM_FRACTION_MAX atoms per pair with |rho| < 1, else one by one."""
-        upper, perfect = self.pairs
-        rhos = upper if perfect is None else upper[~perfect]
-        n_perfect = upper.size - rhos.size
-        atoms, counts = np.unique(np.abs(rhos), return_counts=True)
-        if atoms.size > ATOM_FRACTION_MAX * rhos.size:
-            return PairSummary(rhos, None, n_perfect)
-        return PairSummary(atoms, counts, n_perfect)
+        """The pairs grouped by |rho|, the perfect ones counted apart."""
+        magnitudes = np.abs(self.pairs)
+        perfect = magnitudes >= 1.0 - 1e-12
+        atoms, counts = np.unique(magnitudes[~perfect], return_counts=True)
+        return PairSummary(atoms, counts.astype(float), int(perfect.sum()))
 
 
 def correlation_model(Sigma: np.ndarray | CorrelationModel) -> CorrelationModel:
@@ -145,7 +128,7 @@ def corr_powers(Sigma: np.ndarray | CorrelationModel,
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     if d == 1:
         return zero_profile(1, r_max)
-    off = model.pairs[0]
+    off = model.pairs
     sums = np.empty(r_max)
     pw = np.ones_like(off)                      # off^r by running products
     for r in range(r_max):

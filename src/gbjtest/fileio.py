@@ -26,10 +26,11 @@ def _split(line: str) -> list[str]:
     return line.split()
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a file, each with its 1-based line number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+            return [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise ParseError(f"{path}: cannot read ({exc})") from exc
 
@@ -39,12 +40,12 @@ def read_phenotype(path: str) -> np.ndarray:
     if not lines:
         raise ParseError(f"{path}: empty phenotype file")
     out = np.empty(len(lines))
-    for i, ln in enumerate(lines, start=1):
+    for k, (i, ln) in enumerate(lines):
         fields = _split(ln)
         if len(fields) != 1:
             raise ParseError(f"{path}:{i}: expected one value per line, got {len(fields)}")
         try:
-            out[i - 1] = float(fields[0])
+            out[k] = float(fields[0])
         except ValueError as exc:
             raise ParseError(f"{path}:{i}: not a number: {fields[0]!r}") from exc
     return out
@@ -64,13 +65,12 @@ def read_covariates(path: str) -> np.ndarray:
     lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty covariate file")
-    first = _split(lines[0])
-    start = 0 if _is_numeric_row(first) else 1
-    width = len(_split(lines[start])) if start < len(lines) else 0
+    start = 0 if _is_numeric_row(_split(lines[0][1])) else 1
+    width = len(_split(lines[start][1])) if start < len(lines) else 0
     if width == 0:
         raise ParseError(f"{path}: no data rows")
     rows = []
-    for i, ln in enumerate(lines[start:], start=start + 1):
+    for i, ln in lines[start:]:
         fields = _split(ln)
         if len(fields) != width:
             raise ParseError(f"{path}:{i}: expected {width} fields, got {len(fields)}")
@@ -90,31 +90,31 @@ def read_genotypes(path: str) -> GenotypeMatrix:
     lines = _read_lines(path)
     if len(lines) < 2:
         raise ParseError(f"{path}: need a header row plus at least one subject row")
-    ids = tuple(_split(lines[0]))
+    ids = tuple(_split(lines[0][1]))
     if _is_numeric_row(list(ids)):
-        raise ParseError(f"{path}:1: first row must be SNP identifiers, found numbers")
+        raise ParseError(f"{path}:{lines[0][0]}: first row must be SNP identifiers, found numbers")
     d = len(ids)
     n = len(lines) - 1
     vals = np.empty((n, d))
     missing = np.zeros((n, d), dtype=bool)
-    for i, ln in enumerate(lines[1:], start=2):
+    for k, (i, ln) in enumerate(lines[1:]):
         fields = _split(ln)
         if len(fields) != d:
             raise ParseError(f"{path}:{i}: expected {d} fields, got {len(fields)}")
         for j, f in enumerate(fields):
             if f.upper() == "NA":
-                missing[i - 2, j] = True
-                vals[i - 2, j] = np.nan
+                missing[k, j] = True
+                vals[k, j] = np.nan
                 continue
             try:
                 x = float(f)
             except ValueError as exc:
                 raise ParseError(f"{path}:{i}: bad genotype value {f!r}") from exc
             if x == -1.0:
-                missing[i - 2, j] = True
-                vals[i - 2, j] = np.nan
+                missing[k, j] = True
+                vals[k, j] = np.nan
             else:
-                vals[i - 2, j] = x
+                vals[k, j] = x
     imputed = []
     for j in range(d):
         mj = missing[:, j]
@@ -132,7 +132,7 @@ def read_zstats(path: str):
     if len(lines) < 2:
         raise ParseError(f"{path}: need header plus at least one statistic row")
     ids, zs = [], []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in lines[1:]:
         fields = _split(ln)
         if len(fields) != 2:
             raise ParseError(f"{path}:{i}: expected (snp_id, z), got {len(fields)} fields")
@@ -147,7 +147,7 @@ def read_zstats(path: str):
 def read_correlation(path: str) -> np.ndarray:
     lines = _read_lines(path)
     rows = []
-    for i, ln in enumerate(lines, start=1):
+    for i, ln in lines:
         fields = _split(ln)
         if rows and len(fields) != len(rows[0]):
             raise ParseError(f"{path}:{i}: expected {len(rows[0])} fields, got {len(fields)}")

@@ -28,6 +28,11 @@ _LATTICE_SHIFTS = np.random.default_rng(20240501).uniform(size=(12, 12))
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(96)
 
+PAIR_SERIES_RTOL = 1e-12
+PAIR_SERIES_MAX_ORDER = 1000
+# lattice points per shift of the small-dimension normal CDF
+MVN_SMALL_NPTS = 16384
+
 
 def norm_sf(t):
     """Standard normal survival function, vectorized; the CDF is norm_sf(-t).
@@ -81,7 +86,7 @@ def hermite_normalized(r_max: int, t):
     return out
 
 
-def bivar_abs_tail_many(t, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 1000) -> np.ndarray:
+def bivar_abs_tail_many(t, rhos: np.ndarray) -> np.ndarray:
     """Pr(|Z1| >= t, |Z2| >= t) for a standard bivariate normal, at each
     threshold in ``t`` and each correlation in ``rhos`` (every |rho| < 1).
     A scalar t gives one value per correlation; a 1-D t gives an array of
@@ -90,8 +95,8 @@ def bivar_abs_tail_many(t, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 10
     Evaluated as (2 * sf(t))^2 plus the even-order Hermite covariance series.
     Odd orders cancel under the absolute value, which also makes the result
     even in rho.  The series has nonnegative terms, so the sum keeps relative
-    accuracy; terms are added until they fall below ``tol`` relative (past the
-    envelope peak near r = t^2) or ``r_cap`` is reached.
+    accuracy; terms are added until they fall below PAIR_SERIES_RTOL relative
+    (past the envelope peak near r = t^2) or PAIR_SERIES_MAX_ORDER is reached.
 
     The series is a polynomial in x = rho^2 with coefficients h_{r-1}(t)^2 / r
     at even r.  Its terms are nonnegative and increase with x, so the pair
@@ -123,12 +128,12 @@ def bivar_abs_tail_many(t, rhos: np.ndarray, tol: float = 1e-12, r_cap: int = 10
         x_pow, total_max = x_max, 0.0  # x_max^(r/2) and the series at x_max
         h_prev, h_curr = 1.0, t_k      # h_0, h_1
         r = 2
-        while r <= r_cap:
+        while r <= PAIR_SERIES_MAX_ORDER:
             coefs.append(h_curr * h_curr / r)
             total_max += x_pow * coefs[-1]
             scale = max(base, 4.0 * phi2 * total_max, 1e-300)
             residual = env * x_max ** (r // 2 + 1) / ((r + 2) * (1.0 - x_max))
-            if residual <= tol * scale:
+            if residual <= PAIR_SERIES_RTOL * scale:
                 break
             for rr in (r, r + 1):      # advance h by two orders
                 h_prev, h_curr = h_curr, (t_k * h_curr / math.sqrt(rr)
@@ -342,7 +347,7 @@ def _dedup_perfect(z: float, R: np.ndarray):
     return np.array(lower), np.array(upper), R[np.ix_(keep, keep)]
 
 
-def mvn_cdf_small(z: float, R, npts: int = 16384, return_error: bool = False):
+def mvn_cdf_small(z: float, R, return_error: bool = False):
     """Pr(Z_i <= z for all i) for Z ~ MVN(0, R), dimension <= 4.
 
     ``R`` is an array or an ``exceedance.CorrelationModel``, which is not
@@ -367,7 +372,7 @@ def mvn_cdf_small(z: float, R, npts: int = 16384, return_error: bool = False):
     if np.any(lower >= upper):
         p, err = 0.0, 0.0
     else:
-        p, err = mvn_rect(lower, upper, Rsub, npts=npts, nshift=8, return_error=True)
+        p, err = mvn_rect(lower, upper, Rsub, npts=MVN_SMALL_NPTS, return_error=True)
     if return_error:
         return p, err
     return p

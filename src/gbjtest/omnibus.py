@@ -22,6 +22,8 @@ from .exceedance import CorrelationModel, correlation_model
 OMNI_COMPONENTS = (setstats.GBJ, setstats.GHC, "SKAT", setstats.MINP)
 DEFAULT_BOOTSTRAP_REPS = 100
 _P_CLIP = 1e-16
+# the least eigenvalue repair_correlation leaves in a broken estimate
+REPAIR_EIG_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,18 +120,18 @@ def component_pvalues(Z: setstats.ZVector, Sigma: np.ndarray | CorrelationModel)
     return out
 
 
-def repair_correlation(R: np.ndarray, eig_floor: float = 1e-6) -> np.ndarray:
+def repair_correlation(R: np.ndarray) -> np.ndarray:
     """Valid correlation matrix from a possibly noise-broken estimate.
 
     Left untouched while PSD (perfectly correlated components stay exact);
     when sampling noise from a small bootstrap pushes an eigenvalue negative,
-    the spectrum is floored at ``eig_floor`` and the diagonal rescaled."""
+    the spectrum is floored at REPAIR_EIG_FLOOR and the diagonal rescaled."""
     R = 0.5 * (np.asarray(R, dtype=float) + np.asarray(R, dtype=float).T)
     vals, vecs = np.linalg.eigh(R)
     if vals[0] >= -1e-12:
         np.fill_diagonal(R, 1.0)
         return np.clip(R, -1.0, 1.0)
-    vals = np.maximum(vals, eig_floor)
+    vals = np.maximum(vals, REPAIR_EIG_FLOOR)
     R2 = vecs @ np.diag(vals) @ vecs.T
     s = 1.0 / np.sqrt(np.diag(R2))
     R2 = R2 * s[:, None] * s[None, :]

@@ -67,7 +67,6 @@ class NullModelFit:
     dispersion: float
     residual: np.ndarray
     converged: bool
-    iterations: int = 0
 
 
 def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
@@ -104,8 +103,7 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
             raise DomainError("binomial outcome must be coded 0/1")
         alpha = np.zeros(q)
         converged = False
-        it = 0
-        for it in range(1, IRLS_MAX_ITER + 1):
+        for _ in range(IRLS_MAX_ITER):
             eta = X @ alpha
             mu = 1.0 / (1.0 + np.exp(-eta))
             mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
@@ -128,7 +126,7 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
         mu0 = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-10, 1.0 - 1e-10)
         return NullModelFit(family=BINOMIAL, alpha_hat=alpha, mu0=mu0,
                             weights=mu0 * (1.0 - mu0), dispersion=1.0,
-                            residual=y - mu0, converged=converged, iterations=it)
+                            residual=y - mu0, converged=converged)
 
     raise DomainError(f"unknown family {family!r}; expected gaussian or binomial")
 

@@ -62,7 +62,7 @@ class TestInvertBounds:
         bv = crossing.invert_bounds("MinP", 2.575829, 5, prof)
         assert bv.b[-1] == 2.575829
         assert np.all(np.isinf(bv.b[:-1]))
-        assert bv.finite_from == 5
+        assert np.flatnonzero(np.isfinite(bv.b)).tolist() == [4]
 
     def test_round_trip_touches_observed_order_stat(self, rng):
         d = 12
@@ -258,32 +258,34 @@ ATOM_MATRICES = {
 }
 
 
-def _force_path(monkeypatch, atoms: bool):
-    """Makes models built from now on group their pairs by |rho| (atoms) or
-    keep them one by one."""
-    monkeypatch.setattr(exceedance, "ATOM_FRACTION_MAX", 1.0 if atoms else 0.0)
+def _distinct_corr(d):
+    """A fixed random-factor matrix: every pair has its own |rho|."""
+    return rand_corr(d, np.random.default_rng(7))
 
 
 class TestPairSummary:
-    @pytest.mark.parametrize("name", sorted(ATOM_MATRICES))
-    def test_atom_and_per_pair_paths_agree(self, name, monkeypatch):
-        S = ATOM_MATRICES[name]
-        d = S.shape[0]
+    @pytest.mark.parametrize("name", sorted(ATOM_MATRICES) + ["random_with_perfect_pair"])
+    def test_atom_and_per_pair_paths_agree(self, name):
+        S = (ATOM_MATRICES[name] if name in ATOM_MATRICES
+             else _with_perfect_pair(_distinct_corr(30)))
+        model = exceedance.CorrelationModel(S)
+        d = model.d
         z = setstats.ZVector(np.linspace(0.4, 4.2, d) * np.where(np.arange(d) % 2, 1.0, -1.0))
+        ladders = []
+        for method in ("GBJ", "BJ", "HC", "GHC"):
+            g = setstats.compute_statistic(method, z, model).statistic
+            profile = model.profile if method in setstats.PROFILE_METHODS else None
+            ladders.append(crossing.invert_bounds(method, g, d, profile))
         deep = np.full(d, np.inf)
         deep[-3:] = (1.0, 28.0, 29.0)            # pair tails underflow past t = 27
-        got = {}
-        for atoms in (True, False):
-            _force_path(monkeypatch, atoms)
-            assert (exceedance.CorrelationModel(S).pair_summary.counts is not None) == atoms
-            rows = [crossing.pvalue(m, z, S) for m in ("GBJ", "BJ", "HC", "GHC")]
-            p_deep, table = crossing.crossing_pvalue(BoundaryVector(b=deep), S,
-                                                     return_table=True)
-            got[atoms] = ([r.pvalue for r in rows] + [p_deep],
-                          [r.diagnostics for r in rows] + [table.diagnostics])
-        np.testing.assert_allclose(got[True][0], got[False][0], rtol=1e-12, atol=0.0)
-        assert got[True][1] == got[False][1]
-        assert "pair_tail_underflow" in got[True][1][-1]
+        ladders.append(BoundaryVector(b=deep))
+        for bv in ladders:
+            p, table = crossing.crossing_pvalue(bv, model, return_table=True)
+            want_p, want_leaks, want_flags = per_stage_reference(bv, S, per_pair=True)
+            assert p == pytest.approx(want_p, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(table.leaks, want_leaks, rtol=1e-12, atol=0.0)
+            assert set(table.diagnostics) == want_flags
+        assert "pair_tail_underflow" in want_flags
 
     def test_counts_cover_the_non_perfect_pairs(self):
         S = _with_perfect_pair(_flipped(exchangeable(8, 0.35), [1, 1, -1, 1, 1, -1, 1, 1]))
@@ -297,45 +299,55 @@ class TestPairSummary:
         np.testing.assert_array_equal(summary.counts, [4, 23])
 
     def test_distinct_correlations_stay_one_by_one(self, rng):
+        # distinct |rho| give one atom per pair, ascending
         S = rand_corr(10, rng)
         summary = exceedance.CorrelationModel(S).pair_summary
-        assert summary.counts is None and summary.n_perfect == 0
-        np.testing.assert_array_equal(summary.rhos, S[np.triu_indices(10, k=1)])
+        assert summary.n_perfect == 0
+        np.testing.assert_array_equal(summary.rhos, np.sort(np.abs(S[np.triu_indices(10, k=1)])))
+        np.testing.assert_array_equal(summary.counts, np.ones(45))
+        assert summary.counts.dtype == float
 
     @staticmethod
-    def _series_calls(monkeypatch):
+    def _series_calls(monkeypatch, S):
         """(thresholds, pairs) of each call of the series in one p-value."""
         calls = record_series(monkeypatch)
-        S = ATOM_MATRICES["block_with_zero_blocks"]
         bounds = np.full(40, np.inf)
         bounds[-4:] = (1.5, 2.0, 2.5, 3.0)
         crossing.crossing_pvalue(BoundaryVector(b=bounds), S)
         return [(t, r.size) for t, r in calls]
 
-    @pytest.mark.parametrize("atoms", (True, False))
-    def test_recursion_reaches_the_series_through_the_module(self, atoms, monkeypatch):
+    @pytest.mark.parametrize("shared", (True, False))
+    def test_recursion_reaches_the_series_through_the_module(self, shared, monkeypatch):
         # the traced benchmark wraps gauss.bivar_abs_tail_many by name; one
-        # call evaluates all four stages
-        _force_path(monkeypatch, atoms)
-        assert self._series_calls(monkeypatch) == [(4, 2 if atoms else 780)]
+        # call evaluates all four stages, on 2 atoms or on 780 distinct |rho|
+        S = ATOM_MATRICES["block_with_zero_blocks"] if shared else _distinct_corr(40)
+        assert self._series_calls(monkeypatch, S) == [(4, 2 if shared else 780)]
 
     def test_pairs_filling_a_block_take_one_stage_per_call(self, monkeypatch):
-        _force_path(monkeypatch, False)
         monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES", 780)
-        assert self._series_calls(monkeypatch) == [(1, 780)] * 4
+        assert self._series_calls(monkeypatch, _distinct_corr(40)) == [(1, 780)] * 4
 
 
-def per_stage_reference(bounds: BoundaryVector, Sigma):
+def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False):
     """The recursion stage by stage, each stage's pair tails from a scalar
-    call of the series: returns (p, leaks, diagnostics)."""
+    call of the series: returns (p, leaks, diagnostics).  The pair sums run
+    over the pair summary's atoms, or with ``per_pair`` over ``model.pairs``
+    one pair at a time, a perfect pair (|rho| = 1 within 1e-12) taking the
+    single-coordinate tail."""
     model = exceedance.correlation_model(Sigma)
     d = model.d
     thresholds, caps = crossing._stages(bounds)
-    pairs = model.pair_summary
-    n = pairs.rhos.size
+    if per_pair:
+        perfect = np.abs(model.pairs) >= 1.0 - 1e-12
+        rhos, n_perfect = model.pairs[~perfect], int(perfect.sum())
+        counts = np.ones(rhos.size)
+    else:
+        pairs = model.pair_summary
+        rhos, counts, n_perfect = pairs.rhos, pairs.counts, pairs.n_perfect
+    n = rhos.size
     flags = list(bounds.diagnostics)
     sf_prev, cap_prev = 0.5, d
-    tails_prev = np.ones(n + (pairs.n_perfect > 0))
+    tails_prev = np.ones(n + (n_perfect > 0))
     q = np.zeros(d + 1)
     q[d] = 1.0
     leaks = []
@@ -348,8 +360,8 @@ def per_stage_reference(bounds: BoundaryVector, Sigma):
         if lam >= 1.0:
             lam = 1.0 - 1e-16
         if d >= 2:
-            tails_k = gauss.bivar_abs_tail_many(t_k, pairs.rhos) if n else np.empty(0)
-            if pairs.n_perfect:
+            tails_k = gauss.bivar_abs_tail_many(t_k, rhos) if n else np.empty(0)
+            if n_perfect:
                 tails_k = np.append(tails_k, 2.0 * sf_k)
             np.clip(tails_k, 0.0, 1.0, out=tails_k)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -359,9 +371,9 @@ def per_stage_reference(bounds: BoundaryVector, Sigma):
                 ratios[~np.isfinite(ratios)] = lam * lam
             np.clip(ratios, 0.0, 1.0, out=ratios)
             ratios -= lam * lam
-            total = np.sum(ratios[:n]) if pairs.counts is None else ratios[:n] @ pairs.counts
-            if pairs.n_perfect:
-                total += pairs.n_perfect * ratios[n]
+            total = ratios[:n] @ counts
+            if n_perfect:
+                total += n_perfect * ratios[n]
             frac = 2.0 * float(total) / (d * (d - 1) * lam * (1.0 - lam))
             tails_prev = tails_k
         else:
@@ -411,8 +423,9 @@ class TestStagesAtOnce:
         assert {"lambda_underflow", "pair_tail_underflow"} <= flags
 
     def test_per_pair_path(self, rng):
+        # all-distinct |rho|: one pair per atom
         S = rand_corr(30, rng)
-        assert exceedance.CorrelationModel(S).pair_summary.counts is None
+        assert np.all(exceedance.CorrelationModel(S).pair_summary.counts == 1.0)
         self._check(S)
 
     def test_tails_carry_across_blocks(self, rng, monkeypatch):

@@ -47,10 +47,12 @@ class TestCorrelationModel:
         S[0, 1] = S[1, 0] = 1.0
         model = exceedance.correlation_model(S)
         assert exceedance.correlation_model(model) is model
-        upper, perfect = model.pairs
-        np.testing.assert_array_equal(upper, [1.0, 0.4, 0.4])
-        np.testing.assert_array_equal(perfect, [True, False, False])
-        assert exceedance.correlation_model(np.eye(3)).pairs[1] is None
+        np.testing.assert_array_equal(model.pairs, [1.0, 0.4, 0.4])
+        summary = model.pair_summary
+        assert summary.n_perfect == 1
+        np.testing.assert_array_equal(summary.rhos, [0.4])
+        np.testing.assert_array_equal(summary.counts, [2.0])
+        assert exceedance.correlation_model(np.eye(3)).pair_summary.n_perfect == 0
 
     def test_model_or_array_give_identical_results(self):
         S = exchangeable(8, 0.35)

@@ -1,0 +1,22 @@
+import pytest
+
+from gbjtest import fileio
+
+# each file has a blank line before its bad value, which sits on file line 4
+# (line 3 for the correlation matrix)
+BAD_FILES = {
+    "phenotype": (fileio.read_phenotype, "1.0\n\n2.0\nabc\n", 4),
+    "covariates": (fileio.read_covariates, "age sex\n1 2\n\n3 x\n", 4),
+    "genotypes": (fileio.read_genotypes, "rs1 rs2\n0 1\n\n2 q\n", 4),
+    "zstats": (fileio.read_zstats, "snp_id\tz\nrs1\t0.5\n\nrs2\tzz\n", 4),
+    "correlation": (fileio.read_correlation, "1 0.2\n\n0.2 x\n", 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILES))
+def test_parse_error_names_the_file_line_past_a_blank_line(kind, tmp_path):
+    reader, text, line = BAD_FILES[kind]
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    with pytest.raises(fileio.ParseError, match=rf"in\.txt:{line}: "):
+        reader(str(path))
