@@ -426,6 +426,19 @@ def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationMo
     tgrid = np.concatenate(([0.0], np.minimum(thresholds, 38.0), [38.0]))
     caps_list = caps.tolist()
 
+    # permutations of a profile often reorder to the same integral (all of
+    # them for an exchangeable Sigma); each distinct one is integrated once
+    integrals: dict[bytes, float] = {}
+
+    def rect(u: np.ndarray) -> float:
+        if d <= 2:
+            return gauss.mvn_rect(-u, u, Sigma, npts=npts, nshift=nshift)
+        L, a, b = gauss._cholesky_reordered(-u, u, Sigma)
+        key = L.tobytes() + a.tobytes() + b.tobytes()
+        if key not in integrals:
+            integrals[key] = gauss._lattice_integral(L, a, b, npts, nshift)[0]
+        return integrals[key]
+
     total = 0.0
     for prof in itertools.combinations_with_replacement(range(1, K + 2), d):
         # necessary condition: even after decrementing every coordinate the
@@ -442,7 +455,5 @@ def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationMo
         if weight == 0:
             continue
         for v in set(itertools.permutations(prof)):
-            u = tgrid[list(v)]
-            p = gauss.mvn_rect(-u, u, Sigma, npts=npts, nshift=nshift)
-            total += weight * p
+            total += weight * rect(tgrid[list(v)])
     return float(min(1.0, max(0.0, 1.0 - total)))

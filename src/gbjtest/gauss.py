@@ -298,7 +298,20 @@ def mvn_rect(lower, upper, sigma, npts: int = 8192, nshift: int = 8,
     if d > 12:
         raise DomainError(f"mvn_rect supports dimension <= 12, got {d}")
 
-    L, a, b = _cholesky_reordered(lower, upper, sigma)
+    p, err = _lattice_integral(*_cholesky_reordered(lower, upper, sigma), npts, nshift)
+    return (p, err) if return_error else p
+
+
+def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
+                     nshift: int) -> tuple[float, float]:
+    """Pr(a <= L W <= b) for W ~ MVN(0, I) and lower-triangular L, with the
+    coordinates already in integration order (``_cholesky_reordered``).
+
+    The Genz sequential transform over ``nshift`` shifts of an ``npts``-point
+    tent-mapped Richtmyer lattice.  Returns the mean estimate and the
+    standard error of the shifts' spread.
+    """
+    d = L.shape[0]
     q = _SQRT_PRIMES[: d - 1]
     k = np.arange(1, npts + 1)[:, None]
     base = np.modf(k * q)[0]
@@ -317,10 +330,7 @@ def mvn_rect(lower, upper, sigma, npts: int = 8192, nshift: int = 8,
             ecur = ndtr((b[i] - mu) / L[i, i])
             f = f * (ecur - dcur)
         ests[s] = f.mean()
-    p = float(np.clip(ests.mean(), 0.0, 1.0))
-    if return_error:
-        return p, float(ests.std(ddof=1) / math.sqrt(nshift))
-    return p
+    return float(np.clip(ests.mean(), 0.0, 1.0)), float(ests.std(ddof=1) / math.sqrt(nshift))
 
 
 def _dedup_perfect(z: float, R: np.ndarray):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import chdtrc, ndtri
 
 from . import crossing, gauss, scores, setstats
 from .errors import DegenerateInputError, DomainError, GBJError, NumericalError
@@ -49,22 +49,11 @@ def _liu_params(eigs: np.ndarray):
     c1 = lam.sum()
     c2 = (lam ** 2).sum()
     c3 = (lam ** 3).sum()
-    c4 = (lam ** 4).sum()
     s1 = c3 / c2 ** 1.5
-    s2 = c4 / c2 ** 2
-    if s1 * s1 > s2:
-        a = 1.0 / (s1 - math.sqrt(s1 * s1 - s2))
-        delta = s1 * a ** 3 - a * a
-        dof = a * a - 2.0 * delta
-    else:
-        delta = 0.0
-        a = 1.0 / s1
-        dof = 1.0 / (s1 * s1)
-    mu_q = c1
-    sigma_q = math.sqrt(2.0 * c2)
-    mu_x = dof + delta
-    sigma_x = math.sqrt(2.0 * (dof + 2.0 * delta))
-    return dof, delta, mu_q, sigma_q, mu_x, sigma_x
+    # Liu's noncentrality needs s1^2 > s2 = c4/c2^2, which Cauchy-Schwarz
+    # (c3^2 <= c2 c4) rules out for eigenvalues >= 0: the match is central
+    dof = 1.0 / (s1 * s1)
+    return dof, c1, math.sqrt(2.0 * c2)
 
 
 def skat_pvalue_from_q(q: float, Sigma: np.ndarray | CorrelationModel) -> float:
@@ -72,13 +61,11 @@ def skat_pvalue_from_q(q: float, Sigma: np.ndarray | CorrelationModel) -> float:
 
     Exact when Sigma is the identity (the match degenerates to chi^2_d).
     """
-    from scipy.stats import chi2, ncx2    # loading scipy.stats costs ~40 MiB
-
-    dof, delta, mu_q, sigma_q, mu_x, sigma_x = _liu_params(correlation_model(Sigma).eigvals)
-    t_final = (q - mu_q) / sigma_q * sigma_x + mu_x
-    if delta < 1e-12:
-        return float(chi2.sf(t_final, dof))
-    return float(ncx2.sf(t_final, dof, delta))
+    dof, mu_q, sigma_q = _liu_params(correlation_model(Sigma).eigvals)
+    x = (q - mu_q) / sigma_q * math.sqrt(2.0 * dof) + dof
+    if x <= 0.0:              # chdtrc is NaN at negative x
+        return 1.0
+    return float(chdtrc(dof, x))
 
 
 def skat_lite(Z: setstats.ZVector, Sigma: np.ndarray | CorrelationModel) -> float:

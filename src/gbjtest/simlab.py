@@ -7,7 +7,12 @@ are redrawn per replicate (the fixed-panel design); since the correlation
 estimate of intercept-only gaussian scoring does not involve the outcome,
 each method's level-alpha rejection event reduces to a precomputed boundary
 crossing, which is what makes 1e5-replicate studies take minutes rather than
-days.  Everything is a pure function of the study seed.
+days.  Outcomes are drawn ROW_BLOCK subjects at a time and reduced to their
+sums over subjects, so a chunk of CHUNK replicates holds ROW_BLOCK x CHUNK
+draws, not n x CHUNK.  Everything is a pure function of the study seed.  The
+seeded z statistics depend on ROW_BLOCK at rounding level (the order of the
+sums); rejection counts do not move unless a replicate sits within rounding
+of a boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .scores import GenotypeMatrix
 SIZE = "size"
 POWER = "power"
 DEFAULT_METHODS = ("GBJ", "BJ", "HC", "GHC", "MinP", "SKAT", "OMNI")
-CHUNK = 5000  # outcome replicates per RNG stream (seed, 1, block); seeded results depend on it
+CHUNK = 5000  # outcome replicates per RNG stream (seed, 1, chunk); seeded results depend on it
+ROW_BLOCK = 100  # subjects per outcome draw: 3.8 MiB at CHUNK replicates
 
 
 @dataclass(frozen=True)
@@ -204,18 +210,28 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
     rejections = {m: 0 for m in config.methods}
     done = 0
     chunk_idx = 0
-    causal = Gc[:, :k] if k else None
+    colsum = Gc.sum(axis=0)[:, None]
+    shift = None
+    if mode == POWER and config.beta != 0.0:
+        shift = Gc[:, :k].sum(axis=1, keepdims=True) * config.beta
     while done < config.reps:
         m_chunk = min(CHUNK, config.reps - done)
         rng = np.random.default_rng([config.seed, 1, chunk_idx])
-        eps = rng.standard_normal((n, m_chunk))
-        if mode == POWER and config.beta != 0.0:
-            y = causal.sum(axis=1, keepdims=True) * config.beta + eps
-        else:
-            y = eps
-        yc = y - y.mean(axis=0)
-        phi = np.einsum("ij,ij->j", yc, yc) / (n - 1)
-        z = (Gc.T @ yc) / (colnorm[:, None] * np.sqrt(phi)[None, :])
+        # consecutive row blocks reproduce the values of one (n, m_chunk) draw
+        gty = np.zeros((d, m_chunk))
+        sy = np.zeros(m_chunk)
+        syy = np.zeros(m_chunk)
+        for start in range(0, n, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, n)
+            y = rng.standard_normal((stop - start, m_chunk))
+            if shift is not None:
+                y += shift[start:stop]
+            gty += Gc[start:stop].T @ y
+            sy += y.sum(axis=0)
+            syy += np.einsum("ij,ij->j", y, y)
+        ybar = sy / n
+        phi = (syy - n * ybar * ybar) / (n - 1)
+        z = (gty - colsum * ybar) / (colnorm[:, None] * np.sqrt(phi)[None, :])
         absz = np.abs(z)
         sortz = np.sort(absz, axis=0)
         for method in config.methods:

@@ -493,6 +493,23 @@ class TestExactSmall:
         se = math.sqrt(mc * (1 - mc) / n)
         assert abs(got - mc) < 3 * se + 1e-4
 
+    def test_each_distinct_integral_computed_once(self, monkeypatch):
+        # values frozen from the oracle that integrated every permutation
+        keys = []
+        integral = gauss._lattice_integral
+
+        def recorded(L, a, b, npts, nshift):
+            keys.append((L.tobytes(), a.tobytes(), b.tobytes()))
+            return integral(L, a, b, npts, nshift)
+        monkeypatch.setattr(gauss, "_lattice_integral", recorded)
+        cases = ((exchangeable(5, 0.5), 0.005, 0.0043660256910665884),
+                 (rand_corr(4, np.random.default_rng(3)), 0.05, 0.04847622796418771))
+        for Sigma, alpha, want in cases:
+            keys.clear()
+            bv = crossing.rejection_region("GBJ", alpha, Sigma.shape[0], Sigma)
+            assert crossing.exact_small_pvalue(bv, Sigma) == want
+            assert keys and len(set(keys)) == len(keys)
+
     def test_size_limit(self):
         with pytest.raises(SizeError):
             crossing.exact_small_pvalue(BoundaryVector(b=np.full(9, 2.0)), np.eye(9))

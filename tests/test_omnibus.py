@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import chdtrc, ndtri
 from scipy.stats import chi2
 
 from gbjtest import crossing, gauss, omnibus, scores, setstats
 from gbjtest.errors import DegenerateInputError, DomainError
+from gbjtest.exceedance import correlation_model
 from tests.conftest import exchangeable, rand_corr
 
 
@@ -49,6 +53,46 @@ class TestSkatLite:
             omnibus._liu_params(np.zeros(3))
         with pytest.raises(DomainError):
             omnibus.skat_lite(Z, np.eye(3))
+
+
+class TestChi2Tail:
+    @staticmethod
+    def matched_x(q, Sigma):
+        dof, mu_q, sigma_q = omnibus._liu_params(correlation_model(Sigma).eigvals)
+        return (q - mu_q) / sigma_q * math.sqrt(2.0 * dof) + dof, dof
+
+    def test_nonpositive_matched_x_is_one(self):
+        Sigma = np.full((10, 10), 0.9)
+        np.fill_diagonal(Sigma, 1.0)
+        for q in (0.0, 0.01, 0.05):
+            x, dof = self.matched_x(q, Sigma)
+            assert x < 0.0 and math.isnan(chdtrc(dof, x))
+            assert omnibus.skat_pvalue_from_q(q, Sigma) == 1.0 == chi2.sf(x, dof)
+
+    def test_is_scipy_chi2_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        sigmas = [np.eye(14), np.eye(38), exchangeable(8, 0.4), rand_corr(12, rng)]
+        for Sigma in sigmas:
+            d = Sigma.shape[0]
+            for q in (0.5, d * 0.7, float(d), d * 2.0, d * 6.0, d * 40.0):
+                x, dof = self.matched_x(q, Sigma)
+                assert omnibus.skat_pvalue_from_q(q, Sigma) == chi2.sf(x, dof)
+
+    def test_quadratic_form_leaves_scipy_stats_unloaded(self):
+        # a fresh interpreter: pytest itself has loaded scipy.stats
+        import gbjtest
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gbjtest.__file__)))
+        code = ("import sys; import numpy as np; import gbjtest; "
+                "from gbjtest import omnibus; "
+                "S = np.full((5, 5), 0.3); np.fill_diagonal(S, 1.0); "
+                "z = gbjtest.ZVector(np.array([2.5, 1.0, 0.3, -1.2, 3.1])); "
+                "omnibus.skat_lite(z, S); omnibus.skat_threshold(0.01, S); "
+                "omnibus.omnibus_test(z, S, B=20, seed=1); "
+                "print('scipy.stats' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestBootstrapCorr:

@@ -1,9 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gbjtest import gauss, simlab
 from gbjtest.errors import DomainError
-from gbjtest.simlab import BlockStructure, SimConfig
+from gbjtest.simlab import CHUNK, BlockStructure, SimConfig
+
+# rejection counts of the loop that drew each chunk's outcomes as one
+# (n, CHUNK) array; the streamed sums move z at rounding level only
+FROZEN_STUDIES = {
+    "size": (SimConfig(structure=BlockStructure(d=8, k=0, rho3=0.3), n=500, reps=2000,
+                       seed=3, alpha=0.05, bootstrap_reps=20), simlab.SIZE,
+             {"GBJ": 94, "BJ": 94, "HC": 99, "GHC": 99, "MinP": 96, "SKAT": 88, "OMNI": 78}),
+    "power": (SimConfig(structure=BlockStructure(d=6, k=2, rho1=0.2), n=400, reps=1500,
+                        seed=9, alpha=0.05, beta=0.12,
+                        methods=("GBJ", "HC", "MinP", "SKAT", "OMNI"), bootstrap_reps=20),
+              simlab.POWER, {"GBJ": 548, "HC": 532, "MinP": 509, "SKAT": 584, "OMNI": 540}),
+    "n_off_row_block": (SimConfig(structure=BlockStructure(d=5, k=0, rho3=0.4), n=437,
+                                  reps=1500, seed=12, alpha=0.1,
+                                  methods=("BJ", "GHC", "SKAT")), simlab.SIZE,
+                        {"BJ": 150, "GHC": 138, "SKAT": 142}),
+    "reps_off_chunk": (SimConfig(structure=BlockStructure(d=5, k=1, rho2=0.1), n=300,
+                                 reps=CHUNK + 700, seed=4, alpha=0.01, beta=0.2,
+                                 methods=("GBJ", "MinP", "SKAT")), simlab.POWER,
+                       {"GBJ": 908, "MinP": 1003, "SKAT": 776}),
+}
 
 
 class TestBlockSigma:
@@ -100,6 +122,24 @@ class TestRunStudy:
         window = 4 * np.sqrt(alpha * (1 - alpha) / reps)
         for row in res.rows:
             assert abs(row.rate - alpha) < window, (row.method, row.rate)
+
+    @pytest.mark.parametrize("name", list(FROZEN_STUDIES))
+    def test_rejection_counts_frozen(self, name):
+        cfg, mode, want = FROZEN_STUDIES[name]
+        res = simlab.run_study(cfg, mode)
+        assert {r.method: r.rejections for r in res.rows} == want
+
+    def test_outcome_draws_bound_peak_memory(self):
+        # one (n, CHUNK) draw alone would be 76 MiB here
+        cfg = SimConfig(structure=BlockStructure(d=5, k=0, rho3=0.2), n=2000, reps=CHUNK,
+                        seed=1, methods=("MinP", "SKAT"))
+        tracemalloc.start()
+        try:
+            simlab.run_study(cfg, simlab.SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_power_exceeds_size_with_signal(self):
         st = BlockStructure(d=10, k=2, rho1=0.1)
