@@ -34,6 +34,10 @@ MONOTONE_REPAIR_FLAG = 1e-6
 # call, which keeps its peak memory where it was.
 PAIR_BLOCK_ENTRIES = 1 << 16
 REGION_REL_TOL = 1e-4           # a rejection region hits alpha within this share
+# EBB prefix values (entries times 2 (d + 1)) per objective call of a batched
+# inversion: the 20 replicates of a d = 100 bootstrap share one call, and a
+# d = 500 bootstrap takes one replicate per call
+INVERT_PREFIX_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -224,72 +228,116 @@ def _pair_fractions(thresholds: np.ndarray, sf: np.ndarray, lam: np.ndarray,
     return numer / (d * (d - 1) * lam * (1.0 - lam))
 
 
-def invert_bounds(method: str, g: float, d: int,
-                  profile: CorrPowerProfile | None) -> BoundaryVector:
+def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
     """Boundary points of a supremum statistic at observed value g.
 
     For each index j in the maximization range, b_{d-j+1} is the root in t of
     objective(t, j) = g over the indicator region; remaining entries are
     +inf.  MinP binds only |Z|_(d).  A final cumulative-maximum pass repairs
     round-off monotonicity violations.  Only GBJ and GHC read ``profile``.
+
+    A scalar g gives one BoundaryVector.  A 1-D array of g gives a list with
+    one entry per g: its BoundaryVector, or the NumericalError that a scalar
+    call at that g raises.  The roots of all g are found by one search, in
+    groups of g whose objective calls hold at most INVERT_PREFIX_BUDGET EBB
+    prefix values; one g gives the bounds of its scalar call bit for bit.
     """
-    if g < 0:
+    gs = np.asarray(g, dtype=float)
+    if gs.ndim > 1:
+        raise DomainError(f"invert_bounds takes a scalar or 1-D g, got shape {gs.shape}")
+    if np.any(gs < 0):
         raise DomainError(f"invert_bounds requires g >= 0, got {g!r}")
+    flat = gs.reshape(-1)
     if method == setstats.MINP:
-        b = np.full(d, np.inf)
-        b[-1] = g
-        return BoundaryVector(b=b)
-    if method not in setstats.SUPREMUM_METHODS:
-        raise DomainError(f"cannot invert method {method!r}")
-    if d < 2:
-        raise DomainError(f"{method} bounds require d >= 2")
+        out = []
+        for g_i in flat:
+            b = np.full(d, np.inf)
+            b[-1] = g_i
+            out.append(BoundaryVector(b=b))
+    else:
+        if method not in setstats.SUPREMUM_METHODS:
+            raise DomainError(f"cannot invert method {method!r}")
+        if d < 2:
+            raise DomainError(f"{method} bounds require d >= 2")
+        # the GBJ objective builds prefixes of d + 1 values for 2 rows per entry
+        per_g = setstats.max_index(d) * 2 * (d + 1)
+        group = max(1, INVERT_PREFIX_BUDGET // per_g)
+        out = []
+        for start in range(0, flat.size, group):
+            out.extend(_invert_group(method, flat[start:start + group], d, profile))
+    if gs.ndim == 1:
+        return out
+    if isinstance(out[0], NumericalError):
+        raise out[0]
+    return out[0]
+
+
+def _invert_group(method: str, gs: np.ndarray, d: int,
+                  profile: CorrPowerProfile | None) -> list:
+    """``invert_bounds`` over a 1-D array of g with one root search.  The
+    search runs over (g, index) entries, which it treats independently; a g
+    whose brackets cannot be expanded is taken out and gets its error."""
     jmax = setstats.max_index(d)
     js = np.arange(1, jmax + 1)
     t_min = ndtri(1.0 - js / (2.0 * d))        # indicator boundary per index
-    flags: list[str] = []
+    roots = np.tile(t_min, (gs.size, 1))        # a g of zero keeps these
+    errors: dict[int, NumericalError] = {}
 
-    b = np.full(d, np.inf)
-    if g == 0.0:
-        roots = t_min.astype(float)
-    else:
-        def excess(t, j):
-            return setstats.objective_values(method, t, j, d, profile)[0] - g
+    pos = np.nonzero(gs > 0.0)[0]
+    if pos.size:
+        # entry e is index js[col[e]] of g row[e]
+        row = np.repeat(pos, jmax)
+        col = np.tile(np.arange(jmax), pos.size)
 
-        lo = t_min + 1e-9
-        f_lo = excess(lo, js)
-        roots = lo.copy()
-        open_ = np.nonzero(f_lo < 0.0)[0]         # the rest collapse to lo
+        def excess(t, e):
+            return setstats.objective_values(method, t, js[col[e]], d, profile)[0] - gs[row[e]]
+
+        lo = t_min[col] + 1e-9
+        f_lo = excess(lo, np.arange(row.size))
+        roots[row, col] = lo
+        open_ = np.nonzero(f_lo < 0.0)[0]       # the rest collapse to lo
+        # expand the upper brackets of the open entries until they hold g
+        hi = np.minimum(t_min + 1.0, setstats.T_MAX)[col]
+        f_hi = np.zeros(row.size)
+        short = open_
+        for _ in range(14):
+            if short.size == 0:
+                break
+            f_hi[short] = excess(hi[short], short)
+            short = short[f_hi[short] < 0.0]
+            # a g fails once all of its short entries sit at T_MAX
+            reach = np.unique(row[short[hi[short] < setstats.T_MAX]])
+            for r in np.setdiff1d(row[short], reach):
+                j = js[col[short[row[short] == r][0]]]
+                errors[r] = NumericalError(
+                    f"{method}: objective never reaches g={gs[r]} by t={setstats.T_MAX} "
+                    f"at index j={j}")
+            short = short[np.isin(row[short], reach)]
+            hi[short] = np.minimum(t_min[col[short]] + 2.0 * (hi[short] - t_min[col[short]]),
+                                   setstats.T_MAX)
+        for r in np.unique(row[short]):
+            errors[r] = NumericalError(f"{method}: bracket expansion failed at g={gs[r]}")
+        open_ = open_[~np.isin(row[open_], list(errors))]
         if open_.size:
-            # expand the upper brackets of the open indices until they hold g
-            hi = np.minimum(t_min + 1.0, setstats.T_MAX)
-            f_hi = np.zeros(jmax)
-            short = open_
-            for _ in range(14):
-                f_hi[short] = excess(hi[short], js[short])
-                short = short[f_hi[short] < 0.0]
-                if short.size == 0:
-                    break
-                if np.all(hi[short] >= setstats.T_MAX):
-                    raise NumericalError(
-                        f"{method}: objective never reaches g={g} by t={setstats.T_MAX} "
-                        f"at index j={js[short[0]]}")
-                hi[short] = np.minimum(t_min[short] + 2.0 * (hi[short] - t_min[short]),
-                                       setstats.T_MAX)
-            else:
-                raise NumericalError(f"{method}: bracket expansion failed at g={g}")
-            j_open = js[open_]
-            roots[open_] = gauss._bracketed_roots(lambda t, k: excess(t, j_open[k]),
-                                                  lo[open_], hi[open_], f_lo[open_], f_hi[open_])
-    b[d - js] = roots                           # index d - j + 1, 0-based d - j
+            roots[row[open_], col[open_]] = gauss._bracketed_roots(
+                lambda t, k: excess(t, open_[k]),
+                lo[open_], hi[open_], f_lo[open_], f_hi[open_])
 
-    # monotone repair over the finite tail
-    fin = np.isfinite(b)
-    vals = b[fin]
-    repaired = np.maximum.accumulate(vals)
-    if np.any(repaired - vals > MONOTONE_REPAIR_FLAG):
-        flags.append("monotone_repair")
-    b[fin] = repaired
-    return BoundaryVector(b=b, diagnostics=tuple(flags))
+    out: list = []
+    for r in range(gs.size):
+        if r in errors:
+            out.append(errors[r])
+            continue
+        b = np.full(d, np.inf)
+        b[d - js] = roots[r]                    # index d - j + 1, 0-based d - j
+        # monotone repair over the finite tail
+        fin = np.isfinite(b)
+        vals = b[fin]
+        repaired = np.maximum.accumulate(vals)
+        flags = ("monotone_repair",) if np.any(repaired - vals > MONOTONE_REPAIR_FLAG) else ()
+        b[fin] = repaired
+        out.append(BoundaryVector(b=b, diagnostics=flags))
+    return out
 
 
 def pvalue(method: str, Z: setstats.ZVector,

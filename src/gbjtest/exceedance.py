@@ -178,16 +178,14 @@ def _pair_cov(t, mu, profile: CorrPowerProfile):
     """Average covariance of two exceedance indicators, Var S(t) = d lam
     (1 - lam) + d (d - 1) _pair_cov, by the Hermite series truncated at the
     profile's r_max.  Vectorized over t and mu."""
-    a = t - mu
-    b = -t - mu
+    # a = t - mu and b = -t - mu as the two rows of one flat array
+    ab = np.stack(np.broadcast_arrays(t - mu, -t - mu))
+    shape = ab.shape[1:]
+    ab = ab.reshape(2, -1)
     rmax = profile.r_max
-    ha = gauss.hermite_normalized(rmax, a)      # h_{r-1}(a) at index r-1
-    hb = gauss.hermite_normalized(rmax, b)
-    inv_r = 1.0 / np.arange(1, rmax + 1)
-    w = profile.rbar * inv_r
-    sA = np.tensordot(w, ha * ha, axes=(0, 0))
-    sB = np.tensordot(w, hb * hb, axes=(0, 0))
-    sC = np.tensordot(w, ha * hb, axes=(0, 0))
-    phia = gauss.norm_pdf(a)
-    phib = gauss.norm_pdf(b)
-    return phia * phia * sA + phib * phib * sB - 2.0 * phia * phib * sC
+    h = gauss.hermite_normalized(rmax, ab)      # h_{r-1}(a), h_{r-1}(b) at index r-1
+    ha, hb = h[:, 0], h[:, 1]
+    w = profile.rbar * (1.0 / np.arange(1, rmax + 1))
+    sA, sB, sC = w @ (ha * ha), w @ (hb * hb), w @ (ha * hb)
+    phia, phib = gauss.norm_pdf(ab)
+    return (phia * phia * sA + phib * phib * sB - 2.0 * phia * phib * sC).reshape(shape)

@@ -95,15 +95,56 @@ def component_pvalues(Z: setstats.ZVector, Sigma: np.ndarray | CorrelationModel)
     At d = 1 every component collapses to the two-sided normal test, so the
     supremum methods are evaluated as MinP there.
     """
-    model = correlation_model(Sigma)
-    out = {}
-    if Z.d == 1:
-        p1 = float(min(1.0, 2.0 * gauss.norm_sf(abs(Z.z[0]))))
-        out = {setstats.GBJ: p1, setstats.GHC: p1, "SKAT": p1, setstats.MINP: p1}
-        return out
+    [pv] = _component_pvalues_many([Z], correlation_model(Sigma))
+    if isinstance(pv, GBJError):
+        raise pv
+    return pv
+
+
+def _component_pvalues_many(Zs: list, model: CorrelationModel) -> list:
+    """``component_pvalues`` of several sets on one correlation model, with
+    the bounds of each supremum method inverted for all sets in one call.
+    Entry i is set i's dict of p-values, or the GBJError that its first
+    failing component raised; each set's statistics, recursions and SKAT
+    are its own."""
+    out: list = [{} for _ in Zs]
+    live = []
+    for i, Z in enumerate(Zs):
+        if Z.d == 1:
+            p1 = float(min(1.0, 2.0 * gauss.norm_sf(abs(Z.z[0]))))
+            out[i] = dict.fromkeys(OMNI_COMPONENTS, p1)
+        else:
+            live.append(i)
     for method in (setstats.GBJ, setstats.GHC, setstats.MINP):
-        out[method] = float(crossing.pvalue(method, Z, model).pvalue)
-    out["SKAT"] = skat_lite(Z, model)
+        pending, stats = [], []
+        for i in live:
+            try:
+                stat = setstats.compute_statistic(method, Zs[i], model).statistic
+            except GBJError as err:
+                out[i] = err
+                continue
+            if stat <= 0.0 and method != setstats.MINP:
+                out[i][method] = 1.0
+            else:
+                pending.append(i)
+                stats.append(stat)
+        if pending:
+            profile = model.profile if method in setstats.PROFILE_METHODS else None
+            bounds = crossing.invert_bounds(method, np.array(stats), model.d, profile)
+            for i, b in zip(pending, bounds):
+                try:
+                    if isinstance(b, GBJError):
+                        raise b
+                    p = crossing.crossing_pvalue(b, model)
+                    out[i][method] = float(min(1.0, max(crossing.PVALUE_FLOOR, p)))
+                except GBJError as err:
+                    out[i] = err
+        live = [i for i in live if isinstance(out[i], dict)]
+    for i in live:
+        try:
+            out[i]["SKAT"] = skat_lite(Zs[i], model)
+        except GBJError as err:
+            out[i] = err
     return out
 
 
@@ -201,18 +242,14 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
 def _bootstrap_replicates(draw, model: CorrelationModel, B: int, seed: int):
     """Correlation of the four transformed component p-values over B null
     replicates; ``draw(rng)`` returns one replicate's score vector from that
-    replicate's generator, seeded (seed, rep).  Replicates whose components
-    fail are dropped.  Returns (R_hat, dropped_count)."""
-    cols = []
-    dropped = 0
-    for rep in range(B):
-        z = draw(np.random.default_rng([seed, rep]))
-        try:
-            pv = component_pvalues(setstats.ZVector(z), model)
-        except GBJError:
-            dropped += 1
-            continue
-        cols.append([pv[c] for c in OMNI_COMPONENTS])
+    replicate's generator, seeded (seed, rep).  All replicates are drawn
+    first, and their component p-values taken together, so each supremum
+    method inverts the bounds of every replicate in one call.  Replicates
+    whose components fail are dropped.  Returns (R_hat, dropped_count)."""
+    Zs = [setstats.ZVector(draw(np.random.default_rng([seed, rep]))) for rep in range(B)]
+    cols = [[pv[c] for c in OMNI_COMPONENTS]
+            for pv in _component_pvalues_many(Zs, model) if not isinstance(pv, GBJError)]
+    dropped = B - len(cols)
     if len(cols) < B // 2:
         raise NumericalError(f"bootstrap lost {dropped} of {B} replicates")
     return repair_correlation(_correlate_columns(_transformed(np.array(cols)))), dropped
@@ -258,9 +295,14 @@ def omni_threshold(alpha: float, R_hat: np.ndarray) -> float:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
     R_hat = correlation_model(repair_correlation(np.asarray(R_hat, dtype=float)))
+    # each c is integrated once: the root search starts from the bracket
+    # ends that the loop below has already evaluated
+    evaluated: dict[float, float] = {}
 
     def f(c):
-        return 1.0 - gauss.mvn_cdf_small(float(ndtri(1.0 - c)), R_hat) - alpha
+        if c not in evaluated:
+            evaluated[c] = 1.0 - gauss.mvn_cdf_small(float(ndtri(1.0 - c)), R_hat) - alpha
+        return evaluated[c]
 
     # min p <= combined p <= independence bound, so c is bracketed by
     # [alpha/8, alpha] with slack on the low side

@@ -10,7 +10,7 @@ from scipy.stats import binom
 
 from gbjtest import crossing, ebb, exceedance, gauss, setstats
 from gbjtest.crossing import BoundaryVector
-from gbjtest.errors import DomainError, SizeError
+from gbjtest.errors import DomainError, NumericalError, SizeError
 from tests.conftest import exchangeable, rand_corr
 
 
@@ -115,6 +115,60 @@ class TestInvertBounds:
     def test_negative_g_rejected(self):
         with pytest.raises(DomainError):
             crossing.invert_bounds("GBJ", -0.5, 6, exceedance.zero_profile(6))
+        with pytest.raises(DomainError):
+            crossing.invert_bounds("GBJ", np.array([1.0, -0.5]), 6, exceedance.zero_profile(6))
+        with pytest.raises(DomainError):
+            crossing.invert_bounds("GBJ", np.ones((2, 2)), 6, exceedance.zero_profile(6))
+
+
+class TestBatchedInversion:
+    """``invert_bounds`` over an array of g: one search for all of them."""
+
+    @pytest.mark.parametrize("d", [5, 20, 100])
+    def test_batch_matches_scalar_calls(self, rng, d):
+        prof = exceedance.corr_powers(rand_corr(d, rng, factor=1))
+        gs = np.array([0.0, 0.4, 1.7, 3.0, 6.5, 12.0, 25.0])
+        for method in setstats.ALL_METHODS:
+            scalar = [crossing.invert_bounds(method, float(g), d, prof) for g in gs]
+            for g, want in zip(gs, scalar):
+                [one] = crossing.invert_bounds(method, np.array([g]), d, prof)
+                assert np.array_equal(one.b, want.b), (method, d, g)
+                assert one.diagnostics == want.diagnostics
+            batch = crossing.invert_bounds(method, gs, d, prof)
+            assert len(batch) == gs.size
+            for got, want in zip(batch, scalar):
+                fin = np.isfinite(want.b)
+                assert np.array_equal(np.isfinite(got.b), fin)
+                np.testing.assert_allclose(got.b[fin], want.b[fin], rtol=1e-12, atol=0)
+
+    def test_unreachable_g_fails_alone(self):
+        d = 20
+        prof = exceedance.zero_profile(d)
+        gs = np.array([2.0, 1e6, 3.0])
+        with pytest.raises(NumericalError) as scalar:
+            crossing.invert_bounds("BJ", 1e6, d, prof)
+        batch = crossing.invert_bounds("BJ", gs, d, prof)
+        assert isinstance(batch[1], NumericalError)
+        assert str(batch[1]) == str(scalar.value)
+        for i in (0, 2):
+            want = crossing.invert_bounds("BJ", float(gs[i]), d, prof).b
+            np.testing.assert_allclose(batch[i].b, want, rtol=1e-12, atol=0)
+
+    def test_groups_keep_the_prefix_budget(self, monkeypatch):
+        d = 500
+        prof = exceedance.zero_profile(d)
+        sizes = []
+        objective = setstats.objective_values
+
+        def record(method, t, *args, **kwargs):
+            sizes.append(np.size(t))
+            return objective(method, t, *args, **kwargs)
+
+        monkeypatch.setattr(setstats, "objective_values", record)
+        crossing.invert_bounds("BJ", np.array([3.0, 4.0]), d, prof)
+        # one d = 500 inversion fills the budget; two take one call each
+        assert max(sizes) == d // 2
+        assert 2 * (d // 2) * 2 * (d + 1) > crossing.INVERT_PREFIX_BUDGET
 
 
 class TestCrossingPvalue:

@@ -9,7 +9,7 @@ from scipy.special import chdtrc, ndtri
 from scipy.stats import chi2
 
 from gbjtest import crossing, gauss, omnibus, scores, setstats
-from gbjtest.errors import DegenerateInputError, DomainError
+from gbjtest.errors import DegenerateInputError, DomainError, GBJError, NumericalError
 from gbjtest.exceedance import correlation_model
 from tests.conftest import exchangeable, rand_corr
 
@@ -159,6 +159,100 @@ class TestBootstrapCorr:
         assert R.shape == (4, 4) and dropped < 15
 
 
+def one_set_at_a_time(Zs, model):
+    """The component p-values of each set by its own ``crossing.pvalue``
+    calls, one set after another: the reference for the batched path."""
+    out = []
+    for Z in Zs:
+        try:
+            pv = {m: crossing.pvalue(m, Z, model).pvalue
+                  for m in (setstats.GBJ, setstats.GHC, setstats.MINP)}
+            pv["SKAT"] = omnibus.skat_lite(Z, model)
+        except GBJError as err:
+            pv = err
+        out.append(pv)
+    return out
+
+
+class TestBatchedBootstrap:
+    """All replicates' bounds are inverted together; the results must be the
+    ones a replicate-by-replicate loop gives."""
+
+    def assert_matches_loop(self, monkeypatch, run):
+        R, dropped = run()
+        with monkeypatch.context() as m:
+            m.setattr(omnibus, "_component_pvalues_many", one_set_at_a_time)
+            R_ref, dropped_ref = run()
+        assert dropped == dropped_ref
+        np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-12)
+        return dropped
+
+    @pytest.mark.parametrize("d", [5, 20, 60])
+    def test_summary_mode_matches_loop(self, monkeypatch, rng, d):
+        Sigma = rand_corr(d, rng, factor=1)
+        model = correlation_model(Sigma)
+        assert self.assert_matches_loop(
+            monkeypatch, lambda: omnibus.bootstrap_corr(model, B=24, seed=4)) == 0
+
+    def test_individual_mode_matches_loop(self, monkeypatch, rng):
+        n, d = 250, 8
+        g = (rng.uniform(size=(n, d)) < 0.3).astype(float) + (rng.uniform(size=(n, d)) < 0.3)
+        G = scores.GenotypeMatrix(values=g, ids=tuple(f"s{j}" for j in range(d)))
+        X = np.ones((n, 1))
+        fit = scores.fit_null(rng.standard_normal(n), X, "gaussian")
+        self.assert_matches_loop(
+            monkeypatch, lambda: omnibus.bootstrap_corr_individual(fit, G, X, B=30, seed=2))
+
+    def test_failing_replicate_dropped_alone(self, monkeypatch):
+        d, seed, B = 12, 9, 24
+        model = correlation_model(exchangeable(d, 0.3))
+        L = omnibus._safe_cholesky(model.matrix)
+        poisoned = L @ np.random.default_rng([seed, 5]).standard_normal(d)
+        compute = setstats.compute_statistic
+
+        def failing(method, Z, *args, **kwargs):
+            if method == setstats.GHC and np.array_equal(Z.z, poisoned):
+                raise NumericalError("injected failure")
+            return compute(method, Z, *args, **kwargs)
+
+        monkeypatch.setattr(setstats, "compute_statistic", failing)
+        run = lambda: omnibus.bootstrap_corr(model, B=B, seed=seed)  # noqa: E731
+        assert self.assert_matches_loop(monkeypatch, run) == 1
+        # the other replicates give the correlation of a run without it
+        Zs = [setstats.ZVector(L @ np.random.default_rng([seed, r]).standard_normal(d))
+              for r in range(B) if r != 5]
+        cols = [[pv[c] for c in omnibus.OMNI_COMPONENTS] for pv in one_set_at_a_time(Zs, model)]
+        want = omnibus.repair_correlation(
+            omnibus._correlate_columns(omnibus._transformed(np.array(cols))))
+        np.testing.assert_allclose(run()[0], want, rtol=0, atol=1e-12)
+
+    def test_single_set_raises_its_first_failure(self, monkeypatch):
+        Z = setstats.ZVector(np.array([2.5, -0.3, 1.9, 0.4, -2.2]))
+
+        def failing(*args, **kwargs):
+            raise NumericalError("injected failure")
+
+        monkeypatch.setattr(crossing, "crossing_pvalue", failing)
+        with pytest.raises(NumericalError, match="injected"):
+            omnibus.component_pvalues(Z, np.eye(5))
+
+    def test_objective_calls_keep_the_prefix_budget(self, monkeypatch):
+        d, B = 100, 100
+        sizes = []
+        objective = setstats.objective_values
+
+        def record(method, t, *args, **kwargs):
+            sizes.append(np.size(t))
+            return objective(method, t, *args, **kwargs)
+
+        monkeypatch.setattr(setstats, "objective_values", record)
+        omnibus.bootstrap_corr(exchangeable(d, 0.3), B=B, seed=1)
+        # two EBB prefix rows of d + 1 values per entry
+        assert 2 * max(sizes) * (d + 1) <= crossing.INVERT_PREFIX_BUDGET
+        # and the replicates do share calls: one replicate has d // 2 entries
+        assert max(sizes) > d // 2
+
+
 class TestOmniPvalue:
     def test_independence_closed_form(self):
         pv = {"GBJ": 0.05, "GHC": 0.4, "SKAT": 0.6, "MinP": 0.2}
@@ -222,6 +316,20 @@ class TestOmniPvalue:
         assert calls == [(4, 4)]
         res = omnibus.omni_pvalue({comp: c for comp in omnibus.OMNI_COMPONENTS}, R)
         assert res.p_omni == pytest.approx(0.01, rel=1e-8)
+
+    def test_threshold_integrates_each_cutoff_once(self, monkeypatch):
+        R = 0.5 * np.ones((4, 4)) + 0.5 * np.eye(4)
+        zs = []
+        cdf = gauss.mvn_cdf_small
+
+        def counted(z, *args, **kwargs):
+            zs.append(z)
+            return cdf(z, *args, **kwargs)
+
+        monkeypatch.setattr(gauss, "mvn_cdf_small", counted)
+        # the cutoff of the search that integrated some cutoffs twice
+        assert omnibus.omni_threshold(0.01, R) == 0.002789348151590082
+        assert len(zs) == len(set(zs))
 
 
 class TestOmnibusPipeline:
