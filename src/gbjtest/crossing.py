@@ -15,6 +15,7 @@ relative accuracy.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,10 +35,11 @@ MONOTONE_REPAIR_FLAG = 1e-6
 # call, which keeps its peak memory where it was.
 PAIR_BLOCK_ENTRIES = 1 << 16
 REGION_REL_TOL = 1e-4           # a rejection region hits alpha within this share
-# EBB prefix values (entries times 2 (d + 1)) per objective call of a batched
-# inversion: the 20 replicates of a d = 100 bootstrap share one call, and a
-# d = 500 bootstrap takes one replicate per call
-INVERT_PREFIX_BUDGET = 1 << 18
+# A root at an inverted g' brackets the root of another g only when
+# |g - g'| > WARM_BRACKET_GAP (1 + g): the objective at the root equals g'
+# only to within its rounding and the few ulps in t the search leaves, which
+# came to at most 1.2e-12 (1 + g) over d = 6 to 500, all four methods.
+WARM_BRACKET_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,9 @@ def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
 
     A scalar g gives one BoundaryVector.  A 1-D array of g gives a list with
     one entry per g: its BoundaryVector, or the NumericalError that a scalar
-    call at that g raises.  The roots of all g are found by one search, in
-    groups of g whose objective calls hold at most INVERT_PREFIX_BUDGET EBB
-    prefix values; one g gives the bounds of its scalar call bit for bit.
+    call at that g raises.  The roots of all g are found by one search of a
+    fresh ``_BoundSearch``; one g gives the bounds of its scalar call bit for
+    bit.
     """
     gs = np.asarray(g, dtype=float)
     if gs.ndim > 1:
@@ -255,16 +257,7 @@ def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
             b[-1] = g_i
             out.append(BoundaryVector(b=b))
     else:
-        if method not in setstats.SUPREMUM_METHODS:
-            raise DomainError(f"cannot invert method {method!r}")
-        if d < 2:
-            raise DomainError(f"{method} bounds require d >= 2")
-        # the GBJ objective builds prefixes of d + 1 values for 2 rows per entry
-        per_g = setstats.max_index(d) * 2 * (d + 1)
-        group = max(1, INVERT_PREFIX_BUDGET // per_g)
-        out = []
-        for start in range(0, flat.size, group):
-            out.extend(_invert_group(method, flat[start:start + group], d, profile))
+        out = _BoundSearch(method, d, profile).invert(flat)
     if gs.ndim == 1:
         return out
     if isinstance(out[0], NumericalError):
@@ -272,72 +265,138 @@ def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
     return out[0]
 
 
-def _invert_group(method: str, gs: np.ndarray, d: int,
-                  profile: CorrPowerProfile | None) -> list:
-    """``invert_bounds`` over a 1-D array of g with one root search.  The
-    search runs over (g, index) entries, which it treats independently; a g
-    whose brackets cannot be expanded is taken out and gets its error."""
-    jmax = setstats.max_index(d)
-    js = np.arange(1, jmax + 1)
-    t_min = ndtri(1.0 - js / (2.0 * d))        # indicator boundary per index
-    roots = np.tile(t_min, (gs.size, 1))        # a g of zero keeps these
-    errors: dict[int, NumericalError] = {}
+class _BoundSearch:
+    """Boundary inversion of one supremum method at one d and power profile.
 
-    pos = np.nonzero(gs > 0.0)[0]
-    if pos.size:
-        # entry e is index js[col[e]] of g row[e]
-        row = np.repeat(pos, jmax)
-        col = np.tile(np.arange(jmax), pos.size)
+    The objective rises in t, so each index's root rises with g.  Every g the
+    search inverts joins a table of its raw roots (before the monotone
+    repair), and a later g brackets each root between the raw roots at its
+    nearest inverted neighbours g' < g < g'', taking g' - g and g'' - g as
+    the excess there without evaluating it.  A neighbour within
+    WARM_BRACKET_GAP (1 + g) of g is passed over, since the objective at its
+    roots equals g' only to within rounding.  Entries without a g'' expand
+    their bracket upward from the lower end.  The objective at the indicator
+    boundary (t_min + 1e-9), where an entry whose objective already reaches
+    g collapses, does not depend on g and is evaluated once.  With an empty
+    table every g takes the cold bracket [t_min + 1e-9, t_min + 1].
+    """
 
-        def excess(t, e):
-            return setstats.objective_values(method, t, js[col[e]], d, profile)[0] - gs[row[e]]
+    def __init__(self, method: str, d: int, profile: CorrPowerProfile | None):
+        if method not in setstats.SUPREMUM_METHODS:
+            raise DomainError(f"cannot invert method {method!r}")
+        if d < 2:
+            raise DomainError(f"{method} bounds require d >= 2")
+        self.method, self.d, self.profile = method, d, profile
+        self.js = np.arange(1, setstats.max_index(d) + 1)
+        self.t_min = ndtri(1.0 - self.js / (2.0 * d))   # indicator boundary per index
+        self.t_lo = self.t_min + 1e-9
+        self.obj_lo: np.ndarray | None = None
+        self.gs: list[float] = []                       # inverted g > 0, ascending
+        self.roots: list[np.ndarray] = []               # their raw roots
 
-        lo = t_min[col] + 1e-9
-        f_lo = excess(lo, np.arange(row.size))
-        roots[row, col] = lo
-        open_ = np.nonzero(f_lo < 0.0)[0]       # the rest collapse to lo
-        # expand the upper brackets of the open entries until they hold g
-        hi = np.minimum(t_min + 1.0, setstats.T_MAX)[col]
-        f_hi = np.zeros(row.size)
-        short = open_
-        for _ in range(14):
-            if short.size == 0:
-                break
-            f_hi[short] = excess(hi[short], short)
-            short = short[f_hi[short] < 0.0]
-            # a g fails once all of its short entries sit at T_MAX
-            reach = np.unique(row[short[hi[short] < setstats.T_MAX]])
-            for r in np.setdiff1d(row[short], reach):
-                j = js[col[short[row[short] == r][0]]]
-                errors[r] = NumericalError(
-                    f"{method}: objective never reaches g={gs[r]} by t={setstats.T_MAX} "
-                    f"at index j={j}")
-            short = short[np.isin(row[short], reach)]
-            hi[short] = np.minimum(t_min[col[short]] + 2.0 * (hi[short] - t_min[col[short]]),
-                                   setstats.T_MAX)
-        for r in np.unique(row[short]):
-            errors[r] = NumericalError(f"{method}: bracket expansion failed at g={gs[r]}")
-        open_ = open_[~np.isin(row[open_], list(errors))]
-        if open_.size:
-            roots[row[open_], col[open_]] = gauss._bracketed_roots(
-                lambda t, k: excess(t, open_[k]),
-                lo[open_], hi[open_], f_lo[open_], f_hi[open_])
+    def _objective(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return setstats.objective_values(self.method, t, self.js[cols], self.d,
+                                         self.profile)[0]
 
-    out: list = []
-    for r in range(gs.size):
-        if r in errors:
-            out.append(errors[r])
-            continue
-        b = np.full(d, np.inf)
-        b[d - js] = roots[r]                    # index d - j + 1, 0-based d - j
-        # monotone repair over the finite tail
-        fin = np.isfinite(b)
-        vals = b[fin]
-        repaired = np.maximum.accumulate(vals)
-        flags = ("monotone_repair",) if np.any(repaired - vals > MONOTONE_REPAIR_FLAG) else ()
-        b[fin] = repaired
-        out.append(BoundaryVector(b=b, diagnostics=flags))
-    return out
+    def invert(self, gs: np.ndarray) -> list:
+        """``invert_bounds`` over a 1-D array of g with one root search.  The
+        search runs over (g, index) entries, which it treats independently; a
+        g whose brackets cannot be expanded is taken out and gets its error."""
+        method, js, t_min = self.method, self.js, self.t_min
+        jmax = js.size
+        roots = np.tile(t_min, (gs.size, 1))    # a g of zero keeps these
+        errors: dict[int, NumericalError] = {}
+
+        pos = np.nonzero(gs > 0.0)[0]
+        if pos.size:
+            if self.obj_lo is None:
+                self.obj_lo = self._objective(self.t_lo, np.arange(jmax))
+            # entry e is index js[col[e]] of g row[e]
+            row = np.repeat(pos, jmax)
+            col = np.tile(np.arange(jmax), pos.size)
+            g_e = gs[row]
+
+            def excess(t, e):
+                return self._objective(t, col[e]) - g_e[e]
+
+            lo = self.t_lo[col]
+            f_lo = self.obj_lo[col] - g_e
+            roots[row, col] = lo
+            open_ = np.nonzero(f_lo < 0.0)[0]   # the rest collapse to lo
+            base = t_min[col]                   # upper brackets expand from here
+            hi = np.full(row.size, np.nan)      # nan until bracketed
+            f_hi = np.zeros(row.size)
+            if self.gs:
+                for k, r in enumerate(pos):
+                    self._warm(float(gs[r]), slice(k * jmax, (k + 1) * jmax),
+                               lo, f_lo, base, hi, f_hi)
+            cold = np.isnan(hi)
+            hi[cold] = np.minimum(base[cold] + 1.0, setstats.T_MAX)
+            short = open_[cold[open_]]
+            for _ in range(14):
+                if short.size == 0:
+                    break
+                f_hi[short] = excess(hi[short], short)
+                short = short[f_hi[short] < 0.0]
+                at_max = hi[short] >= setstats.T_MAX
+                if at_max.any():
+                    # a g fails once all of its short entries sit at T_MAX
+                    reach = np.unique(row[short[~at_max]])
+                    for r in np.setdiff1d(row[short], reach):
+                        j = js[col[short[row[short] == r][0]]]
+                        errors[r] = NumericalError(
+                            f"{method}: objective never reaches g={gs[r]} by "
+                            f"t={setstats.T_MAX} at index j={j}")
+                    short = short[np.isin(row[short], reach)]
+                hi[short] = np.minimum(base[short] + 2.0 * (hi[short] - base[short]),
+                                       setstats.T_MAX)
+            for r in np.unique(row[short]):
+                errors[r] = NumericalError(f"{method}: bracket expansion failed at g={gs[r]}")
+            open_ = open_[~np.isin(row[open_], list(errors))]
+            if open_.size:
+                roots[row[open_], col[open_]] = gauss._bracketed_roots(
+                    lambda t, k: excess(t, open_[k]),
+                    lo[open_], hi[open_], f_lo[open_], f_hi[open_])
+
+        out: list = []
+        for r in range(gs.size):
+            if r in errors:
+                out.append(errors[r])
+                continue
+            if gs[r] > 0.0:
+                self._record(float(gs[r]), roots[r])
+            b = np.full(self.d, np.inf)
+            b[self.d - js] = roots[r]           # index d - j + 1, 0-based d - j
+            # monotone repair over the finite tail
+            fin = np.isfinite(b)
+            vals = b[fin]
+            repaired = np.maximum.accumulate(vals)
+            flags = ("monotone_repair",) if np.any(repaired - vals > MONOTONE_REPAIR_FLAG) else ()
+            b[fin] = repaired
+            out.append(BoundaryVector(b=b, diagnostics=flags))
+        return out
+
+    def _warm(self, g: float, e: slice, lo, f_lo, base, hi, f_hi) -> None:
+        """Brackets entries ``e`` of g between the raw roots of its nearest
+        inverted neighbours, in place."""
+        i = bisect.bisect_left(self.gs, g)
+        gap = WARM_BRACKET_GAP * (1.0 + g)
+        if i > 0 and g - self.gs[i - 1] > gap:
+            below = self.roots[i - 1]
+            # an entry that collapsed to lo there keeps lo and its exact excess
+            warm = below > lo[e]
+            lo[e][warm] = below[warm]
+            f_lo[e][warm] = self.gs[i - 1] - g
+            base[e][warm] = below[warm]
+        if i < len(self.gs) and self.gs[i] - g > gap:
+            hi[e] = self.roots[i]
+            f_hi[e] = self.gs[i] - g
+
+    def _record(self, g: float, roots: np.ndarray) -> None:
+        i = bisect.bisect_left(self.gs, g)
+        if i == len(self.gs) or self.gs[i] != g:
+            self.gs.insert(i, g)
+            self.roots.insert(i, roots.copy())
 
 
 def pvalue(method: str, Z: setstats.ZVector,
@@ -362,42 +421,65 @@ def pvalue(method: str, Z: setstats.ZVector,
     return outcome
 
 
-def rejection_region(method: str, alpha: float, d: int,
-                     Sigma: np.ndarray | CorrelationModel) -> BoundaryVector:
+def rejection_region(method: str, alpha: float | np.ndarray, d: int,
+                     Sigma: np.ndarray | CorrelationModel
+                     ) -> BoundaryVector | list[BoundaryVector]:
     """Boundary points whose crossing probability equals alpha.
 
     Root-finds the observed value g at which the analytic p-value hits alpha
     (the p-value decreases monotonically in g), then returns the inverted
-    bounds at that g.  The root search returns a point it has evaluated, so
-    its bounds and p-value are reused, not recomputed.
+    bounds at that g.  A 1-D array of alpha gives a list with one region per
+    alpha, or raises the error of the first alpha that fails.
+
+    The searches of all alphas share one table of evaluated g (bounds and
+    p-value) and one ``_BoundSearch``, so each inversion is bracketed by the
+    roots of its evaluated neighbours.  A root search returns a point it has
+    evaluated, so its bounds and p-value are reused, not recomputed.
     """
-    if not (0.0 < alpha < 1.0):
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1 or not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
     model = correlation_model(Sigma)
     if model.d != d:
         raise DomainError(f"d={d} does not match correlation dimension {model.d}")
     profile = model.profile if method in setstats.PROFILE_METHODS else None
+    if method == setstats.MINP:
+        def invert(g: float) -> BoundaryVector:
+            return invert_bounds(method, g, d, profile)
+        g_lo, g_hi = 1e-8, 2.0
+    else:
+        search = _BoundSearch(method, d, profile)
+
+        def invert(g: float) -> BoundaryVector:
+            [bounds] = search.invert(np.array([g]))
+            if isinstance(bounds, NumericalError):
+                raise bounds
+            return bounds
+        g_lo, g_hi = 1e-10, 1.0
 
     evaluated: dict[float, tuple[BoundaryVector, float]] = {}
 
     def evaluate(g: float) -> tuple[BoundaryVector, float]:
         if g not in evaluated:
-            bounds = invert_bounds(method, g, d, profile)
+            bounds = invert(g)
             evaluated[g] = bounds, crossing_pvalue(bounds, model)
         return evaluated[g]
 
+    regions = [_region(method, float(a), g_lo, g_hi, evaluate) for a in alphas.reshape(-1)]
+    return regions if alphas.ndim == 1 else regions[0]
+
+
+def _region(method: str, alpha: float, g_lo: float, g_hi: float, evaluate) -> BoundaryVector:
+    """``rejection_region`` at one alpha, with ``evaluate(g)`` giving the
+    bounds and p-value at g: brackets alpha on the ladder g_hi * 1.6^k, then
+    root-finds log p in g."""
     def pv(g: float) -> float:
         return evaluate(g)[1]
 
-    if method == setstats.MINP:
-        g_lo = 1e-8
-    else:
-        g_lo = 1e-10
     p_lo = pv(g_lo)
     if p_lo < alpha:
         raise NumericalError(f"{method}: p-value at g~0 is {p_lo:.3g} < alpha={alpha}; "
                              "the rejection region is not reachable")
-    g_hi = 1.0 if method != setstats.MINP else 2.0
     p_hi = pv(g_hi)
     for _ in range(60):
         if p_hi < alpha:

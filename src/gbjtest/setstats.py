@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import gauss
-from .ebb import _log_factor_prefixes, match_gamma
+from .ebb import log_kernel, match_gamma
 from .errors import DegenerateInputError, DomainError
 from .exceedance import (CorrelationModel, CorrPowerProfile, _pair_cov, correlation_model,
                          count_variance, exceed_prob)
@@ -154,10 +154,7 @@ def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
         gamma = np.zeros(2 * n)
     # log EBB(d, lam, gamma) pmf at count j, less log C(d, j): both rows
     # carry it, so it cancels in the ratio
-    pre_a, pre_b, pre_c = _log_factor_prefixes(d, lam, gamma)
-    rows = np.arange(2 * n)
-    jj = np.concatenate((j, j))
-    logp = pre_a[rows, jj] + pre_b[rows, d - jj] - pre_c[:, d]
+    logp = log_kernel(np.concatenate((j, j)), d, lam, gamma)
     return logp[n:] - logp[:n], tuple(flags)
 
 

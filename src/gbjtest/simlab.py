@@ -185,27 +185,31 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
     Sigma_hat = correlation_model(omnibus.repair_correlation(0.5 * (Sigma_hat + Sigma_hat.T)))
 
     diagnostics: list[str] = []
-    bound_sets: dict[str, np.ndarray] = {}
     skat_cut: dict[str, float] = {}
-    for method in config.methods:
-        if method == "SKAT":
-            skat_cut["SKAT"] = omnibus.skat_threshold(config.alpha, Sigma_hat)
-        elif method == "OMNI":
-            continue
-        else:
-            bound_sets[method] = crossing.rejection_region(method, config.alpha, d, Sigma_hat).b
+    if "SKAT" in config.methods:
+        skat_cut["SKAT"] = omnibus.skat_threshold(config.alpha, Sigma_hat)
+    # the bootstrap draws from its own seed stream, so c* can come first and
+    # each method's regions at alpha and at c* share one search
     omni_eval = None
+    omni_methods: tuple[str, ...] = ()
     if "OMNI" in config.methods:
         R_hat, dropped = omnibus.bootstrap_corr(
             Sigma_hat, B=config.bootstrap_reps, seed=_component_seed(config.seed, 2))
         if dropped:
             diagnostics.append(f"omnibus_bootstrap_dropped={dropped}")
         c_star = omnibus.omni_threshold(config.alpha, R_hat)
-        omni_eval = {
-            "bounds": {m: crossing.rejection_region(m, c_star, d, Sigma_hat).b
-                       for m in (setstats.GBJ, setstats.GHC, setstats.MINP)},
-            "skat": omnibus.skat_threshold(c_star, Sigma_hat),
-        }
+        omni_methods = (setstats.GBJ, setstats.GHC, setstats.MINP)
+        omni_eval = {"bounds": {}, "skat": omnibus.skat_threshold(c_star, Sigma_hat)}
+    bound_sets: dict[str, np.ndarray] = {}
+    own = [m for m in config.methods if m not in ("SKAT", "OMNI")]
+    for method in dict.fromkeys(own + list(omni_methods)):
+        alphas = (([config.alpha] if method in own else [])
+                  + ([c_star] if method in omni_methods else []))
+        regions = crossing.rejection_region(method, np.array(alphas), d, Sigma_hat)
+        if method in own:
+            bound_sets[method] = regions[0].b
+        if method in omni_methods:
+            omni_eval["bounds"][method] = regions[-1].b
 
     rejections = {m: 0 for m in config.methods}
     done = 0

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,9 +155,11 @@ class TestBatchedInversion:
             want = crossing.invert_bounds("BJ", float(gs[i]), d, prof).b
             np.testing.assert_allclose(batch[i].b, want, rtol=1e-12, atol=0)
 
-    def test_groups_keep_the_prefix_budget(self, monkeypatch):
-        d = 500
-        prof = exceedance.zero_profile(d)
+    def test_bootstrap_sized_inversion_stays_small(self, monkeypatch):
+        # the objective holds O(1) values per entry at every d, so the 100
+        # replicates of a d = 500 bootstrap share each call and peak near
+        # 28 MiB; EBB prefix tables for them would take about 600 MB
+        d, B = 500, 100
         sizes = []
         objective = setstats.objective_values
 
@@ -165,10 +168,66 @@ class TestBatchedInversion:
             return objective(method, t, *args, **kwargs)
 
         monkeypatch.setattr(setstats, "objective_values", record)
-        crossing.invert_bounds("BJ", np.array([3.0, 4.0]), d, prof)
-        # one d = 500 inversion fills the budget; two take one call each
-        assert max(sizes) == d // 2
-        assert 2 * (d // 2) * 2 * (d + 1) > crossing.INVERT_PREFIX_BUDGET
+        gs = np.random.default_rng(0).uniform(0.5, 12.0, size=B)
+        tracemalloc.start()
+        try:
+            out = crossing.invert_bounds("BJ", gs, d, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(b, BoundaryVector) for b in out)
+        assert max(sizes) == B * (d // 2)
+        assert peak < 64 * 2**20
+
+
+class TestWarmSearch:
+    """``_BoundSearch`` brackets each inversion by the raw roots of the g
+    values it has already inverted."""
+
+    @pytest.mark.parametrize("d", [6, 20, 100])
+    def test_warm_inversions_match_cold_calls(self, rng, d, monkeypatch):
+        prof = exceedance.corr_powers(rand_corr(d, rng, factor=1))
+        # a ladder, points between its rungs, a g within the gap of an
+        # inverted one, g = 0 and a g above every inverted one
+        gs = [1e-10, 1.0, 1.6, 2.56, 4.096, 3.1, 2.0, 3.1 * (1.0 + 1e-12), 0.0, 30.0]
+        calls = []
+        objective = setstats.objective_values
+
+        def record(method, t, *args, **kwargs):
+            calls.append(np.size(t))
+            return objective(method, t, *args, **kwargs)
+
+        monkeypatch.setattr(setstats, "objective_values", record)
+        for method in ("GBJ", "BJ", "HC", "GHC"):
+            own = prof if method in setstats.PROFILE_METHODS else None
+            search = crossing._BoundSearch(method, d, own)
+            calls.clear()
+            warm = [search.invert(np.array([g]))[0] for g in gs]
+            warm_calls = len(calls)
+            calls.clear()
+            cold = [crossing.invert_bounds(method, g, d, own) for g in gs]
+            assert warm_calls < len(calls), method
+            for g, got, want in zip(gs, warm, cold):
+                fin = np.isfinite(want.b)
+                assert np.array_equal(np.isfinite(got.b), fin)
+                np.testing.assert_allclose(got.b[fin], want.b[fin], rtol=1e-12, atol=0,
+                                           err_msg=f"{method} g={g}")
+                assert got.diagnostics == want.diagnostics
+
+    def test_errors_keep_their_messages(self):
+        d = 20
+        search = crossing._BoundSearch("BJ", d, None)
+        search.invert(np.array([2.0, 5.0]))
+        [err] = search.invert(np.array([1e6]))
+        with pytest.raises(NumericalError) as cold:
+            crossing.invert_bounds("BJ", 1e6, d, None)
+        assert isinstance(err, NumericalError)
+        assert str(err) == str(cold.value)
+        assert "never reaches" in str(err)
+        # a failed g joins no table: the next inversion is still exact
+        [after] = search.invert(np.array([7.0]))
+        np.testing.assert_allclose(after.b, crossing.invert_bounds("BJ", 7.0, d, None).b,
+                                   rtol=1e-12, atol=0)
 
 
 class TestCrossingPvalue:
@@ -556,11 +615,17 @@ class TestExactSmall:
             keys.append((L.tobytes(), a.tobytes(), b.tobytes()))
             return integral(L, a, b, npts, nshift)
         monkeypatch.setattr(gauss, "_lattice_integral", recorded)
-        cases = ((exchangeable(5, 0.5), 0.005, 0.0043660256910665884),
-                 (rand_corr(4, np.random.default_rng(3)), 0.05, 0.04847622796418771))
-        for Sigma, alpha, want in cases:
+        # the GBJ rejection regions these were frozen on (alpha 0.005 and
+        # 0.05), pinned: the lattice integral moves by 2e-4 relative when a
+        # bound moves by one ulp
+        cases = ((exchangeable(5, 0.5), ["inf", "inf", "inf", "0x1.6ae9aa6415359p+1",
+                                         "0x1.b540c6ec3ab83p+1"], 0.0043660256910665884),
+                 (rand_corr(4, np.random.default_rng(3)),
+                  ["inf", "inf", "0x1.e1a09d5e73813p+0", "0x1.56aa315b7a119p+1"],
+                  0.04847622796418771))
+        for Sigma, bounds, want in cases:
             keys.clear()
-            bv = crossing.rejection_region("GBJ", alpha, Sigma.shape[0], Sigma)
+            bv = BoundaryVector(b=np.array([float.fromhex(b) for b in bounds]))
             assert crossing.exact_small_pvalue(bv, Sigma) == want
             assert keys and len(set(keys)) == len(keys)
 
@@ -674,6 +739,42 @@ class TestRejectionRegion:
         bv = crossing.rejection_region("GBJ", 0.01, 10, exchangeable(10, 0.3))
         assert len({tuple(b) for b in evaluated}) == len(evaluated)
         assert any(np.array_equal(bv.b, b) for b in evaluated)
+
+
+    def test_alpha_array_shares_one_search(self, monkeypatch):
+        d = 20
+        Sigma = exchangeable(d, 0.3)
+        alphas = np.array([0.01, 0.0023])
+        recursion = crossing.crossing_pvalue
+        for method in setstats.ALL_METHODS:
+            single = [crossing.rejection_region(method, a, d, Sigma) for a in alphas]
+            evaluated = []
+
+            def record(bounds, Sigma, return_table=False):
+                evaluated.append(tuple(bounds.b))
+                return recursion(bounds, Sigma, return_table)
+
+            monkeypatch.setattr(crossing, "crossing_pvalue", record)
+            both = crossing.rejection_region(method, alphas, d, Sigma)
+            monkeypatch.undo()
+            # no g reaches the recursion twice, across the two searches too
+            assert len(set(evaluated)) == len(evaluated), method
+            assert len(both) == alphas.size
+            for got, want in zip(both, single):
+                fin = np.isfinite(want.b)
+                assert np.array_equal(np.isfinite(got.b), fin)
+                np.testing.assert_allclose(got.b[fin], want.b[fin], rtol=1e-12, atol=0,
+                                           err_msg=method)
+
+    def test_alpha_array_raises_the_first_failure(self):
+        with pytest.raises(NumericalError) as scalar:
+            crossing.rejection_region("GBJ", 0.95, 6, np.eye(6))
+        with pytest.raises(NumericalError) as batch:
+            crossing.rejection_region("GBJ", np.array([0.05, 0.95]), 6, np.eye(6))
+        assert "not reachable" in str(scalar.value)
+        assert str(batch.value) == str(scalar.value)
+        with pytest.raises(DomainError):
+            crossing.rejection_region("GBJ", np.array([0.05, 1.0]), 6, np.eye(6))
 
 
 def test_region_serialization_format():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import betabinom, binom
 
+from gbjtest import ebb
 from gbjtest.ebb import _log_factor_prefixes, gamma_floor, match_gamma, transition
 
 
@@ -166,6 +169,52 @@ def test_broadcast_prefixes_equal_per_row_prefixes(rng):
     # a scalar gamma broadcasts against an array of lambda
     _, pre_b, _ = _log_factor_prefixes(d, lam[0], 0.0)
     assert np.array_equal(pre_b[2], np.cumsum(np.r_[0.0, np.full(d, np.log1p(-lam[0, 2]))]))
+
+
+class TestClosedFormSums:
+    """``ebb._log_rising``, the closed form of the three log-factor sums."""
+
+    def test_no_less_accurate_than_the_prefix_tables(self):
+        # sums over k < n of log(lam + gamma k), log(1 - lam + gamma k) and
+        # log(1 + gamma k), each term as the prefix tables take it, summed
+        # exactly by math.fsum
+        closed_err, prefix_err = 0.0, 0.0
+        for d in (2, 3, 10, 63, 64, 100, 500, 1000, 2000):
+            ns = sorted({1, d // 2, d})
+            for lam in (1e-300, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.99):
+                floor = float(gamma_floor(lam, d)) if d > 1 else 0.0
+                gammas = [0.0] + [10.0 ** e for e in range(-16, 13, 2)] + [
+                    floor * f for f in (1e-12, 0.5, 1.0 - 1e-6)]
+                for gamma in gammas:
+                    pre = _log_factor_prefixes(d, lam, gamma)
+                    terms = ([math.log(lam + gamma * k) for k in range(d)],
+                             [math.log1p(gamma * k - lam) for k in range(d)],
+                             [math.log1p(gamma * k) for k in range(d)])
+                    n = np.array(ns * 3, dtype=float)
+                    v = np.repeat([lam, -lam, 0.0], len(ns))
+                    got = ebb._log_rising(v, np.full(n.size, gamma), n, len(ns))
+                    for i, (fam, m) in enumerate((f, m) for f in range(3) for m in ns):
+                        exact = math.fsum(terms[fam][:m])
+                        closed_err = max(closed_err, abs(got[i] - exact))
+                        prefix_err = max(prefix_err, abs(pre[fam][m] - exact))
+                        # and within rounding of the sum's own size
+                        assert abs(got[i] - exact) <= 1e-12 * max(1.0, abs(exact)), (
+                            d, lam, gamma, fam, m)
+        assert closed_err <= prefix_err
+
+    @pytest.mark.parametrize("size", [ebb.CLOSED_FORM_MIN_SIZE - 1, ebb.CLOSED_FORM_MIN_SIZE, 300])
+    def test_kernel_matches_the_prefix_tables(self, rng, size):
+        m = 40
+        a = rng.integers(1, size, size=m)
+        lam = 10.0 ** rng.uniform(-12.0, -0.05, size=m)
+        gamma = rng.uniform(0.0, 3.0, size=m)
+        gamma[:10] = 0.0
+        gamma[10:20] = rng.uniform(0.1, 0.99, size=10) * gamma_floor(lam[10:20], size)
+        pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
+        rows = np.arange(m)
+        want = pre_a[rows, a] + pre_b[rows, size - a] - pre_c[:, size]
+        got = ebb.log_kernel(a, size, lam, gamma)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-11)
 
 
 @settings(max_examples=150, deadline=None)
