@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import ebb, gauss, setstats
-from .errors import DomainError, NumericalError, SizeError
+from .errors import DomainError, GBJError, NumericalError, SizeError
 from .exceedance import CorrelationModel, CorrPowerProfile, correlation_model
 
 PVALUE_FLOOR = 1e-16
@@ -47,7 +47,7 @@ class BoundaryVector:
     """Non-decreasing thresholds b_1 .. b_d on |Z|_(1) .. |Z|_(d).
 
     Entries may be +inf (vacuous constraints); all vacuous entries precede
-    the finite ones.
+    the finite ones.  NaN and -inf are rejected.
     """
 
     b: np.ndarray
@@ -57,6 +57,8 @@ class BoundaryVector:
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 1 or b.size < 1:
             raise DomainError("BoundaryVector requires a non-empty vector")
+        if np.any(np.isnan(b) | (b == -np.inf)):
+            raise DomainError("bounds must be numbers or +inf, not NaN or -inf")
         fin = np.isfinite(b)
         if np.any(fin) and np.any(~fin[np.argmax(fin):]):
             raise DomainError("infinite bounds must all precede the finite bounds")
@@ -73,15 +75,10 @@ class BoundaryVector:
 
 @dataclass(frozen=True)
 class CrossingTable:
-    """Working probabilities of the recursion, one row per threshold stage.
+    """Where the recursion's p-value came from: ``leaks[k]`` is the mass that
+    violated the stage-k constraint, and the p-value is their sum clamped
+    into [0, 1]; ``diagnostics`` starts from the bounds' own flags."""
 
-    ``q[k][a]`` is Pr(S(t_k) = a, all earlier constraints held); ``leaks[k]``
-    is the mass that violated the stage-k constraint.
-    """
-
-    thresholds: np.ndarray
-    caps: np.ndarray
-    q: tuple[np.ndarray, ...]
     leaks: np.ndarray
     diagnostics: tuple[str, ...]
 
@@ -119,7 +116,8 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
     Sigma : array or CorrelationModel
         Correlation matrix of the marginal statistics.
     return_table : bool
-        Also return the CrossingTable of working probabilities.
+        Also return the CrossingTable: the mass leaked at each stage and the
+        diagnostic flags, the bounds' own first.
     """
     model = correlation_model(Sigma)
     d = model.d
@@ -127,17 +125,11 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
         raise DomainError(f"bounds dimension {bounds.d} != correlation dimension {d}")
     thresholds, caps = _stages(bounds)
     flags: list[str] = list(bounds.diagnostics)
-    if thresholds.size == 0:
-        p = 0.0
-        if return_table:
-            return p, CrossingTable(thresholds, caps, (), np.array([]), tuple(flags))
-        return p
-    if thresholds[0] <= 0.0:
-        # S(0) = d always; a cap below d at threshold zero is crossed surely
-        p = 1.0 if caps[0] < d else 0.0
-        if return_table:
-            return p, CrossingTable(thresholds, caps, (), np.array([p]), tuple(flags))
-        return p
+    if thresholds.size == 0 or thresholds[0] <= 0.0:
+        # S(0) = d always: a cap below d at threshold zero is crossed surely
+        leaks = np.array([1.0 if caps[0] < d else 0.0] if thresholds.size else [])
+        p = float(leaks.sum())
+        return (p, CrossingTable(leaks, tuple(flags))) if return_table else p
 
     # every stage quantity that does not depend on the count law, as arrays
     sf = gauss.norm_sf(thresholds)
@@ -157,7 +149,6 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
     q = np.zeros(d + 1)
     q[d] = 1.0                                  # S(0) = d with certainty
     leak_total = 0.0
-    q_rows: list[np.ndarray] = []
     leaks: list[float] = []
     for m_max, cap_k, lam_k, gamma_k in zip(m_maxes.tolist(), caps.tolist(),
                                             lam.tolist(), gamma.tolist()):
@@ -169,14 +160,10 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
         leak_total += leak
         q = np.zeros(d + 1)
         q[: cap_k + 1] = q_new[: cap_k + 1]
-        q_rows.append(q_new)
         leaks.append(leak)
 
     p = float(min(max(leak_total, 0.0), 1.0))
-    if return_table:
-        return p, CrossingTable(thresholds, caps, tuple(q_rows),
-                                np.array(leaks), tuple(flags))
-    return p
+    return (p, CrossingTable(np.array(leaks), tuple(flags))) if return_table else p
 
 
 def _pair_fractions(thresholds: np.ndarray, sf: np.ndarray, lam: np.ndarray,
@@ -235,8 +222,9 @@ def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
 
     For each index j in the maximization range, b_{d-j+1} is the root in t of
     objective(t, j) = g over the indicator region; remaining entries are
-    +inf.  MinP binds only |Z|_(d).  A final cumulative-maximum pass repairs
-    round-off monotonicity violations.  Only GBJ and GHC read ``profile``.
+    +inf.  MinP binds only |Z|_(d), at g itself.  A final cumulative-maximum
+    pass repairs round-off monotonicity violations.  Only GBJ and GHC read
+    ``profile``.
 
     A scalar g gives one BoundaryVector.  A 1-D array of g gives a list with
     one entry per g: its BoundaryVector, or the NumericalError that a scalar
@@ -247,17 +235,9 @@ def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
     gs = np.asarray(g, dtype=float)
     if gs.ndim > 1:
         raise DomainError(f"invert_bounds takes a scalar or 1-D g, got shape {gs.shape}")
-    if np.any(gs < 0):
+    if not np.all(gs >= 0):
         raise DomainError(f"invert_bounds requires g >= 0, got {g!r}")
-    flat = gs.reshape(-1)
-    if method == setstats.MINP:
-        out = []
-        for g_i in flat:
-            b = np.full(d, np.inf)
-            b[-1] = g_i
-            out.append(BoundaryVector(b=b))
-    else:
-        out = _BoundSearch(method, d, profile).invert(flat)
+    out = _BoundSearch(method, d, profile).invert(gs.reshape(-1))
     if gs.ndim == 1:
         return out
     if isinstance(out[0], NumericalError):
@@ -278,17 +258,21 @@ class _BoundSearch:
     their bracket upward from the lower end.  The objective at the indicator
     boundary (t_min + 1e-9), where an entry whose objective already reaches
     g collapses, does not depend on g and is evaluated once.  With an empty
-    table every g takes the cold bracket [t_min + 1e-9, t_min + 1].
+    table every g takes the cold bracket [t_min + 1e-9, t_min + 1].  MinP's
+    one objective, at j = 1, is t itself, so its root is g without a search.
     """
 
     def __init__(self, method: str, d: int, profile: CorrPowerProfile | None):
-        if method not in setstats.SUPREMUM_METHODS:
+        if method not in setstats.ALL_METHODS:
             raise DomainError(f"cannot invert method {method!r}")
-        if d < 2:
-            raise DomainError(f"{method} bounds require d >= 2")
         self.method, self.d, self.profile = method, d, profile
-        self.js = np.arange(1, setstats.max_index(d) + 1)
-        self.t_min = ndtri(1.0 - self.js / (2.0 * d))   # indicator boundary per index
+        if method == setstats.MINP:
+            self.js, self.t_min = np.array([1]), np.zeros(1)
+        elif d < 2:
+            raise DomainError(f"{method} bounds require d >= 2")
+        else:
+            self.js = np.arange(1, setstats.max_index(d) + 1)
+            self.t_min = ndtri(1.0 - self.js / (2.0 * d))   # indicator boundary per index
         self.t_lo = self.t_min + 1e-9
         self.obj_lo: np.ndarray | None = None
         self.gs: list[float] = []                       # inverted g > 0, ascending
@@ -308,7 +292,9 @@ class _BoundSearch:
         errors: dict[int, NumericalError] = {}
 
         pos = np.nonzero(gs > 0.0)[0]
-        if pos.size:
+        if method == setstats.MINP:
+            roots[pos, 0] = gs[pos]
+        elif pos.size:
             if self.obj_lo is None:
                 self.obj_lo = self._objective(self.t_lo, np.arange(jmax))
             # entry e is index js[col[e]] of g row[e]
@@ -399,26 +385,52 @@ class _BoundSearch:
             self.roots.insert(i, roots.copy())
 
 
-def pvalue(method: str, Z: setstats.ZVector,
-           Sigma: np.ndarray | CorrelationModel) -> setstats.TestOutcome:
+def pvalue(method: str, Z: setstats.ZVector | list[setstats.ZVector],
+           Sigma: np.ndarray | CorrelationModel):
     """Observed statistic plus its analytic boundary-crossing p-value.
 
     A statistic of exactly zero (indicator never satisfied) reports p = 1.
     P-values are clamped into [1e-16, 1].
+
+    A list of ZVectors on the one ``Sigma`` gives a list with one entry per
+    set: its TestOutcome, or the GBJError that a call with that set alone
+    raises.  The bounds of all positive statistics are inverted in one
+    ``invert_bounds`` call; one set gives its scalar call's outcome bit for
+    bit.
     """
     model = correlation_model(Sigma)
-    outcome = setstats.compute_statistic(method, Z, model)
-    if outcome.statistic <= 0.0 and method != setstats.MINP:
-        outcome.pvalue = 1.0
-        return outcome
-    profile = model.profile if method in setstats.PROFILE_METHODS else None
-    bounds = invert_bounds(method, outcome.statistic, Z.d, profile)
-    p, table = crossing_pvalue(bounds, model, return_table=True)
-    outcome.pvalue = float(min(1.0, max(PVALUE_FLOOR, p)))
-    outcome.diagnostics = tuple(sorted(set(outcome.diagnostics)
-                                       | set(bounds.diagnostics)
-                                       | set(table.diagnostics)))
-    return outcome
+    single = isinstance(Z, setstats.ZVector)
+    out: list = []
+    pending = []
+    for z in [Z] if single else Z:
+        try:
+            outcome = setstats.compute_statistic(method, z, model)
+        except GBJError as err:
+            out.append(err)
+            continue
+        if outcome.statistic > 0.0:
+            pending.append(len(out))
+        else:
+            outcome.pvalue = 1.0
+        out.append(outcome)
+    if pending:
+        profile = model.profile if method in setstats.PROFILE_METHODS else None
+        stats = np.array([out[i].statistic for i in pending])
+        for i, bounds in zip(pending, invert_bounds(method, stats, model.d, profile)):
+            try:
+                if isinstance(bounds, GBJError):
+                    raise bounds
+                p, table = crossing_pvalue(bounds, model, return_table=True)
+            except GBJError as err:
+                out[i] = err
+                continue
+            out[i].pvalue = float(min(1.0, max(PVALUE_FLOOR, p)))
+            out[i].diagnostics = tuple(sorted(set(out[i].diagnostics) | set(table.diagnostics)))
+    if not single:
+        return out
+    if isinstance(out[0], GBJError):
+        raise out[0]
+    return out[0]
 
 
 def rejection_region(method: str, alpha: float | np.ndarray, d: int,
@@ -443,28 +455,19 @@ def rejection_region(method: str, alpha: float | np.ndarray, d: int,
     if model.d != d:
         raise DomainError(f"d={d} does not match correlation dimension {model.d}")
     profile = model.profile if method in setstats.PROFILE_METHODS else None
-    if method == setstats.MINP:
-        def invert(g: float) -> BoundaryVector:
-            return invert_bounds(method, g, d, profile)
-        g_lo, g_hi = 1e-8, 2.0
-    else:
-        search = _BoundSearch(method, d, profile)
-
-        def invert(g: float) -> BoundaryVector:
-            [bounds] = search.invert(np.array([g]))
-            if isinstance(bounds, NumericalError):
-                raise bounds
-            return bounds
-        g_lo, g_hi = 1e-10, 1.0
-
+    search = _BoundSearch(method, d, profile)
     evaluated: dict[float, tuple[BoundaryVector, float]] = {}
 
     def evaluate(g: float) -> tuple[BoundaryVector, float]:
         if g not in evaluated:
-            bounds = invert(g)
+            [bounds] = search.invert(np.array([g]))
+            if isinstance(bounds, NumericalError):
+                raise bounds
             evaluated[g] = bounds, crossing_pvalue(bounds, model)
         return evaluated[g]
 
+    # MinP's g is a threshold on |Z|, not an objective value
+    g_lo, g_hi = (1e-8, 2.0) if method == setstats.MINP else (1e-10, 1.0)
     regions = [_region(method, float(a), g_lo, g_hi, evaluate) for a in alphas.reshape(-1)]
     return regions if alphas.ndim == 1 else regions[0]
 
@@ -562,7 +565,7 @@ def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationMo
 
     def rect(u: np.ndarray) -> float:
         if d <= 2:
-            return gauss.mvn_rect(-u, u, Sigma, npts=npts, nshift=nshift)
+            return gauss.mvn_rect(-u, u, Sigma)
         L, a, b = gauss._cholesky_reordered(-u, u, Sigma)
         key = L.tobytes() + a.tobytes() + b.tobytes()
         if key not in integrals:

@@ -270,22 +270,20 @@ def _cholesky_reordered(lower, upper, sigma):
     return L, a, b
 
 
-def mvn_rect(lower, upper, sigma, npts: int = 8192, nshift: int = 8,
-             return_error: bool = False):
+def mvn_rect(lower, upper, sigma, npts: int = 8192, nshift: int = 8) -> float:
     """Pr(lower <= Z <= upper) for Z ~ MVN(0, sigma), dimension <= 12.
 
     Deterministic: Genz sequential transform over a tent-mapped Richtmyer
     lattice with a fixed table of shifts.  Dimensions 1 and 2 use closed /
-    Gauss-Legendre forms instead.  The spread across shifts provides an
-    effective-error estimate.
+    Gauss-Legendre forms instead, which ignore ``npts`` and ``nshift``.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     d = lower.shape[0]
     if d == 1:
-        p = float(ndtr(upper[0] / math.sqrt(sigma[0, 0])) - ndtr(lower[0] / math.sqrt(sigma[0, 0])))
-        return (p, 0.0) if return_error else p
+        s = math.sqrt(sigma[0, 0])
+        return float(ndtr(upper[0] / s) - ndtr(lower[0] / s))
     if d == 2:
         s1, s2 = math.sqrt(sigma[0, 0]), math.sqrt(sigma[1, 1])
         r = sigma[0, 1] / (s1 * s2)
@@ -293,13 +291,11 @@ def mvn_rect(lower, upper, sigma, npts: int = 8192, nshift: int = 8,
         y0, y1 = lower[1] / s2, upper[1] / s2
         p = (bvn_cdf(x1, y1, r) - bvn_cdf(x0, y1, r)
              - bvn_cdf(x1, y0, r) + bvn_cdf(x0, y0, r))
-        p = min(1.0, max(0.0, p))
-        return (p, 1e-14) if return_error else p
+        return min(1.0, max(0.0, p))
     if d > 12:
         raise DomainError(f"mvn_rect supports dimension <= 12, got {d}")
 
-    p, err = _lattice_integral(*_cholesky_reordered(lower, upper, sigma), npts, nshift)
-    return (p, err) if return_error else p
+    return _lattice_integral(*_cholesky_reordered(lower, upper, sigma), npts, nshift)[0]
 
 
 def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
@@ -357,7 +353,7 @@ def _dedup_perfect(z: float, R: np.ndarray):
     return np.array(lower), np.array(upper), R[np.ix_(keep, keep)]
 
 
-def mvn_cdf_small(z: float, R, return_error: bool = False):
+def mvn_cdf_small(z: float, R) -> float:
     """Pr(Z_i <= z for all i) for Z ~ MVN(0, R), dimension <= 4.
 
     ``R`` is an array or an ``exceedance.CorrelationModel``, which is not
@@ -380,12 +376,8 @@ def mvn_cdf_small(z: float, R, return_error: bool = False):
             raise DomainError("mvn_cdf_small: correlation matrix is singular "
                               "beyond perfect-correlation duplicates")
     if np.any(lower >= upper):
-        p, err = 0.0, 0.0
-    else:
-        p, err = mvn_rect(lower, upper, Rsub, npts=MVN_SMALL_NPTS, return_error=True)
-    if return_error:
-        return p, err
-    return p
+        return 0.0
+    return mvn_rect(lower, upper, Rsub, npts=MVN_SMALL_NPTS)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -89,63 +89,46 @@ def skat_threshold(alpha: float, Sigma: np.ndarray | CorrelationModel) -> float:
     return gauss.find_root(lambda q: skat_pvalue_from_q(q, model) - alpha, lo, hi, tol=1e-10)
 
 
-def component_pvalues(Z: setstats.ZVector, Sigma: np.ndarray | CorrelationModel) -> dict:
+def component_pvalues(Z: setstats.ZVector | list[setstats.ZVector],
+                      Sigma: np.ndarray | CorrelationModel):
     """The four omnibus component p-values on one set.
 
-    At d = 1 every component collapses to the two-sided normal test, so the
-    supremum methods are evaluated as MinP there.
+    At d = 1 every component collapses to the two-sided normal test, so all
+    four are 2 sf(|z|).
+
+    A list of ZVectors on the one ``Sigma`` gives a list with one entry per
+    set: its dict, or the GBJError that its first failing component raised.
+    Each supremum method takes the sets that have not failed in one
+    ``crossing.pvalue`` call.
     """
-    [pv] = _component_pvalues_many([Z], correlation_model(Sigma))
-    if isinstance(pv, GBJError):
-        raise pv
-    return pv
-
-
-def _component_pvalues_many(Zs: list, model: CorrelationModel) -> list:
-    """``component_pvalues`` of several sets on one correlation model, with
-    the bounds of each supremum method inverted for all sets in one call.
-    Entry i is set i's dict of p-values, or the GBJError that its first
-    failing component raised; each set's statistics, recursions and SKAT
-    are its own."""
+    model = correlation_model(Sigma)
+    single = isinstance(Z, setstats.ZVector)
+    Zs = [Z] if single else Z
     out: list = [{} for _ in Zs]
     live = []
-    for i, Z in enumerate(Zs):
-        if Z.d == 1:
-            p1 = float(min(1.0, 2.0 * gauss.norm_sf(abs(Z.z[0]))))
+    for i, z in enumerate(Zs):
+        if z.d == 1:
+            p1 = float(min(1.0, 2.0 * gauss.norm_sf(abs(z.z[0]))))
             out[i] = dict.fromkeys(OMNI_COMPONENTS, p1)
         else:
             live.append(i)
     for method in (setstats.GBJ, setstats.GHC, setstats.MINP):
-        pending, stats = [], []
-        for i in live:
-            try:
-                stat = setstats.compute_statistic(method, Zs[i], model).statistic
-            except GBJError as err:
-                out[i] = err
-                continue
-            if stat <= 0.0 and method != setstats.MINP:
-                out[i][method] = 1.0
+        for i, outcome in zip(live, crossing.pvalue(method, [Zs[i] for i in live], model)):
+            if isinstance(outcome, GBJError):
+                out[i] = outcome
             else:
-                pending.append(i)
-                stats.append(stat)
-        if pending:
-            profile = model.profile if method in setstats.PROFILE_METHODS else None
-            bounds = crossing.invert_bounds(method, np.array(stats), model.d, profile)
-            for i, b in zip(pending, bounds):
-                try:
-                    if isinstance(b, GBJError):
-                        raise b
-                    p = crossing.crossing_pvalue(b, model)
-                    out[i][method] = float(min(1.0, max(crossing.PVALUE_FLOOR, p)))
-                except GBJError as err:
-                    out[i] = err
+                out[i][method] = outcome.pvalue
         live = [i for i in live if isinstance(out[i], dict)]
     for i in live:
         try:
             out[i]["SKAT"] = skat_lite(Zs[i], model)
         except GBJError as err:
             out[i] = err
-    return out
+    if not single:
+        return out
+    if isinstance(out[0], GBJError):
+        raise out[0]
+    return out[0]
 
 
 def repair_correlation(R: np.ndarray) -> np.ndarray:
@@ -243,12 +226,12 @@ def _bootstrap_replicates(draw, model: CorrelationModel, B: int, seed: int):
     """Correlation of the four transformed component p-values over B null
     replicates; ``draw(rng)`` returns one replicate's score vector from that
     replicate's generator, seeded (seed, rep).  All replicates are drawn
-    first, and their component p-values taken together, so each supremum
+    first and go to ``component_pvalues`` as one list, so each supremum
     method inverts the bounds of every replicate in one call.  Replicates
     whose components fail are dropped.  Returns (R_hat, dropped_count)."""
     Zs = [setstats.ZVector(draw(np.random.default_rng([seed, rep]))) for rep in range(B)]
     cols = [[pv[c] for c in OMNI_COMPONENTS]
-            for pv in _component_pvalues_many(Zs, model) if not isinstance(pv, GBJError)]
+            for pv in component_pvalues(Zs, model) if not isinstance(pv, GBJError)]
     dropped = B - len(cols)
     if len(cols) < B // 2:
         raise NumericalError(f"bootstrap lost {dropped} of {B} replicates")

@@ -26,7 +26,6 @@ HC = "HC"
 GHC = "GHC"
 MINP = "MinP"
 
-SUPREMUM_METHODS = (GBJ, BJ, HC, GHC)
 PROFILE_METHODS = (GBJ, GHC)   # the objectives that read the power profile
 ALL_METHODS = (GBJ, BJ, HC, GHC, MINP)
 

@@ -185,12 +185,11 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
     Sigma_hat = correlation_model(omnibus.repair_correlation(0.5 * (Sigma_hat + Sigma_hat.T)))
 
     diagnostics: list[str] = []
-    skat_cut: dict[str, float] = {}
+    skat_cut = omni_skat_cut = None
     if "SKAT" in config.methods:
-        skat_cut["SKAT"] = omnibus.skat_threshold(config.alpha, Sigma_hat)
+        skat_cut = omnibus.skat_threshold(config.alpha, Sigma_hat)
     # the bootstrap draws from its own seed stream, so c* can come first and
     # each method's regions at alpha and at c* share one search
-    omni_eval = None
     omni_methods: tuple[str, ...] = ()
     if "OMNI" in config.methods:
         R_hat, dropped = omnibus.bootstrap_corr(
@@ -199,8 +198,9 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
             diagnostics.append(f"omnibus_bootstrap_dropped={dropped}")
         c_star = omnibus.omni_threshold(config.alpha, R_hat)
         omni_methods = (setstats.GBJ, setstats.GHC, setstats.MINP)
-        omni_eval = {"bounds": {}, "skat": omnibus.skat_threshold(c_star, Sigma_hat)}
+        omni_skat_cut = omnibus.skat_threshold(c_star, Sigma_hat)
     bound_sets: dict[str, np.ndarray] = {}
+    omni_bounds: list[np.ndarray] = []
     own = [m for m in config.methods if m not in ("SKAT", "OMNI")]
     for method in dict.fromkeys(own + list(omni_methods)):
         alphas = (([config.alpha] if method in own else [])
@@ -209,7 +209,7 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
         if method in own:
             bound_sets[method] = regions[0].b
         if method in omni_methods:
-            omni_eval["bounds"][method] = regions[-1].b
+            omni_bounds.append(regions[-1].b)
 
     rejections = {m: 0 for m in config.methods}
     done = 0
@@ -236,18 +236,15 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
         ybar = sy / n
         phi = (syy - n * ybar * ybar) / (n - 1)
         z = (gty - colsum * ybar) / (colnorm[:, None] * np.sqrt(phi)[None, :])
-        absz = np.abs(z)
-        sortz = np.sort(absz, axis=0)
+        sortz = np.sort(np.abs(z), axis=0)
+        q = np.einsum("ij,ij->j", z, z)
         for method in config.methods:
             if method == "SKAT":
-                q = np.einsum("ij,ij->j", z, z)
-                rej = q > skat_cut["SKAT"]
+                rej = q > skat_cut
             elif method == "OMNI":
-                rej = np.zeros(m_chunk, dtype=bool)
-                for m, b in omni_eval["bounds"].items():
+                rej = q > omni_skat_cut
+                for b in omni_bounds:
                     rej |= np.any(sortz > b[:, None], axis=0)
-                q = np.einsum("ij,ij->j", z, z)
-                rej |= q > omni_eval["skat"]
             else:
                 rej = np.any(sortz > bound_sets[method][:, None], axis=0)
             rejections[method] += int(rej.sum())

@@ -121,6 +121,14 @@ class TestInvertBounds:
         with pytest.raises(DomainError):
             crossing.invert_bounds("GBJ", np.ones((2, 2)), 6, exceedance.zero_profile(6))
 
+    @pytest.mark.parametrize("method", setstats.ALL_METHODS)
+    def test_nan_g_rejected(self, method):
+        prof = exceedance.zero_profile(6)
+        with pytest.raises(DomainError):
+            crossing.invert_bounds(method, np.nan, 6, prof)
+        with pytest.raises(DomainError):
+            crossing.invert_bounds(method, np.array([1.0, np.nan]), 6, prof)
+
 
 class TestBatchedInversion:
     """``invert_bounds`` over an array of g: one search for all of them."""
@@ -297,13 +305,14 @@ class TestCrossingPvalue:
         Sigma = exchangeable(d, 0.3)
         bounds = np.full(d, np.inf)
         bounds[5:] = np.sort(rng.uniform(1.0, 3.0, size=4))
-        _, table = crossing.crossing_pvalue(BoundaryVector(b=bounds), Sigma,
+        p, table = crossing.crossing_pvalue(BoundaryVector(b=bounds), Sigma,
                                             return_table=True)
-        retained_prev = 1.0
-        for q_row, leak in zip(table.q, table.leaks):
-            total = q_row.sum()
-            assert total <= retained_prev + 1e-12
-            retained_prev = total - leak
+        assert table.leaks.size == 4
+        assert np.all((table.leaks >= 0.0) & (table.leaks <= 1.0))
+        leaked = 0.0
+        for leak in table.leaks:
+            leaked += leak
+        assert p == min(max(leaked, 0.0), 1.0)
 
     def test_perfectly_correlated_pair_supported(self, monkeypatch):
         d = 3
@@ -335,6 +344,14 @@ class TestCrossingPvalue:
     def test_non_monotone_bounds_rejected(self):
         with pytest.raises(DomainError):
             BoundaryVector(b=np.array([2.0, 1.0, 3.0]))
+
+    @pytest.mark.parametrize("b", [[-np.inf, 1.0], [np.nan, 1.0], [np.nan, np.nan],
+                                   [np.inf, np.nan]])
+    def test_only_plus_inf_is_vacuous(self, b):
+        # -inf would be a certain crossing and NaN no bound at all; neither
+        # may pass for a vacuous entry
+        with pytest.raises(DomainError):
+            BoundaryVector(b=np.array(b))
 
     def test_dimension_mismatch(self):
         bv = BoundaryVector(b=np.array([1.0, 2.0]))
@@ -674,9 +691,26 @@ class TestPvalue:
         out = crossing.pvalue("MinP", setstats.ZVector(np.array([2.3])), np.eye(1))
         assert out.pvalue == pytest.approx(2 * gauss.norm_sf(2.3), rel=1e-10)
 
-    def test_minp_all_zero_observations(self):
+    def test_minp_all_zero_observations(self, monkeypatch):
+        # g = 0 binds |Z|_(d) at zero, which S(0) = d crosses surely; the
+        # zero-statistic rule gives that p = 1 without the recursion
+        assert crossing.crossing_pvalue(
+            crossing.invert_bounds("MinP", 0.0, 4, None), np.eye(4)) == 1.0
+        monkeypatch.setattr(crossing, "crossing_pvalue", None)
         out = crossing.pvalue("MinP", setstats.ZVector(np.zeros(4)), np.eye(4))
+        assert out.statistic == 0.0
         assert out.pvalue == 1.0
+
+    def test_minp_single_coordinate_bound_is_g(self):
+        bv = crossing.invert_bounds("MinP", 2.3, 1, None)
+        assert bv.b.tolist() == [2.3] and bv.diagnostics == ()
+        Zs = [setstats.ZVector(np.array([z])) for z in (2.3, -0.4, 0.0)]
+        batch = crossing.pvalue("MinP", Zs, np.eye(1))
+        for Z, got in zip(Zs, batch):
+            want = crossing.pvalue("MinP", Z, np.eye(1))
+            assert (got.statistic, got.pvalue) == (want.statistic, want.pvalue)
+        assert batch[2].pvalue == 1.0
+
 
     def test_tracks_exact_at_strong_exchangeable_correlation(self):
         # at rho = 0.5 the EBB recursion carries a systematic upward bias of
@@ -702,6 +736,94 @@ class TestPvalue:
         pa = crossing.crossing_pvalue(bv, Sigma)
         pe = crossing.exact_small_pvalue(bv, Sigma)
         assert abs(pa - pe) <= max(0.02 * pe, 5e-4)
+
+
+def outcome_fields(o):
+    return o.statistic, o.achieving_index, o.diagnostics, o.pvalue
+
+
+class TestPvalueList:
+    """``pvalue`` over a list of sets: one inversion call per list, and each
+    set's outcome that of its own call.  A list of one set gives the scalar
+    call's outcome bit for bit.  In a longer list the p-values may differ
+    from the scalar calls' in the last bits, as the batched bounds of
+    ``invert_bounds`` do (the objective's array kernels round by array
+    size), and are held to 1e-12 relative."""
+
+    @staticmethod
+    def count_inversions(monkeypatch):
+        calls = []
+        invert = crossing.invert_bounds
+
+        def record(method, g, *args, **kwargs):
+            calls.append(np.size(g))
+            return invert(method, g, *args, **kwargs)
+
+        monkeypatch.setattr(crossing, "invert_bounds", record)
+        return calls
+
+    @pytest.mark.parametrize("d", [5, 20, 100])
+    def test_list_matches_scalar_calls(self, rng, d, monkeypatch):
+        Sigma = rand_corr(d, rng, factor=1)
+        model = exceedance.correlation_model(Sigma)
+        L = np.linalg.cholesky(Sigma)
+        zs = [L @ rng.standard_normal(d) * 1.6 for _ in range(4)]
+        zs.insert(1, np.full(d, 0.05))                  # zero statistic but MinP's
+        zs.insert(3, np.zeros(d))                       # zero statistic for all five
+        zs[4][0] = 6.0
+        Zs = [setstats.ZVector(z) for z in zs]
+        Zs.insert(2, setstats.ZVector(np.ones(d + 1)))  # fails: wrong dimension
+        for method in setstats.ALL_METHODS:
+            scalar = []
+            for Z in Zs:
+                try:
+                    scalar.append(crossing.pvalue(method, Z, model))
+                except DomainError as err:
+                    scalar.append(err)
+            calls = self.count_inversions(monkeypatch)
+            batch = crossing.pvalue(method, Zs, model)
+            monkeypatch.undo()
+            assert len(calls) == 1, method
+            outcomes = [o for o in scalar if not isinstance(o, DomainError)]
+            assert calls[0] == sum(o.statistic > 0.0 for o in outcomes)
+            assert len(batch) == len(Zs)
+            for Z, got, want in zip(Zs, batch, scalar):
+                if isinstance(want, DomainError):
+                    assert isinstance(got, DomainError) and str(got) == str(want)
+                    continue
+                [one] = crossing.pvalue(method, [Z], model)
+                assert outcome_fields(one) == outcome_fields(want), method
+                assert outcome_fields(got)[:3] == outcome_fields(want)[:3], method
+                assert got.pvalue == pytest.approx(want.pvalue, rel=1e-12, abs=0), method
+            assert batch[4].pvalue == 1.0
+
+    def test_recursion_failure_stays_with_its_set(self, monkeypatch):
+        d = 8
+        Sigma = exchangeable(d, 0.3)
+        Zs = [setstats.ZVector(np.linspace(-1.0, s, d)) for s in (3.0, 3.5, 4.0)]
+        want = [crossing.pvalue("GHC", Z, Sigma) for Z in (Zs[0], Zs[2])]
+        stat = crossing.pvalue("GHC", Zs[1], Sigma).statistic
+        poisoned = crossing.invert_bounds(
+            "GHC", stat, d, exceedance.correlation_model(Sigma).profile).b
+        recursion = crossing.crossing_pvalue
+
+        def failing(bounds, *args, **kwargs):
+            if abs(bounds.b[-1] - poisoned[-1]) < 1e-9:
+                raise NumericalError("injected failure")
+            return recursion(bounds, *args, **kwargs)
+
+        monkeypatch.setattr(crossing, "crossing_pvalue", failing)
+        got = crossing.pvalue("GHC", Zs, Sigma)
+        assert isinstance(got[1], NumericalError)
+        for o, w in zip((got[0], got[2]), want):
+            assert o.pvalue == pytest.approx(w.pvalue, rel=1e-12, abs=0)
+        with pytest.raises(NumericalError, match="injected"):
+            crossing.pvalue("GHC", Zs[1], Sigma)
+
+    def test_empty_list(self, monkeypatch):
+        calls = self.count_inversions(monkeypatch)
+        assert crossing.pvalue("GBJ", [], np.eye(3)) == []
+        assert calls == []
 
 
 class TestRejectionRegion:

@@ -222,8 +222,11 @@ class TestMvnCdfSmall:
     def test_effective_error_recorded(self, rng):
         from tests.conftest import rand_corr
         R = rand_corr(3, rng)
-        p, err = gauss.mvn_cdf_small(0.4, R, return_error=True)
+        u = np.full(3, 0.4)
+        L, a, b = gauss._cholesky_reordered(np.full(3, -38.0), u, R)
+        p, err = gauss._lattice_integral(L, a, b, gauss.MVN_SMALL_NPTS, 8)
         assert 0 <= p <= 1 and err < 1e-5
+        assert p == gauss.mvn_cdf_small(0.4, R)
 
     def test_dimension_and_validity_errors(self):
         with pytest.raises(DomainError):

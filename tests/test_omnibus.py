@@ -181,7 +181,7 @@ class TestBatchedBootstrap:
     def assert_matches_loop(self, monkeypatch, run):
         R, dropped = run()
         with monkeypatch.context() as m:
-            m.setattr(omnibus, "_component_pvalues_many", one_set_at_a_time)
+            m.setattr(omnibus, "component_pvalues", one_set_at_a_time)
             R_ref, dropped_ref = run()
         assert dropped == dropped_ref
         np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-12)
@@ -225,6 +225,22 @@ class TestBatchedBootstrap:
         want = omnibus.repair_correlation(
             omnibus._correlate_columns(omnibus._transformed(np.array(cols))))
         np.testing.assert_allclose(run()[0], want, rtol=0, atol=1e-12)
+
+    def test_list_matches_single_sets(self, rng):
+        d = 10
+        model = correlation_model(rand_corr(d, rng, factor=1))
+        Zs = [setstats.ZVector(rng.standard_normal(d) * 1.5) for _ in range(3)]
+        Zs.insert(1, setstats.ZVector(np.ones(d + 1)))     # fails: wrong dimension
+        got = omnibus.component_pvalues(Zs, model)
+        assert isinstance(got[1], DomainError)
+        for Z, pv in zip(Zs[:1] + Zs[2:], got[:1] + got[2:]):
+            want = omnibus.component_pvalues(Z, model)
+            assert set(pv) == set(omnibus.OMNI_COMPONENTS)
+            for c in omnibus.OMNI_COMPONENTS:
+                assert pv[c] == pytest.approx(want[c], rel=1e-12, abs=0), c
+        one = [setstats.ZVector(np.array([z])) for z in (1.2, -2.5)]
+        for Z, pv in zip(one, omnibus.component_pvalues(one, np.eye(1))):
+            assert pv == dict.fromkeys(omnibus.OMNI_COMPONENTS, 2.0 * gauss.norm_sf(abs(Z.z[0])))
 
     def test_single_set_raises_its_first_failure(self, monkeypatch):
         Z = setstats.ZVector(np.array([2.5, -0.3, 1.9, 0.4, -2.2]))
