@@ -4,7 +4,8 @@ Commands: score, cov-ref, test, region, simulate.  Data goes to --out (or
 stdout; score needs --out, the prefix of its two files); diagnostics go to
 stderr; every run emits a JSON manifest recording inputs, seed, versions,
 wall time and all warnings raised in the pipeline.
-Exit codes: 0 success, 2 usage or parse failure, 3 numerical failure.
+Exit codes: 0 success, 2 usage or parse failure or an unwritable output,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -41,10 +42,6 @@ class RunManifest:
             print(payload, file=sys.stderr)
 
 
-def _versions() -> dict:
-    return {"gbjtest": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -54,11 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _manifest_path(args) -> str | None:
-    if args.manifest:
-        return args.manifest
-    if getattr(args, "out", None):
-        return args.out + ".manifest.json"
-    return None
+    return args.manifest or (args.out + ".manifest.json" if args.out else None)
 
 
 def _parse_methods(spec: str) -> list[str]:
@@ -77,13 +70,7 @@ def _parse_methods(spec: str) -> list[str]:
     return out
 
 
-def cmd_score(args) -> int:
-    manifest = RunManifest(command="score",
-                           inputs={"genotypes": args.genotypes,
-                                   "phenotype": args.phenotype,
-                                   "covariates": args.covariates},
-                           seed=args.seed, methods=[], versions=_versions())
-    t0 = time.perf_counter()
+def cmd_score(args, manifest: RunManifest) -> None:
     G = fileio.read_genotypes(args.genotypes)
     y = fileio.read_phenotype(args.phenotype)
     if y.size != G.n:
@@ -105,32 +92,18 @@ def cmd_score(args) -> int:
         manifest.warnings.append(f"dropped_columns={','.join(dropped)}")
     fileio.write_zstats(args.out + ".zstats.tsv", kept, Z.z)
     _emit(fileio.format_correlation(Sigma), args.out + ".cor.tsv")
-    manifest.wall_time_s = time.perf_counter() - t0
-    manifest.write(_manifest_path(args))
-    return 0
 
 
-def cmd_cov_ref(args) -> int:
-    manifest = RunManifest(command="cov-ref", inputs={"panel": args.panel},
-                           seed=args.seed, methods=[], versions=_versions())
-    t0 = time.perf_counter()
+def cmd_cov_ref(args, manifest: RunManifest) -> None:
     panel = fileio.read_genotypes(args.panel)
     if panel.imputed:
         manifest.warnings.append(f"mean_imputed_columns={','.join(panel.imputed)}")
     Sigma = scores.ref_panel_cov(panel, m=args.num_pcs)
     _emit(fileio.format_correlation(Sigma), args.out)
-    manifest.wall_time_s = time.perf_counter() - t0
-    manifest.write(_manifest_path(args))
-    return 0
 
 
-def cmd_test(args) -> int:
-    methods = _parse_methods(args.methods)
-    manifest = RunManifest(command="test",
-                           inputs={"zstats": args.zstats,
-                                   "correlation": args.correlation},
-                           seed=args.seed, methods=methods, versions=_versions())
-    t0 = time.perf_counter()
+def cmd_test(args, manifest: RunManifest) -> None:
+    methods = manifest.methods = _parse_methods(args.methods)
     ids, z = fileio.read_zstats(args.zstats)
     model = exceedance.correlation_model(fileio.read_correlation(args.correlation))
     if model.d != z.size:
@@ -149,7 +122,7 @@ def cmd_test(args) -> int:
             flags.append(f"bootstrap_reps={res.bootstrap_reps}")
             if res.dropped_replicates:
                 flags.append(f"bootstrap_dropped={res.dropped_replicates}")
-            manifest.warnings.extend(f for f in res.diagnostics)
+            manifest.warnings.extend(res.diagnostics)
             lines.append(f"OMNI\t{res.omni_stat:.10g}\t{res.p_omni:.6g}\tNA\t"
                          + ";".join(flags))
         else:
@@ -159,93 +132,78 @@ def cmd_test(args) -> int:
             manifest.warnings.extend(out.diagnostics)
             lines.append(f"{method}\t{out.statistic:.10g}\t{out.pvalue:.6g}\t{idx}\t{flags}")
     _emit("\n".join(lines) + "\n", args.out)
-    manifest.wall_time_s = time.perf_counter() - t0
-    manifest.write(_manifest_path(args))
-    return 0
 
 
-def cmd_region(args) -> int:
+def cmd_region(args, manifest: RunManifest) -> None:
     method = _parse_methods(args.method)[0]
     if method in ("SKAT", "OMNI"):
         raise DomainError("region applies to the boundary methods "
                           "(gbj, bj, hc, ghc, minp)")
-    manifest = RunManifest(command="region",
-                           inputs={"correlation": args.correlation},
-                           seed=args.seed, methods=[method], versions=_versions())
-    t0 = time.perf_counter()
+    manifest.methods = [method]
     model = exceedance.correlation_model(fileio.read_correlation(args.correlation))
     bounds = crossing.rejection_region(method, args.alpha, model.d, model)
     manifest.warnings.extend(bounds.diagnostics)
     _emit(crossing.region_to_tsv(bounds, method, args.alpha), args.out)
-    manifest.wall_time_s = time.perf_counter() - t0
-    manifest.write(_manifest_path(args))
-    return 0
+
+
+# Each simulate setting once: (config-file key, flag, type).  A setting given
+# neither as a flag nor in the config file takes its BlockStructure or
+# SimConfig default; d and k, which have none there, default to 20 and 0.
+SIM_SETTINGS = (
+    ("d", "--d", int),
+    ("k", "--k", int),
+    ("rho1", "--rho1", float),
+    ("rho2", "--rho2", float),
+    ("rho3", "--rho3", float),
+    ("noise_corr_fraction", "--noise-frac", float),
+    ("n", "--n", int),
+    ("maf", "--maf", float),
+    ("beta", "--beta", float),
+    ("alpha", "--alpha", float),
+    ("reps", "--reps", int),
+    ("methods", "--methods", str),
+    ("bootstrap_reps", "--bootstrap-reps", int),
+    ("seed", "--seed", int),
+)
 
 
 def _load_sim_config(args) -> simlab.SimConfig:
     cfg: dict[str, tuple[str, int]] = {}    # key -> (value, line number)
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise fileio.ParseError(f"{args.config}: cannot read ({exc})") from exc
-        for i, ln in enumerate(lines, start=1):
+        for i, ln in fileio._read_lines(args.config):
             ln = ln.strip()
-            if not ln or ln.startswith("#"):
+            if ln.startswith("#"):
                 continue
             if "=" not in ln:
                 raise fileio.ParseError(f"{args.config}:{i}: expected key=value")
             key, val = ln.split("=", 1)
             cfg[key.strip()] = (val.strip(), i)
-
-    def pick(name, flag_val, cast, default):
-        if flag_val is not None:
-            return flag_val
-        if name not in cfg:
-            return default
-        val, line = cfg[name]
-        try:
-            return cast(val)
-        except ValueError as exc:
-            raise fileio.ParseError(f"{args.config}:{line}: {name}: not a valid "
-                                    f"{cast.__name__}: {val!r}") from exc
-
-    structure = simlab.BlockStructure(
-        d=pick("d", args.d, int, 20),
-        k=pick("k", args.k, int, 0),
-        rho1=pick("rho1", args.rho1, float, 0.0),
-        rho2=pick("rho2", args.rho2, float, 0.0),
-        rho3=pick("rho3", args.rho3, float, 0.0),
-        noise_corr_fraction=pick("noise_corr_fraction", args.noise_frac, float, 0.5),
-    )
-    methods = pick("methods", args.methods, str, "gbj,bj,hc,ghc,minp,skat,omni")
-    return simlab.SimConfig(
-        structure=structure,
-        n=pick("n", args.n, int, 1000),
-        maf=pick("maf", args.maf, float, 0.3),
-        beta=pick("beta", args.beta, float, 0.0),
-        alpha=pick("alpha", args.alpha, float, 0.01),
-        reps=pick("reps", args.reps, int, 1000),
-        seed=pick("seed", args.seed, int, 0),
-        methods=tuple(_parse_methods(methods)),
-        bootstrap_reps=pick("bootstrap_reps", args.bootstrap_reps, int, 100),
-    )
+    given = {"d": 20, "k": 0}
+    for key, flag, cast in SIM_SETTINGS:
+        val = getattr(args, flag[2:].replace("-", "_"))
+        if val is None and key in cfg:
+            text, line = cfg[key]
+            try:
+                val = cast(text)
+            except ValueError as exc:
+                raise fileio.ParseError(f"{args.config}:{line}: {key}: not a valid "
+                                        f"{cast.__name__}: {text!r}") from exc
+        if val is not None:
+            given[key] = val
+    if "methods" in given:
+        given["methods"] = tuple(_parse_methods(given["methods"]))
+    block_keys = {f.name for f in fields(simlab.BlockStructure)}
+    structure = simlab.BlockStructure(**{k: v for k, v in given.items() if k in block_keys})
+    return simlab.SimConfig(structure,
+                            **{k: v for k, v in given.items() if k not in block_keys})
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, manifest: RunManifest) -> None:
     config = _load_sim_config(args)
-    manifest = RunManifest(command="simulate",
-                           inputs={"config": args.config},
-                           seed=config.seed, methods=list(config.methods),
-                           versions=_versions())
-    t0 = time.perf_counter()
+    manifest.seed, manifest.methods = config.seed, list(config.methods)
     result = simlab.run_study(config, args.mode)
     manifest.warnings.extend(result.diagnostics)
     _emit(simlab.result_to_tsv(result), args.out)
-    manifest.wall_time_s = time.perf_counter() - t0
-    manifest.write(_manifest_path(args))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,47 +232,37 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=(scores.GAUSSIAN, scores.BINOMIAL),
                     default=scores.GAUSSIAN)
     common(sp, out_prefix=True)
-    sp.set_defaults(func=cmd_score)
+    sp.set_defaults(func=cmd_score, inputs=("genotypes", "phenotype", "covariates"))
 
     sp = sub.add_parser("cov-ref", help="correlation from a reference panel")
     sp.add_argument("--panel", required=True)
     sp.add_argument("--num-pcs", type=int, default=0)
     common(sp)
-    sp.set_defaults(func=cmd_cov_ref)
+    sp.set_defaults(func=cmd_cov_ref, inputs=("panel",))
 
     sp = sub.add_parser("test", help="set-based tests from summary statistics")
     sp.add_argument("--zstats", required=True)
     sp.add_argument("--correlation", required=True)
-    sp.add_argument("--methods", default="gbj,bj,hc,ghc,minp,skat,omni")
-    sp.add_argument("--bootstrap-reps", type=int, default=100)
+    sp.add_argument("--methods", default=",".join(simlab.DEFAULT_METHODS).lower())
+    sp.add_argument("--bootstrap-reps", type=int, default=omnibus.DEFAULT_BOOTSTRAP_REPS)
     common(sp)
-    sp.set_defaults(func=cmd_test)
+    sp.set_defaults(func=cmd_test, inputs=("zstats", "correlation"))
 
     sp = sub.add_parser("region", help="rejection boundaries at a target level")
     sp.add_argument("--method", required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--correlation", required=True)
     common(sp)
-    sp.set_defaults(func=cmd_region)
+    sp.set_defaults(func=cmd_region, inputs=("correlation",))
 
     sp = sub.add_parser("simulate", help="size or power study")
     sp.add_argument("--mode", choices=(simlab.SIZE, simlab.POWER), required=True)
     sp.add_argument("--config", default=None, help="flat key=value file")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--rho1", type=float, default=None)
-    sp.add_argument("--rho2", type=float, default=None)
-    sp.add_argument("--rho3", type=float, default=None)
-    sp.add_argument("--noise-frac", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--maf", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--reps", type=int, default=None)
-    sp.add_argument("--methods", default=None)
-    sp.add_argument("--bootstrap-reps", type=int, default=None)
+    for key, flag, cast in SIM_SETTINGS:
+        if key != "seed":                   # --seed comes with common()
+            sp.add_argument(flag, type=cast)
     common(sp)
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_simulate, inputs=("config",))
     return p
 
 
@@ -324,14 +272,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    manifest = RunManifest(command=args.command,
+                           inputs={name: getattr(args, name) for name in args.inputs},
+                           seed=args.seed, methods=[],
+                           versions={"gbjtest": __version__, "numpy": np.__version__,
+                                     "scipy": scipy.__version__})
     try:
-        return args.func(args)
-    except (fileio.ParseError, DomainError, ModelError) as exc:
+        t0 = time.perf_counter()
+        args.func(args, manifest)
+        manifest.wall_time_s = time.perf_counter() - t0
+        manifest.write(_manifest_path(args))
+    except (OSError, DomainError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GBJError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

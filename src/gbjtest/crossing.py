@@ -319,9 +319,7 @@ class _BoundSearch:
             cold = np.isnan(hi)
             hi[cold] = np.minimum(base[cold] + 1.0, setstats.T_MAX)
             short = open_[cold[open_]]
-            for _ in range(14):
-                if short.size == 0:
-                    break
+            while short.size:
                 f_hi[short] = excess(hi[short], short)
                 short = short[f_hi[short] < 0.0]
                 at_max = hi[short] >= setstats.T_MAX
@@ -336,8 +334,6 @@ class _BoundSearch:
                     short = short[np.isin(row[short], reach)]
                 hi[short] = np.minimum(base[short] + 2.0 * (hi[short] - base[short]),
                                        setstats.T_MAX)
-            for r in np.unique(row[short]):
-                errors[r] = NumericalError(f"{method}: bracket expansion failed at g={gs[r]}")
             open_ = open_[~np.isin(row[open_], list(errors))]
             if open_.size:
                 roots[row[open_], col[open_]] = gauss._bracketed_roots(

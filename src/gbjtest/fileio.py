@@ -35,20 +35,29 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
         raise ParseError(f"{path}: cannot read ({exc})") from exc
 
 
-def read_phenotype(path: str) -> np.ndarray:
-    lines = _read_lines(path)
+def _read_numeric(path: str, lines: list[tuple[int, str]], width: int | None = None
+                  ) -> np.ndarray:
+    """The numeric rows ``lines`` as a matrix.  Every row must have ``width``
+    fields, by default as many as the first."""
     if not lines:
-        raise ParseError(f"{path}: empty phenotype file")
-    out = np.empty(len(lines))
+        raise ParseError(f"{path}: no data rows")
+    width = width or len(_split(lines[0][1]))
+    out = np.empty((len(lines), width))
     for k, (i, ln) in enumerate(lines):
         fields = _split(ln)
-        if len(fields) != 1:
-            raise ParseError(f"{path}:{i}: expected one value per line, got {len(fields)}")
+        if len(fields) != width:
+            raise ParseError(f"{path}:{i}: expected {width} field{'s' * (width > 1)}, "
+                             f"got {len(fields)}")
         try:
-            out[k] = float(fields[0])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: not a number: {fields[0]!r}") from exc
+            out[k] = [float(f) for f in fields]
+        except ValueError as exc:       # names the field: could not convert ... 'x'
+            raise ParseError(f"{path}:{i}: {exc}") from exc
     return out
+
+
+def read_phenotype(path: str) -> np.ndarray:
+    """One value per line."""
+    return _read_numeric(path, _read_lines(path), width=1)[:, 0]
 
 
 def _is_numeric_row(fields: list[str]) -> bool:
@@ -63,22 +72,9 @@ def _is_numeric_row(fields: list[str]) -> bool:
 def read_covariates(path: str) -> np.ndarray:
     """Covariate matrix; a non-numeric first row is treated as a header."""
     lines = _read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: empty covariate file")
-    start = 0 if _is_numeric_row(_split(lines[0][1])) else 1
-    width = len(_split(lines[start][1])) if start < len(lines) else 0
-    if width == 0:
-        raise ParseError(f"{path}: no data rows")
-    rows = []
-    for i, ln in lines[start:]:
-        fields = _split(ln)
-        if len(fields) != width:
-            raise ParseError(f"{path}:{i}: expected {width} fields, got {len(fields)}")
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: non-numeric covariate value") from exc
-    return np.array(rows)
+    if lines and not _is_numeric_row(_split(lines[0][1])):
+        lines = lines[1:]
+    return _read_numeric(path, lines)
 
 
 def read_genotypes(path: str) -> GenotypeMatrix:
@@ -145,18 +141,8 @@ def read_zstats(path: str):
 
 
 def read_correlation(path: str) -> np.ndarray:
-    lines = _read_lines(path)
-    rows = []
-    for i, ln in lines:
-        fields = _split(ln)
-        if rows and len(fields) != len(rows[0]):
-            raise ParseError(f"{path}:{i}: expected {len(rows[0])} fields, got {len(fields)}")
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: non-numeric correlation entry") from exc
-    M = np.array(rows)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = _read_numeric(path, _read_lines(path))
+    if M.shape[0] != M.shape[1]:
         raise ParseError(f"{path}: correlation matrix must be square, got {M.shape}")
     return M
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
+from scipy.special import chdtrc, chdtri, ndtri
 
 from . import crossing, gauss, scores, setstats
 from .errors import DegenerateInputError, DomainError, GBJError, NumericalError
@@ -80,13 +80,9 @@ def skat_threshold(alpha: float, Sigma: np.ndarray | CorrelationModel) -> float:
     """Observed Q at which the quadratic-form p-value equals alpha."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
-    model = correlation_model(Sigma)
-    lo, hi = 1e-8, 10.0 * model.d
-    while skat_pvalue_from_q(hi, model) > alpha:
-        hi *= 2.0
-        if hi > 1e9:
-            raise NumericalError("cannot bracket quadratic-form threshold")
-    return gauss.find_root(lambda q: skat_pvalue_from_q(q, model) - alpha, lo, hi, tol=1e-10)
+    dof, mu_q, sigma_q = _liu_params(correlation_model(Sigma).eigvals)
+    # the inverse of skat_pvalue_from_q's map from q to the chi-square scale
+    return mu_q + sigma_q * (chdtri(dof, alpha) - dof) / math.sqrt(2.0 * dof)
 
 
 def component_pvalues(Z: setstats.ZVector | list[setstats.ZVector],
@@ -107,7 +103,10 @@ def component_pvalues(Z: setstats.ZVector | list[setstats.ZVector],
     out: list = [{} for _ in Zs]
     live = []
     for i, z in enumerate(Zs):
-        if z.d == 1:
+        if z.d != model.d:
+            out[i] = DomainError(f"dimension mismatch: {z.d} statistics vs "
+                                 f"{model.d}x{model.d} correlation")
+        elif z.d == 1:
             p1 = float(min(1.0, 2.0 * gauss.norm_sf(abs(z.z[0]))))
             out[i] = dict.fromkeys(OMNI_COMPONENTS, p1)
         else:
@@ -209,7 +208,7 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
     dinv = 1.0 / np.sqrt(denom2)
     Sigma = (A.T @ A) * dinv[:, None] * dinv[None, :]
     np.fill_diagonal(Sigma, 1.0)
-    model = correlation_model(repair_correlation(0.5 * (Sigma + Sigma.T)))
+    model = correlation_model(repair_correlation(Sigma))
     n = G.n
 
     def draw(rng):

@@ -182,7 +182,7 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
                                    "increase n or adjust maf")
     Sigma_hat = (Gc.T @ Gc) / np.outer(colnorm, colnorm)
     np.fill_diagonal(Sigma_hat, 1.0)
-    Sigma_hat = correlation_model(omnibus.repair_correlation(0.5 * (Sigma_hat + Sigma_hat.T)))
+    Sigma_hat = correlation_model(omnibus.repair_correlation(Sigma_hat))
 
     diagnostics: list[str] = []
     skat_cut = omni_skat_cut = None

@@ -234,6 +234,15 @@ class TestTestCommand:
         assert rc == 2
         assert f"{cf}:2: expected 2 fields, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    def test_unwritable_output_usage_error(self, flag, tmp_path, capsys):
+        args = ["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),
+                "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                "--methods", "minp", "--out", str(tmp_path / "r.tsv")]
+        args += [flag, str(tmp_path / "absent" / "x")]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_omni_row_reports_bootstrap(self, tmp_path):
         out = str(tmp_path / "res.tsv")
         rc = cli.main(["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),

@@ -20,3 +20,20 @@ def test_parse_error_names_the_file_line_past_a_blank_line(kind, tmp_path):
     path.write_text(text)
     with pytest.raises(fileio.ParseError, match=rf"in\.txt:{line}: "):
         reader(str(path))
+
+
+# a row whose field count differs from the first data row's, on file line 3
+RAGGED_FILES = {
+    "phenotype": (fileio.read_phenotype, "1.0\n2.0\n3.0 4.0\n", "expected 1 field, got 2"),
+    "covariates": (fileio.read_covariates, "age sex\n1 2\n3\n", "expected 2 fields, got 1"),
+    "correlation": (fileio.read_correlation, "1 0\n0 1\n0\n", "expected 2 fields, got 1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RAGGED_FILES))
+def test_field_count_error_names_the_file_line(kind, tmp_path):
+    reader, text, message = RAGGED_FILES[kind]
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    with pytest.raises(fileio.ParseError, match=rf"in\.txt:3: {message}$"):
+        reader(str(path))

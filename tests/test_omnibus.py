@@ -42,10 +42,11 @@ class TestSkatLite:
             assert abs(got - mc) < 3 * se + 2e-4
 
     def test_threshold_round_trip(self, rng):
-        Sigma = rand_corr(6, rng)
-        for alpha in (0.05, 0.01):
-            q = omnibus.skat_threshold(alpha, Sigma)
-            assert omnibus.skat_pvalue_from_q(q, Sigma) == pytest.approx(alpha, rel=1e-8)
+        # the closed-form threshold inverts the p-value to rounding
+        for Sigma in (rand_corr(6, rng), np.eye(1), exchangeable(10, 0.99)):
+            for alpha in (0.5, 0.05, 0.01, 1e-6, 1e-12):
+                q = omnibus.skat_threshold(alpha, Sigma)
+                assert omnibus.skat_pvalue_from_q(q, Sigma) == pytest.approx(alpha, rel=1e-13, abs=0)
 
     def test_degenerate_rejected(self):
         Z = setstats.ZVector(np.array([1.0, 1.0]))
@@ -353,6 +354,17 @@ class TestOmnibusPipeline:
         want = 2 * gauss.norm_sf(2.3)
         for c in omnibus.OMNI_COMPONENTS:
             assert pv[c] == pytest.approx(want, rel=1e-12)
+
+    def test_size_mismatch_rejected_before_d1_collapse(self):
+        Z = setstats.ZVector(np.array([1.3]))
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            omnibus.component_pvalues(Z, np.eye(3))
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            omnibus.omnibus_test(Z, np.eye(3), B=20)
+        got = omnibus.component_pvalues([Z, setstats.ZVector(np.array([1.3, 0.2, -2.0]))],
+                                        np.eye(3))
+        assert isinstance(got[0], DomainError)
+        assert set(got[1]) == set(omnibus.OMNI_COMPONENTS)
 
     def test_full_pipeline(self, rng):
         d = 10
