@@ -169,6 +169,7 @@ SIM_SETTINGS = (
 
 def _load_sim_config(args) -> simlab.SimConfig:
     cfg: dict[str, tuple[str, int]] = {}    # key -> (value, line number)
+    known = {key for key, _, _ in SIM_SETTINGS}
     if args.config:
         for i, ln in fileio._read_lines(args.config):
             ln = ln.strip()
@@ -176,8 +177,10 @@ def _load_sim_config(args) -> simlab.SimConfig:
                 continue
             if "=" not in ln:
                 raise fileio.ParseError(f"{args.config}:{i}: expected key=value")
-            key, val = ln.split("=", 1)
-            cfg[key.strip()] = (val.strip(), i)
+            key, val = (part.strip() for part in ln.split("=", 1))
+            if key not in known:
+                raise fileio.ParseError(f"{args.config}:{i}: unknown setting {key!r}")
+            cfg[key] = (val, i)
     given = {"d": 20, "k": 0}
     for key, flag, cast in SIM_SETTINGS:
         val = getattr(args, flag[2:].replace("-", "_"))
@@ -213,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, out_prefix=False):
-        sp.add_argument("--seed", type=int, default=None,
-                        help="master seed for all randomized components "
-                             "(default 0 where one is needed)")
         if out_prefix:
             sp.add_argument("--out", required=True, help="output prefix: writes "
                             "<out>.zstats.tsv and <out>.cor.tsv")
@@ -245,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--correlation", required=True)
     sp.add_argument("--methods", default=",".join(simlab.DEFAULT_METHODS).lower())
     sp.add_argument("--bootstrap-reps", type=int, default=omnibus.DEFAULT_BOOTSTRAP_REPS)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the omnibus bootstrap (default 0)")
     common(sp)
     sp.set_defaults(func=cmd_test, inputs=("zstats", "correlation"))
 
@@ -259,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=(simlab.SIZE, simlab.POWER), required=True)
     sp.add_argument("--config", default=None, help="flat key=value file")
     for key, flag, cast in SIM_SETTINGS:
-        if key != "seed":                   # --seed comes with common()
-            sp.add_argument(flag, type=cast)
+        sp.add_argument(flag, type=cast)
     common(sp)
     sp.set_defaults(func=cmd_simulate, inputs=("config",))
     return p
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     manifest = RunManifest(command=args.command,
                            inputs={name: getattr(args, name) for name in args.inputs},
-                           seed=args.seed, methods=[],
+                           seed=getattr(args, "seed", None), methods=[],
                            versions={"gbjtest": __version__, "numpy": np.__version__,
                                      "scipy": scipy.__version__})
     try:

@@ -31,7 +31,7 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read ({exc})") from exc
 
 

@@ -4,9 +4,9 @@ The standard normal survival function and density, normalized Hermite
 polynomials, the joint absolute tail of a bivariate normal at many
 correlations, the correlation-matrix check, a deterministic integrator for
 low-dimension multivariate normal rectangles, and bracketed root-finding.
-``hermite`` and ``bivar_abs_tail_quadrature`` are slow scalar references
-that the vectorized kernels are tested against.  Everything here is a pure
-function; nothing caches mutable state, so concurrent use is unrestricted.
+The slow scalar references these kernels are tested against live with the
+tests.  Everything here is a pure function; nothing caches mutable state, so
+concurrent use is unrestricted.
 """
 
 from __future__ import annotations
@@ -53,20 +53,6 @@ def norm_sf(t):
 def norm_pdf(t):
     t = np.asarray(t, dtype=float)
     return np.exp(-0.5 * t * t) / _SQRT_2PI
-
-
-def hermite(r: int, t: float) -> float:
-    """Probabilists' Hermite polynomial H_r(t) by the three-term recurrence."""
-    if r < 0 or r != int(r):
-        raise DomainError(f"hermite order must be a non-negative integer, got {r!r}")
-    if r > 64:
-        raise DomainError(f"hermite order limited to 64, got {r}")
-    prev, curr = 1.0, t
-    if r == 0:
-        return 1.0
-    for k in range(1, r):
-        prev, curr = curr, t * curr - k * prev
-    return curr
 
 
 def hermite_normalized(r_max: int, t):
@@ -162,28 +148,6 @@ def bivar_abs_tail_many(t, rhos: np.ndarray) -> np.ndarray:
     view *= scales
     view += bases
     return acc.reshape(ts.shape + rhos.shape)
-
-
-def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
-    """Oracle: the same probability by 2-D adaptive quadrature over the four
-    tail quadrants.  Slow; intended for tests only."""
-    from scipy.integrate import dblquad
-
-    if t < 0:
-        raise DomainError(f"bivar_abs_tail_quadrature requires t >= 0, got {t!r}")
-    det = 1.0 - rho * rho
-
-    def dens(y, x):
-        return math.exp(-(x * x - 2.0 * rho * x * y + y * y) / (2.0 * det)) / (2.0 * math.pi * math.sqrt(det))
-
-    hi = t + 9.0
-    total = 0.0
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            val, _ = dblquad(lambda y, x: dens(sy * y, sx * x), t, hi, t, hi,
-                             epsabs=1e-12, epsrel=1e-11)
-            total += val
-    return total
 
 
 def check_correlation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -193,22 +193,19 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
                               seed: int = 0):
     """Individual-level bootstrap: simulate outcomes from the fitted null per
     subject, rebuild the score vector against the original fit, and correlate
-    the four transformed component p-values.
+    the four transformed component p-values.  The replicates score the
+    columns ``scores.score_stats`` keeps (``scores.score_basis``): a column in
+    the covariate span is left out of both, and both refuse a null fit that
+    did not converge.
 
     Returns (R_hat, dropped_count).
     """
     if B < 20:
         raise DomainError(f"bootstrap needs B >= 20 replicates, got {B}")
-    X = np.asarray(X, dtype=float)
-    # denominators and correlation do not involve the outcome; fixed per set
-    A = scores._residualize_weighted(G.values, X, fit.weights)
-    denom2 = np.einsum("ij,ij->j", A, A)
-    if np.any(denom2 <= 0):
-        raise DegenerateInputError("genotype column in covariate span")
-    dinv = 1.0 / np.sqrt(denom2)
-    Sigma = (A.T @ A) * dinv[:, None] * dinv[None, :]
-    np.fill_diagonal(Sigma, 1.0)
+    # the kept columns, denominators and correlation do not involve the outcome
+    keep, denom2, Sigma = scores.score_basis(G, fit, X)
     model = correlation_model(repair_correlation(Sigma))
+    dinv = 1.0 / np.sqrt(denom2)
     n = G.n
 
     def draw(rng):
@@ -216,7 +213,7 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
             ystar = fit.mu0 + math.sqrt(fit.dispersion) * rng.standard_normal(n)
         else:
             ystar = (rng.uniform(size=n) < fit.mu0).astype(float)
-        return (G.values.T @ (ystar - fit.mu0)) * dinv
+        return (G.values.T @ (ystar - fit.mu0))[keep] * dinv
 
     return _bootstrap_replicates(draw, model, B, seed)
 

@@ -140,15 +140,19 @@ def _residualize_weighted(G: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.nda
     return A - Q @ (Q.T @ A)
 
 
-def score_stats(G: GenotypeMatrix, fit: NullModelFit, X: np.ndarray):
-    """Marginal score statistics and their estimated correlation.
+def column_corr(A: np.ndarray, denom2: np.ndarray) -> np.ndarray:
+    """Column correlation A_j'A_k / sqrt(denom2_j denom2_k), where denom2_j =
+    A_j'A_j, with a unit diagonal and exactly symmetric."""
+    dinv = 1.0 / np.sqrt(denom2)
+    Sigma = (A.T @ A) * dinv[:, None] * dinv[None, :]
+    np.fill_diagonal(Sigma, 1.0)
+    return 0.5 * (Sigma + Sigma.T)
 
-    Z_j = G_j'(y - mu0) / sqrt(G_j' P G_j); Sigma_jk is the corresponding
-    normalized cross form.  Genotype columns inside the covariate span are
-    dropped and reported.
 
-    Returns (ZVector, Sigma, kept_ids, dropped_ids).
-    """
+def score_basis(G: GenotypeMatrix, fit: NullModelFit, X: np.ndarray):
+    """The outcome-free part of the score statistics, (keep, denom2, Sigma):
+    the mask of the columns outside the covariate span (G_j' P G_j above
+    1e-10 (1 + mean G_j'G_j)), their G_j' P G_j and their correlation."""
     X = np.asarray(X, dtype=float)
     if G.n != X.shape[0] or G.n != fit.mu0.size:
         raise DomainError(f"dimension mismatch: genotypes n={G.n}, covariates "
@@ -159,19 +163,24 @@ def score_stats(G: GenotypeMatrix, fit: NullModelFit, X: np.ndarray):
     denom2 = np.einsum("ij,ij->j", A, A)
     scale = float(np.mean(np.einsum("ij,ij->j", G.values, G.values))) + 1.0
     keep = denom2 > 1e-10 * scale
-    dropped = tuple(gid for gid, k in zip(G.ids, keep) if not k)
     if not np.any(keep):
         raise DegenerateInputError("every genotype column lies in the covariate span")
-    A = A[:, keep]
-    denom2 = denom2[keep]
-    num = G.values[:, keep].T @ fit.residual
-    z = num / np.sqrt(denom2)
-    cross = A.T @ A
-    dinv = 1.0 / np.sqrt(denom2)
-    Sigma = cross * dinv[:, None] * dinv[None, :]
-    np.fill_diagonal(Sigma, 1.0)
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    return keep, denom2[keep], column_corr(A[:, keep], denom2[keep])
+
+
+def score_stats(G: GenotypeMatrix, fit: NullModelFit, X: np.ndarray):
+    """Marginal score statistics and their estimated correlation.
+
+    Z_j = G_j'(y - mu0) / sqrt(G_j' P G_j); Sigma_jk is the corresponding
+    normalized cross form.  Genotype columns inside the covariate span are
+    dropped and reported.
+
+    Returns (ZVector, Sigma, kept_ids, dropped_ids).
+    """
+    keep, denom2, Sigma = score_basis(G, fit, X)
+    z = (G.values[:, keep].T @ fit.residual) / np.sqrt(denom2)
     kept_ids = tuple(gid for gid, k in zip(G.ids, keep) if k)
+    dropped = tuple(gid for gid, k in zip(G.ids, keep) if not k)
     return ZVector(z), Sigma, kept_ids, dropped
 
 
@@ -200,7 +209,4 @@ def ref_panel_cov(G_ref: GenotypeMatrix, m: int = 0) -> np.ndarray:
     if np.any(denom2 <= 1e-12):
         bad = [G_ref.ids[i] for i in np.nonzero(denom2 <= 1e-12)[0]]
         raise DegenerateInputError(f"constant or PC-explained panel columns: {bad}")
-    dinv = 1.0 / np.sqrt(denom2)
-    Sigma = (C.T @ C) * dinv[:, None] * dinv[None, :]
-    np.fill_diagonal(Sigma, 1.0)
-    return 0.5 * (Sigma + Sigma.T)
+    return column_corr(C, denom2)

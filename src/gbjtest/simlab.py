@@ -26,7 +26,7 @@ from scipy.special import ndtri
 from . import crossing, omnibus, setstats
 from .errors import DegenerateInputError, DomainError
 from .exceedance import CorrelationModel, correlation_model
-from .scores import GenotypeMatrix
+from .scores import GenotypeMatrix, column_corr
 
 SIZE = "size"
 POWER = "power"
@@ -176,13 +176,12 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
         raise DomainError("power mode needs at least one causal column")
     G = sim_genotypes(n, _block_model(st), config.maf, seed=[config.seed, 0])
     Gc = G.values - G.values.mean(axis=0)
-    colnorm = np.sqrt(np.einsum("ij,ij->j", Gc, Gc))
+    denom2 = np.einsum("ij,ij->j", Gc, Gc)
+    colnorm = np.sqrt(denom2)
     if np.any(colnorm <= 0):
         raise DegenerateInputError("simulated genotype column is constant; "
                                    "increase n or adjust maf")
-    Sigma_hat = (Gc.T @ Gc) / np.outer(colnorm, colnorm)
-    np.fill_diagonal(Sigma_hat, 1.0)
-    Sigma_hat = correlation_model(omnibus.repair_correlation(Sigma_hat))
+    Sigma_hat = correlation_model(omnibus.repair_correlation(column_corr(Gc, denom2)))
 
     diagnostics: list[str] = []
     skat_cut = omni_skat_cut = None

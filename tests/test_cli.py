@@ -66,6 +66,7 @@ class TestScoreCommand:
         with open(out + ".manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["command"] == "score"
+        assert manifest["seed"] is None
 
     def test_duplicate_columns_unit_correlation(self, tmp_path):
         rows = [(0, 0), (1, 1), (2, 2), (0, 0), (1, 1), (2, 2), (1, 1), (0, 0)]
@@ -110,6 +111,20 @@ class TestScoreCommand:
         assert run.returncode == 2
         assert "--out" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_covariate_span_column_dropped_and_reported(self, toy_dataset, tmp_path):
+        geno, pheno = toy_dataset
+        covs = write(tmp_path / "covs.tsv",
+                     "bcopy\n" + "\n".join("10121020") + "\n")   # column b
+        out = str(tmp_path / "span")
+        assert cli.main(["score", "--genotypes", geno, "--phenotype", pheno,
+                        "--covariates", covs, "--out", out]) == 0
+        from gbjtest import fileio
+        ids, _ = fileio.read_zstats(out + ".zstats.tsv")
+        assert ids == ("a", "c")
+        assert np.loadtxt(out + ".cor.tsv").shape == (2, 2)
+        with open(out + ".manifest.json") as fh:
+            assert "dropped_columns=b" in json.load(fh)["warnings"]
 
     def test_binomial_family_end_to_end(self, tmp_path, rng):
         n, d = 60, 3
@@ -234,6 +249,15 @@ class TestTestCommand:
         assert rc == 2
         assert f"{cf}:2: expected 2 fields, got 1" in capsys.readouterr().err
 
+    def test_non_utf8_input_usage_error(self, tmp_path, capsys):
+        zf = tmp_path / "z.tsv"
+        zf.write_bytes(b"\xffsnp_id\tz\ns1\t2.0\n")
+        rc = cli.main(["test", "--zstats", str(zf),
+                       "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                       "--methods", "minp", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {zf}: cannot read")
+
     @pytest.mark.parametrize("flag", ["--out", "--manifest"])
     def test_unwritable_output_usage_error(self, flag, tmp_path, capsys):
         args = ["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),
@@ -335,6 +359,11 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"{cfg}:4: d:" in err and "'abc'" in err
 
+    def test_unknown_config_key_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "study.cfg", "n=300\nrhoo3=0.4\n")
+        assert cli.main(["simulate", "--mode", "size", "--config", cfg]) == 2
+        assert f"{cfg}:2: unknown setting 'rhoo3'" in capsys.readouterr().err
+
     def test_missing_config_file_usage_error(self, tmp_path, capsys):
         cfg = str(tmp_path / "absent.cfg")
         assert cli.main(["simulate", "--mode", "size", "--config", cfg]) == 2
@@ -385,3 +414,18 @@ def test_unknown_method_rejected(tmp_path):
     rc = cli.main(["test", "--zstats", zf, "--correlation", cf,
                    "--methods", "banana", "--out", str(tmp_path / "r")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["score", "cov-ref", "region"])
+def test_seed_only_where_something_is_drawn(command, toy_dataset, tmp_path):
+    # score, cov-ref and region draw no random number, so they take no --seed
+    geno, pheno = toy_dataset
+    args = {"score": ["--genotypes", geno, "--phenotype", pheno],
+            "cov-ref": ["--panel", geno],
+            "region": ["--method", "gbj", "--alpha", "0.01", "--correlation",
+                       os.path.join(FIXTURES, "golden_cor.tsv")]}[command]
+    out = str(tmp_path / "o")
+    assert cli.main([command, *args, "--seed", "1", "--out", out]) == 2
+    mf = str(tmp_path / "m.json")
+    assert cli.main([command, *args, "--out", out, "--manifest", mf]) == 0
+    assert json.load(open(mf))["seed"] is None

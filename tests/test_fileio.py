@@ -37,3 +37,10 @@ def test_field_count_error_names_the_file_line(kind, tmp_path):
     path.write_text(text)
     with pytest.raises(fileio.ParseError, match=rf"in\.txt:3: {message}$"):
         reader(str(path))
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xff\xfe1.0\n")
+    with pytest.raises(fileio.ParseError, match=r"in\.txt: cannot read \(.*utf-8"):
+        fileio.read_phenotype(str(path))

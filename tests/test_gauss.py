@@ -9,6 +9,7 @@ from scipy.special import ndtr, ndtri
 
 from gbjtest import gauss
 from gbjtest.errors import BracketError, DomainError
+from tests.conftest import bivar_abs_tail_quadrature, hermite
 
 
 def normal_quantile_oracle(p):
@@ -92,30 +93,30 @@ class TestStdNormalInv:
 
 class TestHermite:
     def test_low_orders(self):
-        assert gauss.hermite(0, 3.7) == 1.0
-        assert gauss.hermite(2, 3.0) == 8.0       # t^2 - 1
-        assert gauss.hermite(3, 2.0) == 2.0       # t^3 - 3t
+        assert hermite(0, 3.7) == 1.0
+        assert hermite(2, 3.0) == 8.0       # t^2 - 1
+        assert hermite(3, 2.0) == 2.0       # t^3 - 3t
 
     def test_recurrence_identity(self, rng):
         ts = rng.uniform(-5, 5, size=1000)
         for t in ts:
             for r in range(1, 20):
-                lhs = gauss.hermite(r + 1, t)
-                rhs = t * gauss.hermite(r, t) - r * gauss.hermite(r - 1, t)
+                lhs = hermite(r + 1, t)
+                rhs = t * hermite(r, t) - r * hermite(r - 1, t)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
     def test_normalized_matches_raw(self):
         t = 1.7
         h = gauss.hermite_normalized(12, np.array(t))
         for r in range(12):
-            assert h[r] == pytest.approx(gauss.hermite(r, t) / math.sqrt(math.factorial(r)),
+            assert h[r] == pytest.approx(hermite(r, t) / math.sqrt(math.factorial(r)),
                                          rel=1e-12)
 
     def test_order_limits(self):
         with pytest.raises(DomainError):
-            gauss.hermite(-1, 0.0)
+            hermite(-1, 0.0)
         with pytest.raises(DomainError):
-            gauss.hermite(65, 0.0)
+            hermite(65, 0.0)
 
 
 class TestBivarAbsTail:
@@ -134,7 +135,7 @@ class TestBivarAbsTail:
 
     def test_against_quadrature_oracle(self):
         for t, rho in [(1.0, 0.5), (0.5, 0.3), (2.0, 0.7), (3.0, -0.9), (2.5, 0.95)]:
-            q = gauss.bivar_abs_tail_quadrature(t, rho)
+            q = bivar_abs_tail_quadrature(t, rho)
             assert abs(gauss.bivar_abs_tail_many(t, np.array([rho]))[0] - q) < 1e-8
 
     def test_sign_symmetry(self, rng):

@@ -9,7 +9,8 @@ from scipy.special import chdtrc, ndtri
 from scipy.stats import chi2
 
 from gbjtest import crossing, gauss, omnibus, scores, setstats
-from gbjtest.errors import DegenerateInputError, DomainError, GBJError, NumericalError
+from gbjtest.errors import (DegenerateInputError, DomainError, GBJError, ModelError,
+                            NumericalError)
 from gbjtest.exceedance import correlation_model
 from tests.conftest import exchangeable, rand_corr
 
@@ -158,6 +159,55 @@ class TestBootstrapCorr:
         fit = scores.fit_null(y, X, "binomial")
         R, dropped = omnibus.bootstrap_corr_individual(fit, G, X, B=30, seed=5)
         assert R.shape == (4, 4) and dropped < 15
+
+    @staticmethod
+    def covariate_span_design(seed):
+        """Five genotype columns, the third equal to the second covariate."""
+        rng = np.random.default_rng(seed)
+        n = 200
+        g = rng.binomial(2, 0.3, size=(n, 5)).astype(float)
+        X = np.column_stack([np.ones(n), rng.binomial(2, 0.4, size=n).astype(float)])
+        g[:, 2] = X[:, 1]
+        fit = scores.fit_null(X @ [0.2, 0.1] + rng.standard_normal(n), X, "gaussian")
+        return g, X, fit
+
+    @pytest.mark.parametrize("seed", [3, 6])
+    def test_individual_mode_scores_the_columns_score_stats_keeps(self, seed):
+        g, X, fit = self.covariate_span_design(seed)
+        G = scores.GenotypeMatrix(values=g, ids=tuple("abcde"))
+        assert scores.score_stats(G, fit, X)[3] == ("c",)
+        reduced = scores.GenotypeMatrix(values=np.delete(g, 2, axis=1), ids=tuple("abde"))
+        R, dropped = omnibus.bootstrap_corr_individual(fit, G, X, B=30, seed=seed)
+        R_ref, dropped_ref = omnibus.bootstrap_corr_individual(fit, reduced, X, B=30,
+                                                               seed=seed)
+        assert dropped == dropped_ref
+        np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-12)
+
+    def test_individual_mode_every_column_in_span(self):
+        _, X, fit = self.covariate_span_design(3)
+        G = scores.GenotypeMatrix(values=np.column_stack([X[:, 1], 2.0 * X[:, 1]]),
+                                  ids=("a", "b"))
+        with pytest.raises(DegenerateInputError, match="covariate span"):
+            omnibus.bootstrap_corr_individual(fit, G, X, B=20, seed=0)
+
+    def test_individual_mode_refuses_unconverged_fit(self):
+        rng = np.random.default_rng(1)
+        n = 100
+        x = rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), x])
+        with np.errstate(over="ignore"):
+            fit = scores.fit_null((x > 0).astype(float), X, "binomial")   # separated
+        assert not fit.converged
+        G = scores.GenotypeMatrix(values=rng.binomial(2, 0.3, size=(n, 4)).astype(float),
+                                  ids=tuple("abcd"))
+        with pytest.raises(ModelError, match="did not converge"):
+            omnibus.bootstrap_corr_individual(fit, G, X, B=20, seed=1)
+
+    def test_individual_mode_fit_size_mismatch(self):
+        g, X, fit = self.covariate_span_design(3)
+        G = scores.GenotypeMatrix(values=g[:-1], ids=tuple("abcde"))
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            omnibus.bootstrap_corr_individual(fit, G, X[:-1], B=20, seed=0)
 
 
 def one_set_at_a_time(Zs, model):

@@ -7,7 +7,7 @@ from scipy.stats import binom
 
 from gbjtest import exceedance, gauss, setstats
 from gbjtest.errors import DegenerateInputError, DomainError
-from tests.conftest import exchangeable, rand_corr
+from tests.conftest import exchangeable, hermite, rand_corr
 
 
 class TestSolveMu:
@@ -57,8 +57,8 @@ def straight_line_gbj_objective(t, j, d, Sigma):
         pb = math.exp(-0.5 * (-t - mu) ** 2) / math.sqrt(2 * math.pi)
         sA = sB = sC = 0.0
         for r in range(1, 11):
-            ha = gauss.hermite(r - 1, t - mu)
-            hb = gauss.hermite(r - 1, -t - mu)
+            ha = hermite(r - 1, t - mu)
+            hb = hermite(r - 1, -t - mu)
             sA += rbar[r - 1] / math.factorial(r) * ha * ha
             sB += rbar[r - 1] / math.factorial(r) * hb * hb
             sC += rbar[r - 1] / math.factorial(r) * ha * hb
