@@ -116,8 +116,9 @@ def cmd_test(args, manifest: RunManifest) -> None:
             p = omnibus.skat_lite(Z, model)
             lines.append(f"SKAT\t{q:.10g}\t{p:.6g}\tNA\t-")
         elif method == "OMNI":
+            manifest.seed = args.seed or 0      # the seed drawn with, so a rerun can match
             res = omnibus.omnibus_test(Z, model, B=args.bootstrap_reps,
-                                       seed=args.seed or 0)
+                                       seed=manifest.seed)
             flags = list(res.diagnostics)
             flags.append(f"bootstrap_reps={res.bootstrap_reps}")
             if res.dropped_replicates:

@@ -2,12 +2,16 @@
 
 Whitespace- or comma-delimited inputs: phenotype (one value per line),
 covariates (n rows, optional header), genotypes (header row of SNP ids,
-missing entries coded NA or -1, mean-imputed with a flag).  Outputs are TSV
-with a one-line header; 'inf' and 'NA' are the literals for infinities and
-absent values.
+missing entries coded NA or -1, mean-imputed with a flag).  Every number
+must be finite; a malformed field is reported with its file line.  Outputs
+are TSV with a one-line header; 'inf' and 'NA' are the literals for
+infinities and absent values.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import compress
 
 import numpy as np
 
@@ -17,6 +21,10 @@ from .scores import GenotypeMatrix
 
 class ParseError(DomainError):
     """Malformed input file; message carries the offending line number."""
+
+
+# a genotype field that is exactly NA (any case), bounded by separators
+_NA_FIELD = re.compile(r"(?<![^\s,])NA(?![^\s,])", re.IGNORECASE)
 
 
 def _split(line: str) -> list[str]:
@@ -38,7 +46,8 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
 def _read_numeric(path: str, lines: list[tuple[int, str]], width: int | None = None
                   ) -> np.ndarray:
     """The numeric rows ``lines`` as a matrix.  Every row must have ``width``
-    fields, by default as many as the first."""
+    fields, by default as many as the first, and every field must be a
+    finite number."""
     if not lines:
         raise ParseError(f"{path}: no data rows")
     width = width or len(_split(lines[0][1]))
@@ -52,6 +61,11 @@ def _read_numeric(path: str, lines: list[tuple[int, str]], width: int | None = N
             out[k] = [float(f) for f in fields]
         except ValueError as exc:       # names the field: could not convert ... 'x'
             raise ParseError(f"{path}:{i}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        k, j = bad[0]
+        raise ParseError(f"{path}:{lines[k][0]}: not a finite number: "
+                         f"{_split(lines[k][1])[j]!r}")
     return out
 
 
@@ -89,37 +103,16 @@ def read_genotypes(path: str) -> GenotypeMatrix:
     ids = tuple(_split(lines[0][1]))
     if _is_numeric_row(list(ids)):
         raise ParseError(f"{path}:{lines[0][0]}: first row must be SNP identifiers, found numbers")
-    d = len(ids)
-    n = len(lines) - 1
-    vals = np.empty((n, d))
-    missing = np.zeros((n, d), dtype=bool)
-    for k, (i, ln) in enumerate(lines[1:]):
-        fields = _split(ln)
-        if len(fields) != d:
-            raise ParseError(f"{path}:{i}: expected {d} fields, got {len(fields)}")
-        for j, f in enumerate(fields):
-            if f.upper() == "NA":
-                missing[k, j] = True
-                vals[k, j] = np.nan
-                continue
-            try:
-                x = float(f)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{i}: bad genotype value {f!r}") from exc
-            if x == -1.0:
-                missing[k, j] = True
-                vals[k, j] = np.nan
-            else:
-                vals[k, j] = x
-    imputed = []
-    for j in range(d):
-        mj = missing[:, j]
-        if np.any(mj):
-            if np.all(mj):
-                raise ParseError(f"{path}: column {ids[j]} entirely missing")
-            vals[mj, j] = np.nanmean(vals[:, j])
-            imputed.append(ids[j])
-    return GenotypeMatrix(values=vals, ids=ids, imputed=tuple(imputed))
+    vals = _read_numeric(path, [(i, _NA_FIELD.sub("-1", ln)) for i, ln in lines[1:]],
+                         width=len(ids))
+    missing = vals == -1.0
+    n_missing = missing.sum(axis=0)
+    n_kept = vals.shape[0] - n_missing
+    if not np.all(n_kept):
+        raise ParseError(f"{path}: column {ids[np.argmin(n_kept)]} entirely missing")
+    means = np.where(missing, 0.0, vals).sum(axis=0) / n_kept
+    return GenotypeMatrix(values=np.where(missing, means, vals), ids=ids,
+                          imputed=tuple(compress(ids, n_missing)))
 
 
 def read_zstats(path: str):
@@ -127,17 +120,12 @@ def read_zstats(path: str):
     lines = _read_lines(path)
     if len(lines) < 2:
         raise ParseError(f"{path}: need header plus at least one statistic row")
-    ids, zs = [], []
-    for i, ln in lines[1:]:
-        fields = _split(ln)
+    rows = [(i, _split(ln)) for i, ln in lines[1:]]
+    for i, fields in rows:
         if len(fields) != 2:
             raise ParseError(f"{path}:{i}: expected (snp_id, z), got {len(fields)} fields")
-        try:
-            zs.append(float(fields[1]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: bad z value {fields[1]!r}") from exc
-        ids.append(fields[0])
-    return tuple(ids), np.array(zs)
+    z = _read_numeric(path, [(i, fields[1]) for i, fields in rows], width=1)[:, 0]
+    return tuple(fields[0] for _, fields in rows), z
 
 
 def read_correlation(path: str) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DegenerateInputError, DomainError, ModelError
 from .setstats import ZVector
@@ -75,12 +76,14 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
     gaussian: closed-form least squares, dispersion = residual MSE.
     binomial: logistic IRLS to gradient norm < 1e-8 (or 50 iterations, then
     flagged as non-converged rather than raising; perfect separation lands
-    here).
+    here).  A constant outcome has no finite fit and is refused.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise DomainError(f"incompatible shapes: y {y.shape}, X {X.shape}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
+        raise DomainError("outcome and covariates must be finite")
     n, q = X.shape
     if n <= q:
         raise ModelError(f"need more subjects ({n}) than covariates ({q})")
@@ -101,12 +104,13 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
     if family == BINOMIAL:
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise DomainError("binomial outcome must be coded 0/1")
+        if y.min() == y.max():
+            raise ModelError(f"binomial outcome is constant (every value is {y[0]:g}); "
+                             "the null model has no finite fit")
         alpha = np.zeros(q)
         converged = False
         for _ in range(IRLS_MAX_ITER):
-            eta = X @ alpha
-            mu = 1.0 / (1.0 + np.exp(-eta))
-            mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
+            mu = np.clip(expit(X @ alpha), 1e-10, 1.0 - 1e-10)
             grad = X.T @ (y - mu)
             if np.linalg.norm(grad) < IRLS_TOL:
                 converged = True
@@ -123,7 +127,7 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
             # fitted probabilities saturated: separation, the MLE diverges and
             # the vanishing gradient is spurious
             converged = False
-        mu0 = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-10, 1.0 - 1e-10)
+        mu0 = np.clip(expit(eta), 1e-10, 1.0 - 1e-10)
         return NullModelFit(family=BINOMIAL, alpha_hat=alpha, mu0=mu0,
                             weights=mu0 * (1.0 - mu0), dispersion=1.0,
                             residual=y - mu0, converged=converged)

@@ -155,6 +155,24 @@ class TestScoreCommand:
             manifest = json.load(fh)
         assert any("mean_imputed" in w for w in manifest["warnings"])
 
+    def test_non_finite_covariate_usage_error(self, toy_dataset, tmp_path, capsys):
+        # a nan covariate used to end in a LinAlgError traceback and exit 1
+        geno, pheno = toy_dataset
+        covs = write(tmp_path / "covs.tsv", "age\n" + "\n".join("1234n678")
+                     .replace("n", "nan") + "\n")
+        rc = cli.main(["score", "--genotypes", geno, "--phenotype", pheno,
+                       "--covariates", covs, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {covs}:6: not a finite number: 'nan'\n"
+
+    def test_constant_binomial_outcome_usage_error(self, toy_dataset, tmp_path, capsys):
+        geno, _ = toy_dataset
+        pheno = write(tmp_path / "y.txt", "0\n" * 8)
+        rc = cli.main(["score", "--genotypes", geno, "--phenotype", pheno,
+                       "--family", "binomial", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: binomial outcome is constant")
+
 
 class TestCovRefCommand:
     def test_m0_sample_correlation(self, tmp_path, rng):
@@ -278,6 +296,16 @@ class TestTestCommand:
         assert row[0] == "OMNI"
         assert "bootstrap_reps=40" in row[4]
         assert 0.0 < float(row[2]) <= 1.0
+
+    @pytest.mark.parametrize("methods, seed", [("omni", 0), ("gbj,minp", None)])
+    def test_manifest_records_the_seed_drawn_with(self, methods, seed, tmp_path):
+        # without --seed the omnibus bootstrap draws with seed 0; runs that
+        # draw nothing record none
+        out = str(tmp_path / "res.tsv")
+        assert cli.main(["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),
+                         "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                         "--methods", methods, "--bootstrap-reps", "20", "--out", out]) == 0
+        assert json.load(open(out + ".manifest.json"))["seed"] == seed
 
 
 class TestRegionCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,33 @@ class TestFitNull:
         y = (x > 0).astype(float)
         fit = scores.fit_null(y, X, "binomial")
         assert not fit.converged
+
+    def test_separated_fit_raises_no_overflow_warning(self):
+        # y = (x > 0) at n = 100 drives |eta| past where exp(-eta) overflows
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(100)
+        X = np.column_stack([np.ones(100), x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = scores.fit_null((x > 0).astype(float), X, "binomial")
+        assert not fit.converged
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_constant_binomial_outcome_refused(self, value):
+        # the intercept-only fit of an all-0 outcome used to stop at alpha = -22
+        # with a gradient under tolerance and report converged=True
+        with pytest.raises(ModelError, match=f"outcome is constant .every value is {value:g}"):
+            scores.fit_null(np.full(40, value), np.ones((40, 1)), "binomial")
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("where", ["y", "X"])
+    def test_non_finite_input_refused(self, family, where, rng):
+        n = 30
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+        (y if where == "y" else X)[3, ...] = np.nan
+        with pytest.raises(DomainError, match="must be finite"):
+            scores.fit_null(y, X, family)
 
     def test_unknown_family(self, rng):
         with pytest.raises(DomainError):
