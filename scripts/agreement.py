@@ -1,0 +1,83 @@
+"""P-value agreement of two checkouts on the benchmark's workloads.
+
+    python scripts/agreement.py run CHECKOUT SEED OUT.json
+    python scripts/agreement.py compare BASE.json NEW.json
+
+``run`` computes rounds 0 and 1 of the scan, large_set and calibrate
+workloads of ``perfbench.workloads`` at SEED in a fresh process that imports
+gbjtest from CHECKOUT/src, and writes every item's outputs (p-values,
+simulated (rate, se) pairs and region bounds) as JSON.  ``compare`` prints
+the largest relative difference per workload and output, with the item where
+it occurs, and exits 1 when the two files do not hold the same outputs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("scan", "large_set", "calibrate")
+ROUNDS = (0, 1)
+
+
+def run(checkout: str, seed: str, out: str) -> int:
+    src = Path(checkout).resolve() / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT)]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, __file__, "child", str(src), seed, out],
+                          env=env).returncode
+
+
+def child(src: str, seed: str, out: str) -> int:
+    import numpy as np
+
+    import gbjtest
+    from perfbench import workloads
+
+    if Path(src) not in Path(gbjtest.__file__).resolve().parents:
+        sys.exit(f"gbjtest was imported from {gbjtest.__file__}, not from {src}")
+    outputs = {}
+    for workload in WORKLOADS:
+        for r in ROUNDS:
+            for item in workloads.build_round(workload, int(seed), r):
+                outputs[item.id] = {key: np.ravel(getattr(value, "b", value)).tolist()
+                                    for key, value in item.run().items()}
+    Path(out).write_text(json.dumps(outputs, indent=1))
+    return 0
+
+
+def _rel(x: float, y: float) -> float:
+    return 0.0 if x == y else abs(x - y) / abs(x) if x else float("inf")
+
+
+def _shape(outputs: dict) -> dict:
+    return {item: {key: len(v) for key, v in outs.items()} for item, outs in outputs.items()}
+
+
+def compare(base: str, new: str) -> int:
+    a, b = (json.loads(Path(path).read_text()) for path in (base, new))
+    if _shape(a) != _shape(b):
+        print("the two files do not hold the same items and outputs")
+        return 1
+    worst: dict[tuple[str, str], tuple[float, str]] = {}
+    for item, outs in a.items():
+        for key, xs in outs.items():
+            diff = max(_rel(x, y) for x, y in zip(xs, b[item][key]))
+            cell = (item.split("/")[0], key)
+            if diff >= worst.get(cell, (-1.0, ""))[0]:
+                worst[cell] = (diff, item)
+    print("workload\toutput\tmax_rel_diff\titem")
+    for (workload, key), (diff, item) in sorted(worst.items()):
+        print(f"{workload}\t{key}\t{diff:.3g}\t{item}")
+    return 0
+
+
+if __name__ == "__main__":
+    modes = {"run": run, "child": child, "compare": compare}
+    if len(sys.argv) < 2 or sys.argv[1] not in modes:
+        sys.exit(__doc__)
+    sys.exit(modes[sys.argv[1]](*sys.argv[2:]))

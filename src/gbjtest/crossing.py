@@ -35,10 +35,12 @@ MONOTONE_REPAIR_FLAG = 1e-6
 # call, which keeps its peak memory where it was.
 PAIR_BLOCK_ENTRIES = 1 << 16
 REGION_REL_TOL = 1e-4           # a rejection region hits alpha within this share
+# The objective equals g at a root only to within its own rounding, which
+# came to at most 1.2e-12 (1 + g) over d = 6 to 500, all four methods; an
+# inversion stops once its excess is within OBJECTIVE_ROUNDING (1 + g).
+OBJECTIVE_ROUNDING = 2e-12
 # A root at an inverted g' brackets the root of another g only when
-# |g - g'| > WARM_BRACKET_GAP (1 + g): the objective at the root equals g'
-# only to within its rounding and the few ulps in t the search leaves, which
-# came to at most 1.2e-12 (1 + g) over d = 6 to 500, all four methods.
+# |g - g'| > WARM_BRACKET_GAP (1 + g), 500 OBJECTIVE_ROUNDING.
 WARM_BRACKET_GAP = 1e-9
 
 
@@ -338,7 +340,8 @@ class _BoundSearch:
             if open_.size:
                 roots[row[open_], col[open_]] = gauss._bracketed_roots(
                     lambda t, k: excess(t, open_[k]),
-                    lo[open_], hi[open_], f_lo[open_], f_hi[open_])
+                    lo[open_], hi[open_], f_lo[open_], f_hi[open_],
+                    ftol=OBJECTIVE_ROUNDING * (1.0 + g_e[open_]))
 
         out: list = []
         for r in range(gs.size):
@@ -470,34 +473,47 @@ def rejection_region(method: str, alpha: float | np.ndarray, d: int,
 
 def _region(method: str, alpha: float, g_lo: float, g_hi: float, evaluate) -> BoundaryVector:
     """``rejection_region`` at one alpha, with ``evaluate(g)`` giving the
-    bounds and p-value at g: brackets alpha on the ladder g_hi * 1.6^k, then
-    root-finds log p in g."""
+    bounds and p-value at g: climbs a ladder from g_hi until p falls below
+    alpha, then root-finds log p in g from the last rung with p >= alpha.
+    The first step is x1.6.  Each later one is twice the step at which log p,
+    extrapolated linearly in g through the last two rungs, reaches log
+    alpha, clamped to x1.6 to x16: log p flattens in g for HC and GHC, so
+    the line alone falls short, and where log p is straight the overshoot
+    costs the root search about one step.  p falls as g rises, so g_lo is
+    evaluated only when p at g_hi is already below alpha."""
     def pv(g: float) -> float:
         return evaluate(g)[1]
 
-    p_lo = pv(g_lo)
-    if p_lo < alpha:
-        raise NumericalError(f"{method}: p-value at g~0 is {p_lo:.3g} < alpha={alpha}; "
-                             "the rejection region is not reachable")
-    p_hi = pv(g_hi)
-    for _ in range(60):
-        if p_hi < alpha:
-            break
-        g_hi *= 1.6
-        p_hi = pv(g_hi)
-    else:
-        raise NumericalError(f"{method}: could not bracket alpha={alpha}")
-
-    # log p is close to linear in g; the search stops at a g whose p is
-    # within 0.2 REGION_REL_TOL of alpha
     la = math.log(alpha)
 
     def log_excess(p: float) -> float:
         return la - math.log(max(p, 1e-300))
 
+    p_hi = pv(g_hi)
+    if p_hi < alpha:
+        g_prev, p_prev = g_lo, pv(g_lo)
+        if p_prev < alpha:
+            raise NumericalError(f"{method}: p-value at g~0 is {p_prev:.3g} < alpha={alpha}; "
+                                 "the rejection region is not reachable")
+    else:
+        factor = 1.6
+        for _ in range(60):
+            g_prev, p_prev = g_hi, p_hi
+            g_hi *= factor
+            p_hi = pv(g_hi)
+            if p_hi < alpha:
+                break
+            slope = (math.log(p_hi) - math.log(p_prev)) / (g_hi - g_prev)
+            reach = (la - math.log(p_hi)) / (slope * g_hi) if slope < 0.0 else math.inf
+            factor = min(max(1.0 + 2.0 * reach, 1.6), 16.0)
+        else:
+            raise NumericalError(f"{method}: could not bracket alpha={alpha}")
+
+    # the search in log p stops at a g whose p is within 0.2 REGION_REL_TOL
+    # of alpha
     g_star = float(gauss._bracketed_roots(
         lambda g, k: np.array([log_excess(pv(float(g[0])))]),
-        np.array([g_lo]), np.array([g_hi]), np.array([log_excess(p_lo)]),
+        np.array([g_prev]), np.array([g_hi]), np.array([log_excess(p_prev)]),
         np.array([log_excess(p_hi)]), ftol=0.2 * REGION_REL_TOL)[0])
     bounds, achieved = evaluate(g_star)
     if abs(achieved - alpha) > REGION_REL_TOL * alpha:

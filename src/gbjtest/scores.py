@@ -24,6 +24,8 @@ BINOMIAL = "binomial"
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
+IRLS_STEP_TOL = 1e-2            # largest change in eta of a converged fit's last step
+MU_CLIP = 1e-10                 # fitted probabilities are kept in [MU_CLIP, 1 - MU_CLIP]
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,11 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
 
     gaussian: closed-form least squares, dispersion = residual MSE.
     binomial: logistic IRLS to gradient norm < 1e-8 (or 50 iterations, then
-    flagged as non-converged rather than raising; perfect separation lands
-    here).  A constant outcome has no finite fit and is refused.
+    flagged as non-converged rather than raising).  A fit whose last Newton
+    step still moves eta by more than IRLS_STEP_TOL, or whose fitted
+    probabilities reach the clip, is flagged too: perfect and quasi-complete
+    separation land here.  A constant outcome has no finite fit and is
+    refused.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -108,9 +113,10 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
             raise ModelError(f"binomial outcome is constant (every value is {y[0]:g}); "
                              "the null model has no finite fit")
         alpha = np.zeros(q)
+        step = np.zeros(q)
         converged = False
         for _ in range(IRLS_MAX_ITER):
-            mu = np.clip(expit(X @ alpha), 1e-10, 1.0 - 1e-10)
+            mu = np.clip(expit(X @ alpha), MU_CLIP, 1.0 - MU_CLIP)
             grad = X.T @ (y - mu)
             if np.linalg.norm(grad) < IRLS_TOL:
                 converged = True
@@ -122,12 +128,13 @@ def fit_null(y: np.ndarray, X: np.ndarray, family: str) -> NullModelFit:
             except np.linalg.LinAlgError as exc:
                 raise ModelError(f"IRLS normal equations singular: {exc}") from exc
             alpha = alpha + step
-        eta = X @ alpha
-        if np.max(np.abs(eta)) > 30.0:
-            # fitted probabilities saturated: separation, the MLE diverges and
-            # the vanishing gradient is spurious
+        mu0 = np.clip(expit(X @ alpha), MU_CLIP, 1.0 - MU_CLIP)
+        if (np.max(np.abs(X @ step)) > IRLS_STEP_TOL
+                or np.any((mu0 <= MU_CLIP) | (mu0 >= 1.0 - MU_CLIP))):
+            # (quasi-)separation: the MLE diverges, so the gradient vanishes
+            # while the Newton steps stay near 1 in eta, or the fitted
+            # probabilities reach the clip
             converged = False
-        mu0 = np.clip(expit(eta), 1e-10, 1.0 - 1e-10)
         return NullModelFit(family=BINOMIAL, alpha_hat=alpha, mu0=mu0,
                             weights=mu0 * (1.0 - mu0), dispersion=1.0,
                             residual=y - mu0, converged=converged)

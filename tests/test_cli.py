@@ -174,6 +174,23 @@ class TestScoreCommand:
         assert capsys.readouterr().err.startswith("error: binomial outcome is constant")
 
 
+    def test_quasi_separated_binomial_outcome_usage_error(self, tmp_path, rng, capsys):
+        # y = 0 wherever the covariate is 1: the null fit has no finite MLE
+        n = 40
+        x = (np.arange(n) < 10).astype(int)
+        y = np.where(x == 1, 0, np.arange(n) % 2)
+        g = (rng.uniform(size=(n, 2)) < 0.3).astype(int) + (rng.uniform(size=(n, 2)) < 0.3)
+        geno = write(tmp_path / "g.tsv", "a\tb\n" +
+                     "\n".join("\t".join(map(str, r)) for r in g) + "\n")
+        pheno = write(tmp_path / "y.txt", "\n".join(map(str, y)) + "\n")
+        covs = write(tmp_path / "covs.tsv", "x\n" + "\n".join(map(str, x)) + "\n")
+        rc = cli.main(["score", "--genotypes", geno, "--phenotype", pheno,
+                       "--covariates", covs, "--family", "binomial",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: null model fit did not converge; "
+                                           "refusing to score\n")
+
 class TestCovRefCommand:
     def test_m0_sample_correlation(self, tmp_path, rng):
         g = (rng.uniform(size=(50, 3)) < 0.4).astype(int) + (rng.uniform(size=(50, 3)) < 0.4)

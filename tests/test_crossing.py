@@ -238,6 +238,31 @@ class TestWarmSearch:
                                    rtol=1e-12, atol=0)
 
 
+
+class TestInversionStop:
+    """An inversion stops once its excess is within OBJECTIVE_ROUNDING (1 + g),
+    the objective's own rounding, instead of bisecting below it."""
+
+    @pytest.mark.parametrize("d", [6, 20, 100, 500])
+    def test_matches_a_solve_to_a_few_ulps(self, d, monkeypatch):
+        model = exceedance.correlation_model(exchangeable(d, 0.3))
+        absz = ndtri(1.0 - (np.arange(d) + 0.5) / (2 * d))
+        signal = absz.copy()
+        signal[:2] = (4.5, 5.0)
+        for method in ("GBJ", "BJ", "HC", "GHC"):
+            prof = model.profile if method in setstats.PROFILE_METHODS else None
+            gs = np.array([setstats.compute_statistic(method, setstats.ZVector(z),
+                                                      model).statistic
+                           for z in (1.3 * absz, signal)])
+            got = crossing.invert_bounds(method, gs, d, prof)
+            monkeypatch.setattr(crossing, "OBJECTIVE_ROUNDING", 0.0)
+            want = crossing.invert_bounds(method, gs, d, prof)
+            monkeypatch.undo()
+            for g, a, b in zip(gs, got, want):
+                p_got = crossing.crossing_pvalue(a, model)
+                p_want = crossing.crossing_pvalue(b, model)
+                assert p_got == pytest.approx(p_want, rel=1e-10, abs=0), f"{method} g={g}"
+
 class TestCrossingPvalue:
     def test_single_coordinate(self):
         bv = BoundaryVector(b=np.array([1.7]))
@@ -862,6 +887,39 @@ class TestRejectionRegion:
         assert len({tuple(b) for b in evaluated}) == len(evaluated)
         assert any(np.array_equal(bv.b, b) for b in evaluated)
 
+
+    @pytest.mark.parametrize("method, ceiling", [("HC", 9), ("GHC", 8), ("GBJ", 6)])
+    def test_pvalue_evaluations_per_region(self, method, ceiling, monkeypatch):
+        # a x1.6 ladder from g = 1 that also evaluated g ~ 0 and bracketed
+        # the root search from there took 18, 18 and 9
+        calls = []
+        recursion = crossing.crossing_pvalue
+
+        def record(bounds, Sigma, return_table=False):
+            calls.append(bounds)
+            return recursion(bounds, Sigma, return_table)
+
+        monkeypatch.setattr(crossing, "crossing_pvalue", record)
+        Sigma = exchangeable(20, 0.3)
+        bv = crossing.rejection_region(method, 0.01, 20, Sigma)
+        assert len(calls) <= ceiling
+        assert recursion(bv, Sigma) == pytest.approx(0.01, rel=crossing.REGION_REL_TOL)
+
+    def test_first_rung_below_alpha_still_checks_reachability(self, monkeypatch):
+        # p at g = 1 is already below alpha, so p at g ~ 0 is evaluated, and
+        # it is below alpha too
+        ps = []
+        recursion = crossing.crossing_pvalue
+
+        def record(bounds, Sigma, return_table=False):
+            ps.append(recursion(bounds, Sigma, return_table))
+            return ps[-1]
+
+        monkeypatch.setattr(crossing, "crossing_pvalue", record)
+        with pytest.raises(NumericalError, match="not reachable"):
+            crossing.rejection_region("GBJ", 0.95, 6, np.eye(6))
+        assert len(ps) == 2
+        assert max(ps) < 0.95
 
     def test_alpha_array_shares_one_search(self, monkeypatch):
         d = 20

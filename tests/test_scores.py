@@ -66,6 +66,17 @@ class TestFitNull:
             fit = scores.fit_null((x > 0).astype(float), X, "binomial")
         assert not fit.converged
 
+    def test_quasi_separation_flagged(self):
+        # y = 0 for all ten subjects with x = 1, so the slope's MLE is -inf;
+        # IRLS stopped at -21.2 with the gradient (10 x 6e-10) under tolerance
+        # and reported converged=True
+        n = 40
+        x = (np.arange(n) < 10).astype(float)
+        y = np.where(x == 1.0, 0.0, np.arange(n) % 2)
+        fit = scores.fit_null(y, np.column_stack([np.ones(n), x]), "binomial")
+        assert fit.alpha_hat[1] < -20.0
+        assert not fit.converged
+
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_constant_binomial_outcome_refused(self, value):
         # the intercept-only fit of an all-0 outcome used to stop at alpha = -22
