@@ -24,22 +24,36 @@ WORKLOADS = ("scan", "large_set", "calibrate")
 ROUNDS = (0, 1)
 
 
-def run(checkout: str, seed: str, out: str) -> int:
+def spawn(script: str, checkout: str, *args: str) -> int:
+    """Runs ``script child SRC *args`` in a fresh process, with one BLAS
+    thread, that imports gbjtest from CHECKOUT/src and perfbench from this
+    repo; the child calls ``import_checkout(SRC)`` first."""
     src = Path(checkout).resolve() / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT)]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, __file__, "child", str(src), seed, out],
+    return subprocess.run([sys.executable, script, "child", str(src), *args],
                           env=env).returncode
 
 
-def child(src: str, seed: str, out: str) -> int:
-    import numpy as np
-
+def import_checkout(src: str):
+    """Imports gbjtest, refusing a copy from anywhere but ``src``; returns
+    ``perfbench.workloads``."""
     import gbjtest
     from perfbench import workloads
 
     if Path(src) not in Path(gbjtest.__file__).resolve().parents:
         sys.exit(f"gbjtest was imported from {gbjtest.__file__}, not from {src}")
+    return workloads
+
+
+def run(checkout: str, seed: str, out: str) -> int:
+    return spawn(__file__, checkout, seed, out)
+
+
+def child(src: str, seed: str, out: str) -> int:
+    import numpy as np
+
+    workloads = import_checkout(src)
     outputs = {}
     for workload in WORKLOADS:
         for r in ROUNDS:

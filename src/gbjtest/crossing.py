@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri
 
 from . import ebb, gauss, setstats
 from .errors import DomainError, GBJError, NumericalError, SizeError
@@ -29,10 +29,12 @@ from .exceedance import CorrelationModel, CorrPowerProfile, correlation_model
 
 PVALUE_FLOOR = 1e-16
 MONOTONE_REPAIR_FLAG = 1e-6
-# Pair-tail values (atoms times stages) per call of the series in the
-# recursion: a block or exchangeable design takes all its stages in one call,
-# and a d = 500 set with all-distinct |rho| (124,750 atoms) one stage per
-# call, which keeps its peak memory where it was.
+# Values per block of stages in the recursion, for the pair tails (atoms
+# times stages per call of the series) and for the EBB log-factor prefixes
+# (3 (d + 1) per stage).  A block or exchangeable design takes all its pair
+# tails in one call, and a d = 500 set with all-distinct |rho| (124,750
+# atoms) one stage per call; a d = 500 set builds the prefixes of 43 stages
+# at once.  Either way the blocks keep the peak memory where it was.
 PAIR_BLOCK_ENTRIES = 1 << 16
 REGION_REL_TOL = 1e-4           # a rejection region hits alpha within this share
 # The objective equals g at a root only to within its own rounding, which
@@ -152,17 +154,24 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
     q[d] = 1.0                                  # S(0) = d with certainty
     leak_total = 0.0
     leaks: list[float] = []
-    for m_max, cap_k, lam_k, gamma_k in zip(m_maxes.tolist(), caps.tolist(),
-                                            lam.tolist(), gamma.tolist()):
-        # conditional law: S(t_k) | S(t_{k-1}) = m  ~  EBB(m, lam, gamma),
-        # one transition-matrix row per m that carries mass
-        ms = np.nonzero(q[: m_max + 1] > 0.0)[0]
-        q_new = q[ms] @ ebb.transition(ms, m_max, lam_k, gamma_k)
-        leak = float(q_new[cap_k + 1:].sum())
-        leak_total += leak
-        q = np.zeros(d + 1)
-        q[: cap_k + 1] = q_new[: cap_k + 1]
-        leaks.append(leak)
+    log_fact = gammaln(np.arange(d + 1) + 1.0)  # log m! for m = 0 .. d
+    rows = max(1, PAIR_BLOCK_ENTRIES // (3 * (d + 1)))
+    for start in range(0, thresholds.size, rows):
+        block = slice(start, start + rows)
+        # size-d prefixes of a block of stages; a stage reads entries up to
+        # its own m_max only, which its gamma keeps finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pre_a, pre_b, pre_c = ebb._log_factor_prefixes(d, lam[block], gamma[block])
+        for i, (m_max, cap_k) in enumerate(zip(m_maxes[block].tolist(), caps[block].tolist())):
+            # conditional law: S(t_k) | S(t_{k-1}) = m  ~  EBB(m, lam, gamma),
+            # one transition-matrix row per m that carries mass
+            ms = np.nonzero(q[: m_max + 1] > 0.0)[0]
+            q_new = q[ms] @ ebb._pmf_rows(ms, m_max, log_fact, pre_a[i], pre_b[i], pre_c[i])
+            leak = float(q_new[cap_k + 1:].sum())
+            leak_total += leak
+            q = np.zeros(d + 1)
+            q[: cap_k + 1] = q_new[: cap_k + 1]
+            leaks.append(leak)
 
     p = float(min(max(leak_total, 0.0), 1.0))
     return (p, CrossingTable(np.array(leaks), tuple(flags))) if return_table else p

@@ -5,7 +5,9 @@ give an exceedance count.  gamma = 0 is exactly binomial, gamma > 0
 overdisperses, and gamma down to ``gamma_floor`` underdisperses.  Its pmf is
 a product of three rising factors, lam + gamma k, 1 - lam + gamma k and
 1 + gamma k.  ``transition`` gives its pmf rows for several sizes m at one
-(lam, gamma) from prefix sums of their logs (``_log_factor_prefixes``).
+(lam, gamma) from prefix sums of their logs (``_log_factor_prefixes``), by
+``_pmf_rows``, which the crossing recursion also calls with the prefixes of
+many stages built at once.
 ``log_kernel`` gives the log pmf at one count per (lam, gamma), less its
 binomial coefficient, which is what the GBJ/BJ objective reads: from the
 prefix sums below CLOSED_FORM_MIN_SIZE, and from closed forms of the three
@@ -53,9 +55,12 @@ def _log_factor_prefixes(size: int, lam, gamma):
 
     and the same prefixes serve every size m <= size.  ``lam`` and ``gamma``
     broadcast: arrays of shape S give prefixes of shape S + (size + 1,)
-    (pre_c, which does not involve lam, follows gamma's shape).  The
-    parameters must be feasible for ``size`` (gamma above gamma_floor); this
-    kernel does not check.
+    (pre_c, which does not involve lam, follows gamma's shape).  This kernel
+    does not check feasibility.  Entries up to v are finite when gamma is
+    feasible for size v (above gamma_floor(lam, v)); past that a factor may
+    reach zero or below, and the entries are -inf or NaN with numpy's
+    divide/invalid warning, so a caller that takes prefixes past a stage's
+    own size builds them under ``np.errstate`` and never reads those entries.
     """
     lam = np.asarray(lam, dtype=float)[..., None]
     gk = np.asarray(gamma, dtype=float)[..., None] * np.arange(size, dtype=float)
@@ -77,15 +82,28 @@ def transition(ms, size: int, lam: float, gamma: float) -> np.ndarray:
     does not check.  All rows come from one set of log-factor prefixes and
     are exponentiated from log space.
     """
-    pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
     log_fact = gammaln(np.arange(size + 1) + 1.0)  # log m! for m = 0 .. size
-    m = np.asarray(ms)[:, None]
-    a = np.arange(size + 1)
-    below = a <= m
-    ma = np.where(below, m - a, 0)
-    logpmf = (log_fact[m] - log_fact[a] - log_fact[ma]
-              + pre_a[a] + pre_b[ma] - pre_c[m])
-    return np.exp(np.where(below, logpmf, -np.inf))
+    return _pmf_rows(np.asarray(ms), size, log_fact,
+                     *_log_factor_prefixes(size, lam, gamma))
+
+
+def _pmf_rows(ms: np.ndarray, m_max: int, log_fact: np.ndarray,
+              pre_a: np.ndarray, pre_b: np.ndarray, pre_c: np.ndarray) -> np.ndarray:
+    """``transition``'s rows for sizes ``ms`` (each in 0 .. m_max) over
+    a = 0 .. m_max, from log m! (``log_fact``) and one (lam, gamma)'s 1-D
+    prefix rows, all of length at least m_max + 1.  Entries past m_max are
+    never read, so the tables may be longer than this call needs and hold
+    anything there.  The log pmf is summed left to right as
+    log m! - log a! - log (m - a)! + pre_a[a] + pre_b[m - a] - pre_c[m]."""
+    n1 = m_max + 1
+    ma = ms[:, None] - np.arange(n1)            # m - a, negative past the support
+    logpmf = log_fact[ms, None] - log_fact[:n1]
+    logpmf -= np.take(log_fact, ma, mode="clip")
+    logpmf += pre_a[:n1]
+    logpmf += np.take(pre_b, ma, mode="clip")
+    logpmf -= pre_c[ms, None]
+    logpmf[ma < 0] = -np.inf
+    return np.exp(logpmf, out=logpmf)
 
 
 def log_kernel(a, size: int, lam, gamma) -> np.ndarray:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import gammaln
 
+from gbjtest.ebb import _log_factor_prefixes
 from gbjtest.errors import DomainError
 
 
@@ -53,6 +55,22 @@ def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
                              epsabs=1e-12, epsrel=1e-11)
             total += val
     return total
+
+
+def transition_reference(ms, size: int, lam: float, gamma: float) -> np.ndarray:
+    """EBB(m, lam, gamma) pmf rows over a = 0 .. size for each m in ``ms``,
+    the whole log pmf formed in one expression on index arrays clipped into
+    the support: the reference for ``ebb.transition`` and the recursion's
+    rows, which must equal it bit for bit."""
+    pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
+    log_fact = gammaln(np.arange(size + 1) + 1.0)  # log m! for m = 0 .. size
+    m = np.asarray(ms)[:, None]
+    a = np.arange(size + 1)
+    below = a <= m
+    ma = np.where(below, m - a, 0)
+    logpmf = (log_fact[m] - log_fact[a] - log_fact[ma]
+              + pre_a[a] + pre_b[ma] - pre_c[m])
+    return np.exp(np.where(below, logpmf, -np.inf))
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.stats import binom
 from gbjtest import crossing, ebb, exceedance, gauss, setstats
 from gbjtest.crossing import BoundaryVector
 from gbjtest.errors import DomainError, NumericalError, SizeError
-from tests.conftest import exchangeable, rand_corr
+from tests.conftest import exchangeable, rand_corr, transition_reference
 
 
 def independent_ladder(bounds_vec):
@@ -537,7 +538,7 @@ def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False):
         if clamped:
             flags.append("ebb_gamma_clamped")
         ms = np.nonzero(q[: cap_prev + 1] > 0.0)[0]
-        q_new = q[ms] @ ebb.transition(ms, cap_prev, lam, gamma)
+        q_new = q[ms] @ transition_reference(ms, cap_prev, lam, gamma)
         leaks.append(float(q_new[cap_k + 1:].sum()))
         q = np.zeros(d + 1)
         q[: cap_k + 1] = q_new[: cap_k + 1]
@@ -592,6 +593,43 @@ class TestStagesAtOnce:
         crossing.crossing_pvalue(_reference_bounds(12)[0], S)
         assert [t for t, _ in calls] == [3, 3]
         self._check(S)
+
+    def test_prefix_blocks(self, monkeypatch):
+        # 3 stages per block of EBB prefixes: the 20-stage ladder spans 7
+        # blocks and the deep one 2.  The size-d prefixes past a stage's own
+        # m_max are never read; the steep ladder's last stage has a gamma
+        # infeasible there, so those entries are NaN and must warn nowhere
+        d = 40
+        monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES", 3 * 3 * (d + 1))
+        nans = []
+        prefixes = ebb._log_factor_prefixes
+
+        def record(*args):
+            out = prefixes(*args)
+            nans.append(sum(int(np.isnan(p).sum()) for p in out))
+            return out
+
+        monkeypatch.setattr(ebb, "_log_factor_prefixes", record)
+        ladder, deep = _reference_bounds(d)
+        steep = np.full(d, np.inf)
+        steep[d // 2:] = np.r_[np.linspace(0.5, 0.9, d // 2 - 3), 1.0, 26.9, 27.5]
+        cases = {"ladder": (_block_with_zero_blocks(d), ladder),
+                 "deep": (exchangeable(d, 1.0), deep),
+                 "steep": (np.eye(d), BoundaryVector(b=steep))}
+        flags, blocks, padded_nans = {}, {}, {}
+        for name, (S, bv) in cases.items():
+            nans.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p, table = crossing.crossing_pvalue(bv, S, return_table=True)
+            want_p, want_leaks, flags[name] = per_stage_reference(bv, S)
+            assert p == want_p
+            np.testing.assert_array_equal(table.leaks, want_leaks)
+            assert set(table.diagnostics) == flags[name]
+            blocks[name], padded_nans[name] = len(nans), sum(nans)
+        assert blocks == {"ladder": 7, "deep": 2, "steep": 7}
+        assert {"lambda_underflow", "ebb_gamma_clamped"} <= flags["deep"]
+        assert padded_nans["steep"] > 0
 
 
 class TestExactSmall:

@@ -8,6 +8,7 @@ from scipy.stats import betabinom, binom
 
 from gbjtest import ebb
 from gbjtest.ebb import _log_factor_prefixes, gamma_floor, match_gamma, transition
+from tests.conftest import transition_reference
 
 
 def random_feasible(rng, d):
@@ -76,6 +77,22 @@ class TestLogPmf:
                     want = betabinom.pmf(np.arange(m + 1), m, lam / gamma, (1.0 - lam) / gamma)
                     np.testing.assert_allclose(rows[m, : m + 1], want, rtol=1e-10)
                     assert np.all(rows[m, m + 1:] == 0.0)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 64, 100, 500])
+    def test_rows_equal_the_reference(self, size):
+        # bit for bit, contiguous and gapped sizes, binomial, overdispersed
+        # and just above the feasibility floor (any gamma is feasible at
+        # size <= 1, whose floor is -inf)
+        contiguous = np.arange(size + 1)
+        gapped = np.unique(np.r_[contiguous[::3], size])[::-1]
+        for lam in (1e-300, 0.3, 0.97):
+            floor = float(gamma_floor(lam, size))
+            near_floor = floor * (1.0 - ebb.GAMMA_CLAMP_MARGIN) if size > 1 else -0.9
+            for gamma in (0.0, 0.37, near_floor):
+                for ms in (contiguous, gapped):
+                    want = transition_reference(ms, size, lam, gamma)
+                    assert np.array_equal(transition(ms, size, lam, gamma), want), (
+                        size, lam, gamma, ms.size)
 
     def test_rows_are_per_size_pmfs(self, rng):
         # one call for many sizes gives each size's own pmf, underdispersed too
