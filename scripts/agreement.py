@@ -6,7 +6,10 @@
 ``run`` computes rounds 0 and 1 of the scan, large_set and calibrate
 workloads of ``perfbench.workloads`` at SEED in a fresh process that imports
 gbjtest from CHECKOUT/src, and writes every item's outputs (p-values,
-simulated (rate, se) pairs and region bounds) as JSON.  ``compare`` prints
+simulated (rate, se) pairs and region bounds) as JSON.  Each calibrate
+omnibus item also records ``R_hat``, the flattened bootstrap correlation of
+its Sigma at the library's default B (``omnibus.DEFAULT_BOOTSTRAP_REPS``)
+and seed 0, since the workload itself runs the bootstrap at a smaller B.  ``compare`` prints
 the largest relative difference per workload and output, with the item where
 it occurs, and exits 1 when the two files do not hold the same outputs.
 """
@@ -54,12 +57,18 @@ def child(src: str, seed: str, out: str) -> int:
     import numpy as np
 
     workloads = import_checkout(src)
+    from gbjtest import omnibus
+
     outputs = {}
     for workload in WORKLOADS:
         for r in ROUNDS:
             for item in workloads.build_round(workload, int(seed), r):
                 outputs[item.id] = {key: np.ravel(getattr(value, "b", value)).tolist()
                                     for key, value in item.run().items()}
+                if item.kind == "omnibus":
+                    R_hat, _ = omnibus.bootstrap_corr(
+                        item.sigma, B=omnibus.DEFAULT_BOOTSTRAP_REPS, seed=0)
+                    outputs[item.id]["R_hat"] = R_hat.ravel().tolist()
     Path(out).write_text(json.dumps(outputs, indent=1))
     return 0
 

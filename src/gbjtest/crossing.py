@@ -31,10 +31,11 @@ PVALUE_FLOOR = 1e-16
 MONOTONE_REPAIR_FLAG = 1e-6
 # Values per block of stages in the recursion, for the pair tails (atoms
 # times stages per call of the series) and for the EBB log-factor prefixes
-# (3 (d + 1) per stage).  A block or exchangeable design takes all its pair
-# tails in one call, and a d = 500 set with all-distinct |rho| (124,750
-# atoms) one stage per call; a d = 500 set builds the prefixes of 43 stages
-# at once.  Either way the blocks keep the peak memory where it was.
+# (3 (d + 1) per stage).  A block or exchangeable design takes the pair
+# tails of all its sets' stages in one call, and a d = 500 set with
+# all-distinct |rho| (124,750 atoms) one stage per call; a d = 500 set
+# builds the prefixes of 43 stages at once.  Either way the blocks keep the
+# peak memory where it was.
 PAIR_BLOCK_ENTRIES = 1 << 16
 REGION_REL_TOL = 1e-4           # a rejection region hits alpha within this share
 # The objective equals g at a root only to within its own rounding, which
@@ -94,21 +95,91 @@ def _stages(bounds: BoundaryVector):
     d = bounds.d
     thresholds: list[float] = []
     caps: list[int] = []
-    for i in range(d):
-        t = bounds.b[i]
-        if not np.isfinite(t):
-            continue
+    fin = np.flatnonzero(np.isfinite(bounds.b))
+    for i, t in zip(fin.tolist(), bounds.b[fin].tolist()):
         cap = d - (i + 1)
         if thresholds and t <= thresholds[-1] + 1e-13:
             caps[-1] = min(caps[-1], cap)
         else:
-            thresholds.append(float(t))
+            thresholds.append(t)
             caps.append(cap)
     return np.array(thresholds), np.array(caps, dtype=int)
 
 
+@dataclass(frozen=True)
+class _StagePlan:
+    """One set's recursion before its count loop: the distinct finite
+    thresholds with their caps (``_stages``) and the flags so far, the
+    bounds' own first.  When the first threshold is positive, also each
+    stage's lam, the cap m_max of the count entering it and the EBB gamma
+    matched to its pair fraction."""
+
+    thresholds: np.ndarray
+    caps: np.ndarray
+    flags: tuple[str, ...]
+    lam: np.ndarray | None = None
+    m_maxes: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+
+
+def _stage_plans(bounds_list: list[BoundaryVector], model: CorrelationModel) -> list[_StagePlan]:
+    """The stage plans of several sets on one model.  Every stage quantity
+    that does not depend on the count law is taken as an array over the
+    concatenated stages of all sets, the pair tails by one pass of
+    ``_pair_fractions``; a set's first stage starts from t_0 = 0, never from
+    the set before it.  Each entry is elementwise, so a set's plan does not
+    depend on the list it arrives in."""
+    d = model.d
+    plans = []
+    for bounds in bounds_list:
+        if bounds.d != d:
+            raise DomainError(f"bounds dimension {bounds.d} != correlation dimension {d}")
+        plans.append(_StagePlan(*_stages(bounds), tuple(bounds.diagnostics)))
+    # S(0) = d always, so a first threshold at zero settles the p-value
+    # without a recursion
+    run = [i for i, plan in enumerate(plans)
+           if plan.thresholds.size and plan.thresholds[0] > 0.0]
+    if not run:
+        return plans
+    sizes = np.array([plans[i].thresholds.size for i in run])
+    starts = np.cumsum(sizes) - sizes
+    if len(run) == 1:       # one set's stages are taken as they are, not copied
+        thresholds, caps = plans[run[0]].thresholds, plans[run[0]].caps
+    else:
+        thresholds = np.concatenate([plans[i].thresholds for i in run])
+        caps = np.concatenate([plans[i].caps for i in run])
+    first = np.zeros(thresholds.size, dtype=bool)
+    first[starts] = True
+
+    sf = gauss.norm_sf(thresholds)
+    sf_prev = np.concatenate(([0.5], sf[:-1]))  # sf at t_0 = 0, then t_{k-1}
+    sf_prev[first] = 0.5
+    lam = np.divide(sf, sf_prev, out=np.zeros_like(sf), where=sf_prev > 0.0)
+    lam_under = lam <= 0.0
+    lam[lam_under] = 1e-300
+    lam[lam >= 1.0] = 1.0 - 1e-16
+    if d >= 2:
+        frac, pair_under = _pair_fractions(thresholds, first, sf, lam, model)
+    else:
+        frac, pair_under = np.zeros_like(lam), np.zeros(lam.size, dtype=bool)
+    m_maxes = np.concatenate(([d], caps[:-1]))  # S(t_{k-1}) is at most cap_{k-1}
+    m_maxes[first] = d
+    gamma, clamped = ebb.match_gamma(lam, frac, np.maximum(m_maxes, 1))
+
+    named = [(name, np.logical_or.reduceat(mask, starts).tolist())
+             for name, mask in (("lambda_underflow", lam_under),
+                                ("pair_tail_underflow", pair_under),
+                                ("ebb_gamma_clamped", clamped))]
+    for k, (i, lo, n) in enumerate(zip(run, starts.tolist(), sizes.tolist())):
+        own = slice(lo, lo + n)
+        flags = plans[i].flags + tuple(name for name, raised in named if raised[k])
+        plans[i] = _StagePlan(plans[i].thresholds, plans[i].caps, flags,
+                              lam[own], m_maxes[own], gamma[own])
+    return plans
+
+
 def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel,
-                    return_table: bool = False):
+                    return_table: bool = False, plan: _StagePlan | None = None):
     """Pr(any |Z|_(j) > b_j) for Z ~ MVN(0, Sigma) by the conditional-EBB
     threshold recursion.
 
@@ -122,34 +193,24 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
     return_table : bool
         Also return the CrossingTable: the mass leaked at each stage and the
         diagnostic flags, the bounds' own first.
+    plan : _StagePlan, optional
+        The stage plan of ``bounds`` on this model, as ``_stage_plans``
+        builds it for many sets at once; built here when not given.
     """
     model = correlation_model(Sigma)
     d = model.d
     if bounds.d != d:
         raise DomainError(f"bounds dimension {bounds.d} != correlation dimension {d}")
-    thresholds, caps = _stages(bounds)
-    flags: list[str] = list(bounds.diagnostics)
-    if thresholds.size == 0 or thresholds[0] <= 0.0:
+    if plan is None:
+        [plan] = _stage_plans([bounds], model)
+    thresholds, caps = plan.thresholds, plan.caps
+    if plan.lam is None:
         # S(0) = d always: a cap below d at threshold zero is crossed surely
         leaks = np.array([1.0 if caps[0] < d else 0.0] if thresholds.size else [])
         p = float(leaks.sum())
-        return (p, CrossingTable(leaks, tuple(flags))) if return_table else p
+        return (p, CrossingTable(leaks, plan.flags)) if return_table else p
 
-    # every stage quantity that does not depend on the count law, as arrays
-    sf = gauss.norm_sf(thresholds)
-    sf_prev = np.concatenate(([0.5], sf[:-1]))  # sf at t_0 = 0, then t_{k-1}
-    lam = np.divide(sf, sf_prev, out=np.zeros_like(sf), where=sf_prev > 0.0)
-    under = lam <= 0.0
-    if under.any():
-        flags.append("lambda_underflow")
-        lam[under] = 1e-300
-    lam[lam >= 1.0] = 1.0 - 1e-16
-    frac = _pair_fractions(thresholds, sf, lam, model, flags) if d >= 2 else np.zeros_like(lam)
-    m_maxes = np.concatenate(([d], caps[:-1]))  # S(t_{k-1}) is at most cap_{k-1}
-    gamma, clamped = ebb.match_gamma(lam, frac, np.maximum(m_maxes, 1))
-    if clamped.any():
-        flags.append("ebb_gamma_clamped")
-
+    lam, gamma, m_maxes = plan.lam, plan.gamma, plan.m_maxes
     q = np.zeros(d + 1)
     q[d] = 1.0                                  # S(0) = d with certainty
     leak_total = 0.0
@@ -174,58 +235,70 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
             leaks.append(leak)
 
     p = float(min(max(leak_total, 0.0), 1.0))
-    return (p, CrossingTable(np.array(leaks), tuple(flags))) if return_table else p
+    return (p, CrossingTable(np.array(leaks), plan.flags)) if return_table else p
 
 
-def _pair_fractions(thresholds: np.ndarray, sf: np.ndarray, lam: np.ndarray,
-                    model: CorrelationModel, flags: list[str]) -> np.ndarray:
+def _pair_fractions(thresholds: np.ndarray, first: np.ndarray, sf: np.ndarray,
+                    lam: np.ndarray, model: CorrelationModel) -> tuple[np.ndarray, np.ndarray]:
     """Per stage, the pairwise indicator correlation the EBB dispersion
     matches: sum over pairs of (R_k - lam_k^2) over d(d-1)/2 lam_k (1 - lam_k),
-    where R_k is a pair's joint tail at t_k over its joint tail at t_{k-1}
-    (1 at t_0 = 0), clipped into [0, 1].
+    where R_k is a pair's joint tail at t_k over its joint tail at t_{k-1},
+    clipped into [0, 1].  The stages are those of one or more sets one after
+    another, ``first`` marking where each set starts; a set's first stage
+    divides by the tails at t_0 = 0, which are 1.
 
     The pair tails come from ``gauss.bivar_abs_tail_many``, one value per
     distinct |rho| and stage, in blocks of stages with about
     PAIR_BLOCK_ENTRIES values each: block and exchangeable designs need one
-    call per p-value, and a large set with all-distinct |rho| one stage per
-    call.  Perfect pairs take the last column.
+    call for all the sets, and a large set with all-distinct |rho| one stage
+    per call.  Perfect pairs take the last column.  A pair whose tail at
+    t_{k-1} is below the smallest normal double has no usable ratio: it takes
+    lam_k^2, and the stage is marked in the returned mask of pair-tail
+    underflows.
     """
     d = model.d
     pairs = model.pair_summary
     n = pairs.rhos.size
     entries = n + (pairs.n_perfect > 0)         # values per stage
     numer = np.empty(thresholds.size)
+    underflow = np.zeros(thresholds.size, dtype=bool)
     rows = max(1, PAIR_BLOCK_ENTRIES // entries)
     ratios = np.empty((min(rows, thresholds.size), entries))
-    underflow = False
+    tiny = np.finfo(float).tiny
     # a perfectly (anti)correlated pair shares one |Z|, so its joint tail is
     # the single-coordinate tail
     perfect = np.clip(2.0 * sf, 0.0, 1.0)
-    tails_prev = np.ones(n)                     # pair tails at t_0 = 0
+    perfect_prev = np.concatenate(([1.0], perfect[:-1]))
+    perfect_prev[first] = 1.0
+    tails_prev = np.ones(n)
     with np.errstate(invalid="ignore", divide="ignore"):
-        perfect_ratios = perfect / np.concatenate(([1.0], perfect[:-1]))
+        perfect_ratios = perfect / perfect_prev
         for start in range(0, thresholds.size, rows):
             block = slice(start, min(start + rows, thresholds.size))
             out = ratios[: block.stop - start]
+            tails = gauss.bivar_abs_tail_many(thresholds[block], pairs.rhos) if n else None
+            bad = np.empty(out.shape, dtype=bool)   # denominators below tiny
             if n:
-                tails = gauss.bivar_abs_tail_many(thresholds[block], pairs.rhos)
                 np.clip(tails, 0.0, 1.0, out=tails)
                 np.divide(tails[0], tails_prev, out=out[0, :n])
                 np.divide(tails[1:], tails[:-1], out=out[1:, :n])
+                np.less(tails_prev, tiny, out=bad[0, :n])
+                np.less(tails[:-1], tiny, out=bad[1:, :n])
+                fresh = np.flatnonzero(first[block])
+                out[fresh, :n] = tails[fresh]   # divided by the tails at t_0
+                bad[fresh, :n] = False
                 tails_prev = tails[-1]
             if pairs.n_perfect:
                 out[:, n] = perfect_ratios[block]
+                np.less(perfect_prev[block], tiny, out=bad[:, n])
             lam2 = lam[block, None] * lam[block, None]
-            bad = ~np.isfinite(out)
             if bad.any():
-                underflow = True
+                underflow[block] = bad.any(axis=1)
                 out[bad] = np.broadcast_to(lam2, out.shape)[bad]
             np.clip(out, 0.0, 1.0, out=out)
             out -= lam2
             numer[block] = 2.0 * pairs.pair_sum(out)
-    if underflow:
-        flags.append("pair_tail_underflow")
-    return numer / (d * (d - 1) * lam * (1.0 - lam))
+    return numer / (d * (d - 1) * lam * (1.0 - lam)), underflow
 
 
 def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
@@ -403,8 +476,10 @@ def pvalue(method: str, Z: setstats.ZVector | list[setstats.ZVector],
     A list of ZVectors on the one ``Sigma`` gives a list with one entry per
     set: its TestOutcome, or the GBJError that a call with that set alone
     raises.  The bounds of all positive statistics are inverted in one
-    ``invert_bounds`` call; one set gives its scalar call's outcome bit for
-    bit.
+    ``invert_bounds`` call, and their stage plans built by one
+    ``_stage_plans`` call, so the sets share their calls of the pair series;
+    each set then runs its own count loop through ``crossing_pvalue``.  One
+    set gives its scalar call's outcome bit for bit.
     """
     model = correlation_model(Sigma)
     single = isinstance(Z, setstats.ZVector)
@@ -424,11 +499,19 @@ def pvalue(method: str, Z: setstats.ZVector | list[setstats.ZVector],
     if pending:
         profile = model.profile if method in setstats.PROFILE_METHODS else None
         stats = np.array([out[i].statistic for i in pending])
+        inverted = []
         for i, bounds in zip(pending, invert_bounds(method, stats, model.d, profile)):
+            if isinstance(bounds, GBJError):
+                out[i] = bounds
+            else:
+                inverted.append((i, bounds))
+        # several sets share one pass of the pair series; one set builds its
+        # own plan inside crossing_pvalue
+        plans = (_stage_plans([bounds for _, bounds in inverted], model)
+                 if len(inverted) > 1 else [None] * len(inverted))
+        for (i, bounds), plan in zip(inverted, plans):
             try:
-                if isinstance(bounds, GBJError):
-                    raise bounds
-                p, table = crossing_pvalue(bounds, model, return_table=True)
+                p, table = crossing_pvalue(bounds, model, return_table=True, plan=plan)
             except GBJError as err:
                 out[i] = err
                 continue

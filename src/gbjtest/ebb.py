@@ -70,7 +70,22 @@ def _log_factor_prefixes(size: int, lam, gamma):
         np.cumsum(x, axis=-1, out=out[..., 1:])
         return out
 
-    return prefix(np.log(lam + gk)), prefix(np.log1p(gk - lam)), prefix(np.log1p(gk))
+    return prefix(np.log(lam + gk)), prefix(_log_one_minus(lam, gk)), prefix(np.log1p(gk))
+
+
+def _log_one_minus(lam: np.ndarray, gk: np.ndarray) -> np.ndarray:
+    """log(1 - lam + gk) as log1p(u), u = gk - lam, except where 1 + u
+    rounds to 0 or 2^-52: there the factor is taken as (1 - lam) + gk."""
+    u = gk - lam
+    tiny = u <= -1.0 + 2.0 ** -52
+    if not tiny.any():
+        return np.log1p(u, out=u)
+    low = np.log((1.0 - np.broadcast_to(lam, u.shape)[tiny])
+                 + np.broadcast_to(gk, u.shape)[tiny])
+    u[tiny] = 0.0
+    np.log1p(u, out=u)
+    u[tiny] = low
+    return u
 
 
 def transition(ms, size: int, lam: float, gamma: float) -> np.ndarray:

@@ -30,6 +30,12 @@ _GL_NODES, _GL_WEIGHTS = roots_legendre(96)
 
 PAIR_SERIES_RTOL = 1e-12
 PAIR_SERIES_MAX_ORDER = 1000
+# Thresholds per call from which ``bivar_abs_tail_many`` builds its
+# coefficient rows by one numpy recurrence across thresholds (measured
+# crossover, README), and thresholds per recurrence and Horner pass: at most
+# 512 x PAIR_SERIES_MAX_ORDER / 2 coefficients (2 MiB) at a time
+PAIR_VECTOR_MIN_THRESHOLDS = 16
+PAIR_VECTOR_MAX_THRESHOLDS = 512
 # lattice points per shift of the small-dimension normal CDF
 MVN_SMALL_NPTS = 16384
 
@@ -87,10 +93,14 @@ def bivar_abs_tail_many(t, rhos: np.ndarray) -> np.ndarray:
     The series is a polynomial in x = rho^2 with coefficients h_{r-1}(t)^2 / r
     at even r.  Its terms are nonnegative and increase with x, so the pair
     with the largest rho^2 has the largest partial sums: each threshold's
-    coefficients and stopping order are found on that pair alone, with
-    Python floats.  All thresholds' polynomials are then evaluated over all
-    pairs by one Horner pass, the shorter coefficient rows zero-padded at the
-    high-order end, which leaves their values bit-identical.
+    coefficients and stopping order are found on that pair alone, by a
+    Python loop per threshold below PAIR_VECTOR_MIN_THRESHOLDS thresholds and
+    by one numpy recurrence across thresholds from it on; both take the same
+    float operations, so a threshold's row does not depend on the call it
+    arrives in.  The thresholds' polynomials are then evaluated over all
+    pairs by one Horner pass per PAIR_VECTOR_MAX_THRESHOLDS thresholds, the
+    shorter coefficient rows zero-padded at the high-order end, which leaves
+    their values bit-identical.
     """
     ts = np.asarray(t, dtype=float)
     if (ts < 0).any():
@@ -102,14 +112,54 @@ def bivar_abs_tail_many(t, rhos: np.ndarray) -> np.ndarray:
     x_max = float(np.max(x))
     if x_max >= 1.0:               # rounding keeps rho^2 < 1 for |rho| < 1
         raise DomainError("bivar_abs_tail_many requires |rho| < 1")
-    bases, scales, rows = [], [], []
-    for t_k, sf_k in zip(ts.ravel().tolist(), norm_sf(ts.ravel()).tolist()):
-        base = (2.0 * sf_k) ** 2
-        phi2 = math.exp(-t_k * t_k) / (2.0 * math.pi)
-        # Cramer envelope |h_r(t)| <= kappa e^{t^2/4}: the residual past order
-        # r is below env * rho^{r+2} / ((r+2)(1 - rho^2)), a rigorous
-        # stopping bound
-        env = (2.0 / math.pi) * 1.18 * math.exp(-0.5 * t_k * t_k)
+    t_list, bases, scales = _series_terms(ts.ravel())
+    n = len(t_list)
+    build = _series_coefs_many if n >= PAIR_VECTOR_MIN_THRESHOLDS else _series_coefs
+    acc = np.empty((n, x.size))
+    for lo in range(0, n, PAIR_VECTOR_MAX_THRESHOLDS):
+        part = slice(lo, lo + PAIR_VECTOR_MAX_THRESHOLDS)
+        coef = build(t_list[part], bases[part], scales[part], x_max)
+        scale, base = np.array(scales[part]), np.array(bases[part])
+        if n == 1:
+            # one threshold runs on 1-D views: numpy takes about 5% longer to
+            # broadcast x over a (1, n) array
+            view, coef, scale, base = acc[0], coef[0], scale[0], base[0]
+        else:
+            view, coef, scale, base = acc[part], coef.T[..., None], scale[:, None], base[:, None]
+        view[...] = coef[-1]
+        for c in coef[-2::-1]:
+            np.multiply(view, x, out=view)
+            view += c
+        view *= x                  # the series starts at x^1
+        view *= scale
+        view += base
+    return acc.reshape(ts.shape + rhos.shape)
+
+
+def _series_terms(ts: np.ndarray) -> tuple[list, list, list]:
+    """The thresholds of the pair series, their (2 sf(t))^2 and their
+    4 phi(t)^2, as lists of Python floats."""
+    t_list = ts.tolist()
+    bases = [(2.0 * s) ** 2 for s in norm_sf(ts).tolist()]
+    scales = [4.0 * (math.exp(-t_k * t_k) / (2.0 * math.pi)) for t_k in t_list]
+    return t_list, bases, scales
+
+
+def _series_envelope(t_k: float) -> float:
+    """Cramer envelope |h_r(t)| <= kappa e^{t^2/4}: the residual of the
+    series past order r is below envelope * rho^{r+2} / ((r+2)(1 - rho^2)),
+    a rigorous stopping bound."""
+    return (2.0 / math.pi) * 1.18 * math.exp(-0.5 * t_k * t_k)
+
+
+def _series_coefs(t_list: list, bases: list, scales: list, x_max: float) -> np.ndarray:
+    """The pair series' coefficient rows h_{r-1}(t)^2 / r, r = 2, 4, ..., up
+    to each threshold's stopping order at x_max, zero-padded into one array
+    with a row per threshold; one Python loop per threshold.  ``bases``
+    and ``scales`` are those of ``_series_terms``."""
+    rows = []
+    for t_k, base, scale_k in zip(t_list, bases, scales):
+        env = _series_envelope(t_k)
         coefs: list[float] = []
         x_pow, total_max = x_max, 0.0  # x_max^(r/2) and the series at x_max
         h_prev, h_curr = 1.0, t_k      # h_0, h_1
@@ -117,7 +167,7 @@ def bivar_abs_tail_many(t, rhos: np.ndarray) -> np.ndarray:
         while r <= PAIR_SERIES_MAX_ORDER:
             coefs.append(h_curr * h_curr / r)
             total_max += x_pow * coefs[-1]
-            scale = max(base, 4.0 * phi2 * total_max, 1e-300)
+            scale = max(base, scale_k * total_max, 1e-300)
             residual = env * x_max ** (r // 2 + 1) / ((r + 2) * (1.0 - x_max))
             if residual <= PAIR_SERIES_RTOL * scale:
                 break
@@ -126,28 +176,45 @@ def bivar_abs_tail_many(t, rhos: np.ndarray) -> np.ndarray:
                                           - h_prev * math.sqrt((rr - 1) / rr))
             x_pow *= x_max
             r += 2
-        bases.append(base)
-        scales.append(4.0 * phi2)
         rows.append(coefs)
-    coef = np.zeros((len(rows), max(1, max(map(len, rows)))))
+    coef = np.zeros((len(rows), max(map(len, rows))))
     for k, coefs in enumerate(rows):
         coef[k, :len(coefs)] = coefs
-    scales, bases = np.array(scales), np.array(bases)
-    acc = np.empty((len(rows), x.size))
-    if len(rows) == 1:
-        # one threshold runs on 1-D views: numpy takes about 5% longer to
-        # broadcast x over a (1, n) array
-        view, coef, scales, bases = acc[0], coef[0], scales[0], bases[0]
-    else:
-        view, coef, scales, bases = acc, coef.T[..., None], scales[:, None], bases[:, None]
-    view[...] = coef[-1]
-    for c in coef[-2::-1]:
-        np.multiply(view, x, out=view)
-        view += c
-    view *= x                      # the series starts at x^1
-    view *= scales
-    view += bases
-    return acc.reshape(ts.shape + rhos.shape)
+    return coef
+
+
+def _series_coefs_many(t_list: list, bases: list, scales: list, x_max: float) -> np.ndarray:
+    """``_series_coefs`` by one numpy recurrence across thresholds, each
+    taking the scalar loop's float operations in its order; a threshold
+    leaves the recurrence at its stopping order."""
+    t = np.array(t_list)
+    live = np.arange(t.size)
+    env = np.array([_series_envelope(t_k) for t_k in t_list])
+    base, scale_k = np.array(bases), np.array(scales)
+    h_prev, h_curr = np.ones(t.size), t.copy()
+    total_max = np.zeros(t.size)
+    cols: list[tuple[np.ndarray, np.ndarray]] = []   # (rows, coefficients) per order
+    x_pow, r = x_max, 2
+    while r <= PAIR_SERIES_MAX_ORDER:
+        c = h_curr * h_curr / r
+        cols.append((live, c))
+        total_max += x_pow * c
+        scale = np.maximum(np.maximum(base, scale_k * total_max), 1e-300)
+        residual = env * x_max ** (r // 2 + 1) / ((r + 2) * (1.0 - x_max))
+        going = ~(residual <= PAIR_SERIES_RTOL * scale)   # the loop's test, negated
+        if not going.all():
+            live, t, env, base, scale_k, h_prev, h_curr, total_max = (
+                v[going] for v in (live, t, env, base, scale_k, h_prev, h_curr, total_max))
+            if not live.size:
+                break
+        for rr in (r, r + 1):
+            h_prev, h_curr = h_curr, t * h_curr / math.sqrt(rr) - h_prev * math.sqrt((rr - 1) / rr)
+        x_pow *= x_max
+        r += 2
+    coef = np.zeros((len(cols), len(t_list)))
+    for j, (rows, c) in enumerate(cols):
+        coef[j, rows] = c
+    return coef.T
 
 
 def check_correlation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,6 +343,8 @@ def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
     k = np.arange(1, npts + 1)[:, None]
     base = np.modf(k * q)[0]
     ests = np.empty(nshift)
+    # a lower limit of -inf has CDF 0 whatever the shift, so its ndtr is skipped
+    open_lo = np.isneginf(a)
     for s in range(nshift):
         w = np.abs(2.0 * np.modf(base + _LATTICE_SHIFTS[s, : d - 1])[0] - 1.0)
         dcur = np.full(npts, ndtr(a[0] / L[0, 0]))
@@ -286,7 +355,7 @@ def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
             z = np.clip(dcur + w[:, i - 1] * (ecur - dcur), 1e-16, 1.0 - 1e-16)
             y[:, i - 1] = ndtri(z)
             mu = y[:, :i] @ L[i, :i]
-            dcur = ndtr((a[i] - mu) / L[i, i])
+            dcur = 0.0 if open_lo[i] else ndtr((a[i] - mu) / L[i, i])
             ecur = ndtr((b[i] - mu) / L[i, i])
             f = f * (ecur - dcur)
         ests[s] = f.mean()
@@ -294,7 +363,8 @@ def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
 
 
 def _dedup_perfect(z: float, R: np.ndarray):
-    """Reduce coordinates tied by |rho| = 1.  Returns (lower, upper, R_sub)."""
+    """Reduce coordinates tied by |rho| = 1.  Returns (lower, upper, R_sub),
+    with -inf for a lower limit left open."""
     d = R.shape[0]
     keep: list[int] = []
     lower: list[float] = []
@@ -312,7 +382,7 @@ def _dedup_perfect(z: float, R: np.ndarray):
                 break
         if not merged:
             keep.append(i)
-            lower.append(-38.0)
+            lower.append(-np.inf)
             upper.append(z)
     return np.array(lower), np.array(upper), R[np.ix_(keep, keep)]
 

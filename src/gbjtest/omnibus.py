@@ -223,7 +223,8 @@ def _bootstrap_replicates(draw, model: CorrelationModel, B: int, seed: int):
     replicates; ``draw(rng)`` returns one replicate's score vector from that
     replicate's generator, seeded (seed, rep).  All replicates are drawn
     first and go to ``component_pvalues`` as one list, so each supremum
-    method inverts the bounds of every replicate in one call.  Replicates
+    method inverts the bounds of every replicate in one call and takes their
+    pair tails in one pass of the series.  Replicates
     whose components fail are dropped.  Returns (R_hat, dropped_count)."""
     Zs = [setstats.ZVector(draw(np.random.default_rng([seed, rep]))) for rep in range(B)]
     cols = [[pv[c] for c in OMNI_COMPONENTS]

@@ -367,6 +367,16 @@ class TestCrossingPvalue:
         assert not seen
         assert p2 == pytest.approx(2.0 * gauss.norm_sf(1.5), rel=1e-9)
 
+    def test_subnormal_pair_tail_takes_lambda_squared(self):
+        # independent coordinates: the pair tail (2 sf(t))^2 is subnormal at
+        # 26.8 and 0 beyond, so the next stage's ratio has no digits; it
+        # takes lambda^2, and gamma stays 0 as the exact binomial law has it
+        b = [np.inf] * 4 + [1.0, 26.8, 27.2, 27.6]
+        p, table = crossing.crossing_pvalue(BoundaryVector(b=np.array(b)), np.eye(8),
+                                            return_table=True)
+        assert table.diagnostics == ("pair_tail_underflow",)
+        assert abs(p - independent_ladder(b)) <= 3e-16
+
     def test_non_monotone_bounds_rejected(self):
         with pytest.raises(DomainError):
             BoundaryVector(b=np.array([2.0, 1.0, 3.0]))
@@ -522,9 +532,12 @@ def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False):
             np.clip(tails_k, 0.0, 1.0, out=tails_k)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratios = tails_k / tails_prev
-            if not np.isfinite(ratios).all():
+            # a tail at t_{k-1} below the smallest normal double gives no
+            # usable ratio
+            under = tails_prev < np.finfo(float).tiny
+            if under.any():
                 flags.append("pair_tail_underflow")
-                ratios[~np.isfinite(ratios)] = lam * lam
+                ratios[under] = lam * lam
             np.clip(ratios, 0.0, 1.0, out=ratios)
             ratios -= lam * lam
             total = ratios[:n] @ counts
@@ -612,7 +625,9 @@ class TestStagesAtOnce:
         monkeypatch.setattr(ebb, "_log_factor_prefixes", record)
         ladder, deep = _reference_bounds(d)
         steep = np.full(d, np.inf)
-        steep[d // 2:] = np.r_[np.linspace(0.5, 0.9, d // 2 - 3), 1.0, 26.9, 27.5]
+        # the pair tail at 26.0 is a normal double and at 27.5 it is 0, so
+        # the last stage's pair fraction is negative
+        steep[d // 2:] = np.r_[np.linspace(0.5, 0.9, d // 2 - 3), 1.0, 26.0, 27.5]
         cases = {"ladder": (_block_with_zero_blocks(d), ladder),
                  "deep": (exchangeable(d, 1.0), deep),
                  "steep": (np.eye(d), BoundaryVector(b=steep))}
@@ -630,6 +645,109 @@ class TestStagesAtOnce:
         assert blocks == {"ladder": 7, "deep": 2, "steep": 7}
         assert {"lambda_underflow", "ebb_gamma_clamped"} <= flags["deep"]
         assert padded_nans["steep"] > 0
+
+
+def _tail_bounds(d, *ts):
+    b = np.full(d, np.inf)
+    b[d - len(ts):] = ts
+    return BoundaryVector(b=b)
+
+
+class TestStagePlans:
+    """``_stage_plans`` builds the stage plans of many sets on one model with
+    one pass of the pair series over their concatenated stages; each set's
+    p-value, leaks and flags equal its own ``crossing_pvalue`` call."""
+
+    @staticmethod
+    def _bounds(d):
+        ladder, deep = _reference_bounds(d)
+        return [ladder,
+                BoundaryVector(b=np.full(d, np.inf)),            # no stage
+                _tail_bounds(d, 1.0, 26.0, 27.5, 27.6),         # gamma clamped
+                _tail_bounds(d, 0.0, 1.0, 2.0),                 # crossed at t = 0
+                deep,                                           # lambda underflow
+                _tail_bounds(d, 1.0, 26.8, 27.2, 27.6),         # pair tails underflow
+                _tail_bounds(d, 1.0, 2.0, 3.0, 4.0)]
+
+    @pytest.mark.parametrize("perfect", (False, True))
+    @pytest.mark.parametrize("stages_per_call", (1, 3, 4, 1000))
+    def test_plans_equal_per_set_calls(self, perfect, stages_per_call, rng, monkeypatch):
+        # 3 and 4 stages per call put block ends between sets and inside them
+        S = rand_corr(12, rng)
+        model = exceedance.correlation_model(_with_perfect_pair(S) if perfect else S)
+        pairs = model.pair_summary
+        entries = pairs.rhos.size + (pairs.n_perfect > 0)
+        monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES", stages_per_call * entries)
+        bounds = self._bounds(12)
+        want = [crossing.crossing_pvalue(b, model, return_table=True) for b in bounds]
+        calls = record_series(monkeypatch)
+        plans = crossing._stage_plans(bounds, model)
+        stages = sum(plan.thresholds.size for plan in plans if plan.lam is not None)
+        assert stages == 6 + 4 + 4 + 4 + 4
+        full, rest = divmod(stages, stages_per_call)
+        assert [t for t, _ in calls] == [stages_per_call] * full + [rest] * (rest > 0)
+        for b, plan, (p, table) in zip(bounds, plans, want):
+            got_p, got = crossing.crossing_pvalue(b, model, return_table=True, plan=plan)
+            assert got_p == p
+            np.testing.assert_array_equal(got.leaks, table.leaks)
+            assert got.diagnostics == table.diagnostics
+        flags = [set(table.diagnostics) for _, table in want]
+        assert flags[0] == set() and flags[-1] == set()
+        assert {"lambda_underflow", "pair_tail_underflow"} <= flags[4]
+        assert "pair_tail_underflow" in flags[5]
+        if not perfect:
+            assert "ebb_gamma_clamped" in flags[2]
+
+    @staticmethod
+    def _replicates(n):
+        """n null draws on calibrate's omnibus design: d = 100, ten blocks
+        of exchangeable 0.5."""
+        S = np.kron(np.eye(10), exchangeable(10, 0.5))
+        L = np.linalg.cholesky(S)
+        rng = np.random.default_rng(20)
+        return exceedance.correlation_model(S), [setstats.ZVector(L @ rng.standard_normal(100))
+                                                 for _ in range(n)]
+
+    @pytest.mark.parametrize("stages_per_call", (None, 25))
+    def test_a_list_shares_the_series_calls(self, stages_per_call, monkeypatch):
+        model, Zs = self._replicates(20)
+        if stages_per_call:
+            # two atoms, 0 and 0.5
+            monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES", 2 * stages_per_call)
+        recursion = crossing.crossing_pvalue
+        seen = []
+
+        def record(bounds, *args, **kwargs):
+            out = recursion(bounds, *args, **kwargs)
+            seen.append((bounds, out))
+            return out
+
+        monkeypatch.setattr(crossing, "crossing_pvalue", record)
+        calls = record_series(monkeypatch)
+        # a statistic of zero takes p = 1 without a recursion
+        outcomes = [o for o in crossing.pvalue("GBJ", Zs, model) if o.statistic > 0.0]
+        assert len(seen) == len(outcomes) > 1
+        stages = sum(crossing._stages(bounds)[0].size for bounds, _ in seen)
+        if stages_per_call is None:
+            assert [t for t, _ in calls] == [stages]
+        else:
+            full, rest = divmod(stages, stages_per_call)
+            assert [t for t, _ in calls] == [stages_per_call] * full + [rest] * (rest > 0)
+        for (bounds, (p, table)), outcome in zip(seen, outcomes):
+            own_p, own = recursion(bounds, model, return_table=True)
+            assert p == own_p
+            np.testing.assert_array_equal(table.leaks, own.leaks)
+            assert table.diagnostics == own.diagnostics
+            assert outcome.pvalue == min(1.0, max(crossing.PVALUE_FLOOR, own_p))
+        # a list of one set takes the calls of that set's own recursion
+        seen.clear()
+        calls.clear()
+        crossing.pvalue("GBJ", [Zs[0]], model)
+        [(bounds, _)] = seen
+        one = [t for t, _ in calls]
+        calls.clear()
+        recursion(bounds, model)
+        assert one == [t for t, _ in calls]
 
 
 class TestExactSmall:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +172,32 @@ class TestMatch:
         gamma, clamped = match_gamma(lam, (2.0 * d - 1.0) / (d - 1), d)
         assert clamped
         assert np.isfinite(gamma) and gamma > 0.0
+
+
+@pytest.mark.parametrize("size", [2, 7, 64, 500])
+def test_factor_below_the_rounding_of_one(size):
+    # lam as crossing_pvalue clips it and gamma at match_gamma's low clamp:
+    # the last factor 1 - lam + gamma (size - 1), about 1.1e-22, is below
+    # what 1 + (gamma k - lam) can hold, and is taken as (1 - lam) + gamma k
+    lam = 1.0 - 1e-16
+    gamma, clamped = match_gamma(lam, -1.0, size)
+    assert clamped
+    gamma = float(gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = transition([size], size, lam, gamma)[0]
+        pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
+    # Pr(V = 0) of EBB(size, lam, gamma), exactly in the float lam and gamma
+    L, G = Fraction(lam), Fraction(gamma)
+    factors = [(1 - L + G * k) / (1 + G * k) for k in range(size)]
+    assert all(f > 0 for f in factors)
+    log_want = math.fsum(math.log(f) for f in factors)
+    assert pre_a[0] + pre_b[size] - pre_c[size] == pytest.approx(log_want, rel=1e-12, abs=0)
+    exact = math.prod(factors)
+    if exact >= np.finfo(float).tiny:
+        # sizes 2 and 7; from 64 on the product is below the smallest double
+        assert row[0] > 0.0
+        assert row[0] == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 def test_broadcast_prefixes_equal_per_row_prefixes(rng):

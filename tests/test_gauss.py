@@ -181,6 +181,50 @@ class TestBivarAbsTail:
         with pytest.raises(DomainError):
             gauss.bivar_abs_tail_many(np.array([1.0, -0.5, 2.0]), np.array([0.2]))
 
+    @pytest.mark.parametrize("K", [1, 2, 15, 16, 17, 300])
+    @pytest.mark.parametrize("x_max", [0.0, 0.25, 0.5184, 0.9025])
+    def test_coefficient_builds_agree(self, K, x_max, rng):
+        # the Python loop per threshold and the numpy recurrence across
+        # thresholds give equal rows, so a threshold's tails do not depend
+        # on the call it arrives in
+        ts = rng.uniform(0.0, 37.0, size=K)
+        ts[0] = 0.0
+        ts[-1] = 37.0 if K > 1 else 0.0
+        terms = gauss._series_terms(ts)
+        scalar = gauss._series_coefs(*terms, x_max)
+        assert scalar.shape[0] == K
+        np.testing.assert_array_equal(gauss._series_coefs_many(*terms, x_max), scalar)
+
+    def test_coefficient_builds_agree_at_the_order_cap(self):
+        terms = gauss._series_terms(np.array([1.0, 5.0, 8.0, 0.3]))
+        scalar = gauss._series_coefs(*terms, 0.97)
+        # the rows at t = 5 and 8 stop at PAIR_SERIES_MAX_ORDER, not converged
+        assert scalar.shape[1] == gauss.PAIR_SERIES_MAX_ORDER // 2
+        np.testing.assert_array_equal(gauss._series_coefs_many(*terms, 0.97), scalar)
+
+    def test_call_size_picks_the_build_not_the_values(self, rng, monkeypatch):
+        vector = []
+        many_build = gauss._series_coefs_many
+
+        def record(t_list, *args):
+            vector.append(len(t_list))
+            return many_build(t_list, *args)
+
+        monkeypatch.setattr(gauss, "_series_coefs_many", record)
+        rhos = rng.uniform(-0.9, 0.9, size=7)
+        ts = rng.uniform(0.0, 6.0, size=gauss.PAIR_VECTOR_MIN_THRESHOLDS)
+        many = gauss.bivar_abs_tail_many(ts, rhos)
+        short = gauss.bivar_abs_tail_many(ts[:-1], rhos)
+        assert vector == [ts.size]
+        np.testing.assert_array_equal(short, many[:-1])
+        for t, row in zip(ts, many):
+            np.testing.assert_array_equal(row, gauss.bivar_abs_tail_many(t, rhos))
+        # a long call takes its thresholds PAIR_VECTOR_MAX_THRESHOLDS at a time
+        monkeypatch.setattr(gauss, "PAIR_VECTOR_MAX_THRESHOLDS", 7)
+        vector.clear()
+        np.testing.assert_array_equal(gauss.bivar_abs_tail_many(ts, rhos), many)
+        assert vector == [7, 7, 2]
+
     def test_empty_batch(self):
         out = gauss.bivar_abs_tail_many(2.0, np.array([]))
         assert out.shape == (0,) and out.dtype == float
@@ -228,6 +272,19 @@ class TestMvnCdfSmall:
         p, err = gauss._lattice_integral(L, a, b, gauss.MVN_SMALL_NPTS, 8)
         assert 0 <= p <= 1 and err < 1e-5
         assert p == gauss.mvn_cdf_small(0.4, R)
+
+    def test_open_lower_limits_skip_their_cdf(self, rng):
+        # an open lower limit is -inf, whose CDF the lattice takes as 0
+        # without ndtr; the integral is the one a -38 limit gave
+        from tests.conftest import exchangeable, rand_corr
+        for R in (rand_corr(3, rng), rand_corr(4, rng, factor=1), exchangeable(4, 0.9)):
+            d = R.shape[0]
+            lower, _, _ = gauss._dedup_perfect(0.7, R)
+            assert np.all(np.isneginf(lower))
+            for z in (-3.0, 0.4, 2.5):
+                L, a, b = gauss._cholesky_reordered(np.full(d, -38.0), np.full(d, z), R)
+                want, _ = gauss._lattice_integral(L, a, b, gauss.MVN_SMALL_NPTS, 8)
+                assert gauss.mvn_cdf_small(z, R) == want
 
     def test_dimension_and_validity_errors(self):
         with pytest.raises(DomainError):
