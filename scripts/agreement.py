@@ -9,9 +9,17 @@ gbjtest from CHECKOUT/src, and writes every item's outputs (p-values,
 simulated (rate, se) pairs and region bounds) as JSON.  Each calibrate
 omnibus item also records ``R_hat``, the flattened bootstrap correlation of
 its Sigma at the library's default B (``omnibus.DEFAULT_BOOTSTRAP_REPS``)
-and seed 0, since the workload itself runs the bootstrap at a smaller B.  ``compare`` prints
-the largest relative difference per workload and output, with the item where
-it occurs, and exits 1 when the two files do not hold the same outputs.
+and seed 0, since the workload itself runs the bootstrap at a smaller B.
+Every item also records ``flags``: one entry per outcome of each
+``gbjtest.crossing.pvalue`` call it makes, bootstrap lists included, naming
+the method and its diagnostics, or the error of a set that failed.  The
+workloads and the omnibus look ``crossing.pvalue`` up at call time, so a
+wrapper put there sees every call.
+
+``compare`` prints the largest relative difference per workload and
+numeric output, with the item where it occurs, then every outcome whose
+flags differ.  It exits 1 when the two files do not hold the same outputs
+or any flags differ.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scan", "large_set", "calibrate")
 ROUNDS = (0, 1)
+FLAGS = "flags"
 
 
 def spawn(script: str, checkout: str, *args: str) -> int:
@@ -57,18 +66,31 @@ def child(src: str, seed: str, out: str) -> int:
     import numpy as np
 
     workloads = import_checkout(src)
-    from gbjtest import omnibus
+    from gbjtest import GBJError, crossing, omnibus
 
+    flags: list[str] = []
+    pvalue = crossing.pvalue
+
+    def recording(*args, **kwargs):
+        out = pvalue(*args, **kwargs)
+        for o in out if isinstance(out, list) else [out]:
+            flags.append(f"{type(o).__name__}: {o}" if isinstance(o, GBJError)
+                         else f"{o.method}: {','.join(o.diagnostics)}")
+        return out
+
+    crossing.pvalue = recording
     outputs = {}
     for workload in WORKLOADS:
         for r in ROUNDS:
             for item in workloads.build_round(workload, int(seed), r):
+                flags.clear()
                 outputs[item.id] = {key: np.ravel(getattr(value, "b", value)).tolist()
                                     for key, value in item.run().items()}
                 if item.kind == "omnibus":
                     R_hat, _ = omnibus.bootstrap_corr(
                         item.sigma, B=omnibus.DEFAULT_BOOTSTRAP_REPS, seed=0)
                     outputs[item.id]["R_hat"] = R_hat.ravel().tolist()
+                outputs[item.id][FLAGS] = list(flags)
     Path(out).write_text(json.dumps(outputs, indent=1))
     return 0
 
@@ -89,6 +111,8 @@ def compare(base: str, new: str) -> int:
     worst: dict[tuple[str, str], tuple[float, str]] = {}
     for item, outs in a.items():
         for key, xs in outs.items():
+            if key == FLAGS:
+                continue
             diff = max(_rel(x, y) for x, y in zip(xs, b[item][key]))
             cell = (item.split("/")[0], key)
             if diff >= worst.get(cell, (-1.0, ""))[0]:
@@ -96,7 +120,12 @@ def compare(base: str, new: str) -> int:
     print("workload\toutput\tmax_rel_diff\titem")
     for (workload, key), (diff, item) in sorted(worst.items()):
         print(f"{workload}\t{key}\t{diff:.3g}\t{item}")
-    return 0
+    flag_diffs = [(item, i, x, y) for item, outs in a.items()
+                  for i, (x, y) in enumerate(zip(outs[FLAGS], b[item][FLAGS])) if x != y]
+    print(f"outcomes with different flags: {len(flag_diffs)}")
+    for item, i, x, y in flag_diffs:
+        print(f"{item}\toutcome {i}\t{x!r} -> {y!r}")
+    return 1 if flag_diffs else 0
 
 
 if __name__ == "__main__":

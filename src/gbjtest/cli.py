@@ -136,7 +136,10 @@ def cmd_test(args, manifest: RunManifest) -> None:
 
 
 def cmd_region(args, manifest: RunManifest) -> None:
-    method = _parse_methods(args.method)[0]
+    methods = _parse_methods(args.method)
+    if len(methods) > 1:
+        raise DomainError(f"region takes one method, got {','.join(methods)}")
+    method = methods[0]
     if method in ("SKAT", "OMNI"):
         raise DomainError("region applies to the boundary methods "
                           "(gbj, bj, hc, ghc, minp)")

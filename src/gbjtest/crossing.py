@@ -123,7 +123,7 @@ class _StagePlan:
 
 
 def _stage_plans(bounds_list: list[BoundaryVector], model: CorrelationModel) -> list[_StagePlan]:
-    """The stage plans of several sets on one model.  Every stage quantity
+    """The stage plans of one or more sets on one model.  Every stage quantity
     that does not depend on the count law is taken as an array over the
     concatenated stages of all sets, the pair tails by one pass of
     ``_pair_fractions``; a set's first stage starts from t_0 = 0, never from
@@ -143,11 +143,8 @@ def _stage_plans(bounds_list: list[BoundaryVector], model: CorrelationModel) -> 
         return plans
     sizes = np.array([plans[i].thresholds.size for i in run])
     starts = np.cumsum(sizes) - sizes
-    if len(run) == 1:       # one set's stages are taken as they are, not copied
-        thresholds, caps = plans[run[0]].thresholds, plans[run[0]].caps
-    else:
-        thresholds = np.concatenate([plans[i].thresholds for i in run])
-        caps = np.concatenate([plans[i].caps for i in run])
+    thresholds = np.concatenate([plans[i].thresholds for i in run])
+    caps = np.concatenate([plans[i].caps for i in run])
     first = np.zeros(thresholds.size, dtype=bool)
     first[starts] = True
 
@@ -194,19 +191,18 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
         Also return the CrossingTable: the mass leaked at each stage and the
         diagnostic flags, the bounds' own first.
     plan : _StagePlan, optional
-        The stage plan of ``bounds`` on this model, as ``_stage_plans``
-        builds it for many sets at once; built here when not given.
+        The stage plan of ``bounds`` on this model, as ``pvalue`` builds
+        it with ``_stage_plans``; built here the same way when not given.
     """
     model = correlation_model(Sigma)
     d = model.d
-    if bounds.d != d:
-        raise DomainError(f"bounds dimension {bounds.d} != correlation dimension {d}")
     if plan is None:
         [plan] = _stage_plans([bounds], model)
     thresholds, caps = plan.thresholds, plan.caps
     if plan.lam is None:
-        # S(0) = d always: a cap below d at threshold zero is crossed surely
-        leaks = np.array([1.0 if caps[0] < d else 0.0] if thresholds.size else [])
+        # S(0) = d always, and every cap is below d: a threshold at zero is
+        # crossed surely
+        leaks = np.array([1.0] if thresholds.size else [])
         p = float(leaks.sum())
         return (p, CrossingTable(leaks, plan.flags)) if return_table else p
 
@@ -297,7 +293,12 @@ def _pair_fractions(thresholds: np.ndarray, first: np.ndarray, sf: np.ndarray,
                 out[bad] = np.broadcast_to(lam2, out.shape)[bad]
             np.clip(out, 0.0, 1.0, out=out)
             out -= lam2
-            numer[block] = 2.0 * pairs.pair_sum(out)
+            # the sum over pairs; vecdot takes one BLAS dot per stage, so a
+            # stage's sum does not depend on the block it arrives in
+            total = np.vecdot(out[:, :n], pairs.counts)
+            if pairs.n_perfect:
+                total += pairs.n_perfect * out[:, n]
+            numer[block] = 2.0 * total
     return numer / (d * (d - 1) * lam * (1.0 - lam)), underflow
 
 
@@ -406,16 +407,13 @@ class _BoundSearch:
             while short.size:
                 f_hi[short] = excess(hi[short], short)
                 short = short[f_hi[short] < 0.0]
-                at_max = hi[short] >= setstats.T_MAX
-                if at_max.any():
-                    # a g fails once all of its short entries sit at T_MAX
-                    reach = np.unique(row[short[~at_max]])
-                    for r in np.setdiff1d(row[short], reach):
-                        j = js[col[short[row[short] == r][0]]]
-                        errors[r] = NumericalError(
-                            f"{method}: objective never reaches g={gs[r]} by "
-                            f"t={setstats.T_MAX} at index j={j}")
-                    short = short[np.isin(row[short], reach)]
+                # a g fails at its first entry still short at T_MAX
+                for e in short[hi[short] >= setstats.T_MAX]:
+                    if row[e] not in errors:
+                        errors[row[e]] = NumericalError(
+                            f"{method}: objective never reaches g={gs[row[e]]} by "
+                            f"t={setstats.T_MAX} at index j={js[col[e]]}")
+                short = short[~np.isin(row[short], list(errors))]
                 hi[short] = np.minimum(base[short] + 2.0 * (hi[short] - base[short]),
                                        setstats.T_MAX)
             open_ = open_[~np.isin(row[open_], list(errors))]
@@ -478,8 +476,9 @@ def pvalue(method: str, Z: setstats.ZVector | list[setstats.ZVector],
     raises.  The bounds of all positive statistics are inverted in one
     ``invert_bounds`` call, and their stage plans built by one
     ``_stage_plans`` call, so the sets share their calls of the pair series;
-    each set then runs its own count loop through ``crossing_pvalue``.  One
-    set gives its scalar call's outcome bit for bit.
+    each set then runs its own count loop through ``crossing_pvalue``, which
+    raises nothing once it has a plan.  One set gives its scalar call's
+    outcome bit for bit.
     """
     model = correlation_model(Sigma)
     single = isinstance(Z, setstats.ZVector)
@@ -505,16 +504,9 @@ def pvalue(method: str, Z: setstats.ZVector | list[setstats.ZVector],
                 out[i] = bounds
             else:
                 inverted.append((i, bounds))
-        # several sets share one pass of the pair series; one set builds its
-        # own plan inside crossing_pvalue
-        plans = (_stage_plans([bounds for _, bounds in inverted], model)
-                 if len(inverted) > 1 else [None] * len(inverted))
+        plans = _stage_plans([bounds for _, bounds in inverted], model)
         for (i, bounds), plan in zip(inverted, plans):
-            try:
-                p, table = crossing_pvalue(bounds, model, return_table=True, plan=plan)
-            except GBJError as err:
-                out[i] = err
-                continue
+            p, table = crossing_pvalue(bounds, model, return_table=True, plan=plan)
             out[i].pvalue = float(min(1.0, max(PVALUE_FLOOR, p)))
             out[i].diagnostics = tuple(sorted(set(out[i].diagnostics) | set(table.diagnostics)))
     if not single:

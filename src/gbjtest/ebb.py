@@ -4,10 +4,9 @@ EBB(m, lam, gamma) is the law the GBJ objective and the crossing recursion
 give an exceedance count.  gamma = 0 is exactly binomial, gamma > 0
 overdisperses, and gamma down to ``gamma_floor`` underdisperses.  Its pmf is
 a product of three rising factors, lam + gamma k, 1 - lam + gamma k and
-1 + gamma k.  ``transition`` gives its pmf rows for several sizes m at one
-(lam, gamma) from prefix sums of their logs (``_log_factor_prefixes``), by
-``_pmf_rows``, which the crossing recursion also calls with the prefixes of
-many stages built at once.
+1 + gamma k.  ``_pmf_rows`` gives its pmf rows for several sizes m at one
+(lam, gamma) from prefix sums of their logs (``_log_factor_prefixes``); the
+crossing recursion calls it with the prefixes of many stages built at once.
 ``log_kernel`` gives the log pmf at one count per (lam, gamma), less its
 binomial coefficient, which is what the GBJ/BJ objective reads: from the
 prefix sums below CLOSED_FORM_MIN_SIZE, and from closed forms of the three
@@ -88,27 +87,15 @@ def _log_one_minus(lam: np.ndarray, gk: np.ndarray) -> np.ndarray:
     return u
 
 
-def transition(ms, size: int, lam: float, gamma: float) -> np.ndarray:
-    """PMF rows of EBB(m, lam, gamma) for each size m in ``ms``.
-
-    Row i holds Pr(V = a), V ~ EBB(ms[i], lam, gamma), for a = 0 .. size,
-    and exactly 0 for a > ms[i].  Every m lies in 0 .. size, and gamma must
-    be feasible for ``size`` (above gamma_floor(lam, size)); this kernel
-    does not check.  All rows come from one set of log-factor prefixes and
-    are exponentiated from log space.
-    """
-    log_fact = gammaln(np.arange(size + 1) + 1.0)  # log m! for m = 0 .. size
-    return _pmf_rows(np.asarray(ms), size, log_fact,
-                     *_log_factor_prefixes(size, lam, gamma))
-
-
 def _pmf_rows(ms: np.ndarray, m_max: int, log_fact: np.ndarray,
               pre_a: np.ndarray, pre_b: np.ndarray, pre_c: np.ndarray) -> np.ndarray:
-    """``transition``'s rows for sizes ``ms`` (each in 0 .. m_max) over
-    a = 0 .. m_max, from log m! (``log_fact``) and one (lam, gamma)'s 1-D
-    prefix rows, all of length at least m_max + 1.  Entries past m_max are
-    never read, so the tables may be longer than this call needs and hold
-    anything there.  The log pmf is summed left to right as
+    """PMF rows of EBB(m, lam, gamma), Pr(V = a) for a = 0 .. m_max and
+    exactly 0 past m, for each size m in ``ms`` (each in 0 .. m_max), from
+    log m! (``log_fact``) and one (lam, gamma)'s 1-D prefix rows, all of
+    length at least m_max + 1; gamma must be feasible for m_max, which this
+    kernel does not check.  Entries past m_max are never read, so the tables
+    may be longer than this call needs and hold anything there.  The log pmf
+    is summed left to right as
     log m! - log a! - log (m - a)! + pre_a[a] + pre_b[m - a] - pre_c[m]."""
     n1 = m_max + 1
     ma = ms[:, None] - np.arange(n1)            # m - a, negative past the support

@@ -62,17 +62,6 @@ class PairSummary:
     counts: np.ndarray
     n_perfect: int
 
-    def pair_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum over all pairs of a per-group value, given along the last axis
-        one value per atom followed, if there are perfect pairs, by theirs.
-        Each row's sum is the one its own 1-D call would give."""
-        n = self.rhos.size
-        # vecdot takes one BLAS dot per row, as ``row @ counts`` does
-        total = np.vecdot(values[..., :n], self.counts)
-        if self.n_perfect:
-            total = total + self.n_perfect * values[..., n]
-        return total
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:

@@ -181,8 +181,6 @@ def bootstrap_corr(Sigma: np.ndarray | CorrelationModel, B: int = DEFAULT_BOOTST
 
     Returns (R_hat, dropped_count).
     """
-    if B < 20:
-        raise DomainError(f"bootstrap needs B >= 20 replicates, got {B}")
     model = correlation_model(Sigma)
     L = _safe_cholesky(model.matrix)
     return _bootstrap_replicates(lambda rng: L @ rng.standard_normal(model.d), model, B, seed)
@@ -200,8 +198,6 @@ def bootstrap_corr_individual(fit: scores.NullModelFit, G: scores.GenotypeMatrix
 
     Returns (R_hat, dropped_count).
     """
-    if B < 20:
-        raise DomainError(f"bootstrap needs B >= 20 replicates, got {B}")
     # the kept columns, denominators and correlation do not involve the outcome
     keep, denom2, Sigma = scores.score_basis(G, fit, X)
     model = correlation_model(repair_correlation(Sigma))
@@ -226,6 +222,10 @@ def _bootstrap_replicates(draw, model: CorrelationModel, B: int, seed: int):
     method inverts the bounds of every replicate in one call and takes their
     pair tails in one pass of the series.  Replicates
     whose components fail are dropped.  Returns (R_hat, dropped_count)."""
+    if B < 20:
+        raise DomainError(f"bootstrap needs B >= 20 replicates, got {B}")
+    if seed < 0:
+        raise DomainError(f"bootstrap seed must be >= 0, got {seed}")
     Zs = [setstats.ZVector(draw(np.random.default_rng([seed, rep]))) for rep in range(B)]
     cols = [[pv[c] for c in OMNI_COMPONENTS]
             for pv in component_pvalues(Zs, model) if not isinstance(pv, GBJError)]
@@ -251,6 +251,9 @@ def omni_pvalue(component_pvals: dict, R_hat: np.ndarray,
     missing = [c for c in OMNI_COMPONENTS if c not in component_pvals]
     if missing:
         raise DomainError(f"missing component p-values: {missing}")
+    for c in OMNI_COMPONENTS:
+        if not 0.0 <= component_pvals[c] <= 1.0:
+            raise DomainError(f"component p-value {c}={component_pvals[c]!r} is not in [0, 1]")
     R_hat = np.asarray(R_hat, dtype=float)
     if R_hat.shape != (4, 4):
         raise DomainError(f"R_hat must be 4x4, got {R_hat.shape}")

@@ -125,6 +125,12 @@ class SimConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise DomainError("reps must be >= 1")
+        if self.n < 2:
+            raise DomainError(f"n must be >= 2 subjects, got {self.n}")
+        if not math.isfinite(self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.maf < 0.5):
             raise DomainError(f"maf must be in (0, 0.5), got {self.maf}")
         if not (0.0 < self.alpha < 1.0):

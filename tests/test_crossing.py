@@ -978,22 +978,21 @@ class TestPvalueList:
                 assert got.pvalue == pytest.approx(want.pvalue, rel=1e-12, abs=0), method
             assert batch[4].pvalue == 1.0
 
-    def test_recursion_failure_stays_with_its_set(self, monkeypatch):
+    def test_inversion_failure_stays_with_its_set(self, monkeypatch):
+        # once a set's bounds are inverted, its recursion raises nothing: the
+        # per-set failure after the statistic is the inversion's
         d = 8
         Sigma = exchangeable(d, 0.3)
         Zs = [setstats.ZVector(np.linspace(-1.0, s, d)) for s in (3.0, 3.5, 4.0)]
         want = [crossing.pvalue("GHC", Z, Sigma) for Z in (Zs[0], Zs[2])]
-        stat = crossing.pvalue("GHC", Zs[1], Sigma).statistic
-        poisoned = crossing.invert_bounds(
-            "GHC", stat, d, exceedance.correlation_model(Sigma).profile).b
-        recursion = crossing.crossing_pvalue
+        poisoned = crossing.pvalue("GHC", Zs[1], Sigma).statistic
+        invert = crossing.invert_bounds
 
-        def failing(bounds, *args, **kwargs):
-            if abs(bounds.b[-1] - poisoned[-1]) < 1e-9:
-                raise NumericalError("injected failure")
-            return recursion(bounds, *args, **kwargs)
+        def failing(method, gs, *args):
+            return [NumericalError("injected failure") if g == poisoned else bounds
+                    for g, bounds in zip(gs, invert(method, gs, *args))]
 
-        monkeypatch.setattr(crossing, "crossing_pvalue", failing)
+        monkeypatch.setattr(crossing, "invert_bounds", failing)
         got = crossing.pvalue("GHC", Zs, Sigma)
         assert isinstance(got[1], NumericalError)
         for o, w in zip((got[0], got[2]), want):

@@ -135,6 +135,19 @@ class TestBootstrapCorr:
         with pytest.raises(DomainError):
             omnibus.bootstrap_corr(np.eye(4), B=10, seed=0)
 
+    @pytest.mark.parametrize("B, seed, message", [(10, 0, "B >= 20 replicates, got 10"),
+                                                   (20, -1, "seed must be >= 0, got -1")])
+    def test_replicates_and_seed_checked_in_both_modes(self, B, seed, message, rng):
+        with pytest.raises(DomainError, match=message):
+            omnibus.bootstrap_corr(np.eye(4), B=B, seed=seed)
+        n, d = 60, 3
+        G = scores.GenotypeMatrix(values=rng.integers(0, 3, size=(n, d)).astype(float),
+                                  ids=("a", "b", "c"))
+        X = np.ones((n, 1))
+        fit = scores.fit_null(rng.standard_normal(n), X, "gaussian")
+        with pytest.raises(DomainError, match=message):
+            omnibus.bootstrap_corr_individual(fit, G, X, B=B, seed=seed)
+
     def test_individual_mode_runs_and_is_deterministic(self, rng):
         n, d = 250, 6
         g = (rng.uniform(size=(n, d)) < 0.3).astype(float) + (rng.uniform(size=(n, d)) < 0.3)
@@ -346,7 +359,9 @@ class TestOmniPvalue:
             np.fill_diagonal(R, 1.0)
             R = omnibus.repair_correlation(R)
             omni = float(rng.uniform(0.001, 0.4))
-            pv = dict(zip(omnibus.OMNI_COMPONENTS, [omni, omni * 2, omni * 3, omni * 1.5]))
+            # the other components are larger p-values, at most 1
+            others = [min(1.0, omni * f) for f in (2, 3, 1.5)]
+            pv = dict(zip(omnibus.OMNI_COMPONENTS, [omni, *others]))
             p = omnibus.omni_pvalue(pv, R).p_omni
             assert omni - 1e-6 <= p <= 1 - (1 - omni) ** 4 + 1e-6
 
@@ -365,6 +380,12 @@ class TestOmniPvalue:
     def test_missing_component_rejected(self):
         with pytest.raises(DomainError):
             omnibus.omni_pvalue({"GBJ": 0.1}, np.eye(4))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_component_outside_unit_interval_rejected(self, bad):
+        pv = {"GBJ": bad, "GHC": 0.4, "SKAT": 0.6, "MinP": 0.2}
+        with pytest.raises(DomainError, match=f"component p-value GBJ={bad!r} is not in"):
+            omnibus.omni_pvalue(pv, np.eye(4))
 
     def test_threshold_validates_r_hat_once(self, monkeypatch):
         R = 0.5 * np.ones((4, 4)) + 0.5 * np.eye(4)
