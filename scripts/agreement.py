@@ -13,13 +13,17 @@ and seed 0, since the workload itself runs the bootstrap at a smaller B.
 Every item also records ``flags``: one entry per outcome of each
 ``gbjtest.crossing.pvalue`` call it makes, bootstrap lists included, naming
 the method and its diagnostics, or the error of a set that failed.  The
-workloads and the omnibus look ``crossing.pvalue`` up at call time, so a
-wrapper put there sees every call.
+file's ``objective_calls`` entry counts the ``setstats.objective_values``
+calls of each workload per method, statistics and boundary inversions
+alike.  The workloads and the library look ``crossing.pvalue`` and
+``setstats.objective_values`` up at call time, so a wrapper put there sees
+every call.
 
 ``compare`` prints the largest relative difference per workload and
 numeric output, with the item where it occurs, then every outcome whose
-flags differ.  It exits 1 when the two files do not hold the same outputs
-or any flags differ.
+flags differ, then the two files' objective calls side by side.  It exits 1
+when the two files do not hold the same outputs or any flags differ; the
+call counts are a report only.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scan", "large_set", "calibrate")
 ROUNDS = (0, 1)
 FLAGS = "flags"
+CALLS = "objective_calls"
 
 
 def spawn(script: str, checkout: str, *args: str) -> int:
@@ -66,10 +71,13 @@ def child(src: str, seed: str, out: str) -> int:
     import numpy as np
 
     workloads = import_checkout(src)
-    from gbjtest import GBJError, crossing, omnibus
+    from gbjtest import GBJError, crossing, omnibus, setstats
 
     flags: list[str] = []
+    calls: dict[str, dict[str, int]] = {}      # per workload, then method
+    counts: dict[str, int] = {}                # the running workload's
     pvalue = crossing.pvalue
+    objective = setstats.objective_values
 
     def recording(*args, **kwargs):
         out = pvalue(*args, **kwargs)
@@ -78,9 +86,15 @@ def child(src: str, seed: str, out: str) -> int:
                          else f"{o.method}: {','.join(o.diagnostics)}")
         return out
 
+    def counting(method, *args, **kwargs):
+        counts[method] = counts.get(method, 0) + 1
+        return objective(method, *args, **kwargs)
+
     crossing.pvalue = recording
+    setstats.objective_values = counting
     outputs = {}
     for workload in WORKLOADS:
+        counts = calls[workload] = {}
         for r in ROUNDS:
             for item in workloads.build_round(workload, int(seed), r):
                 flags.clear()
@@ -91,6 +105,7 @@ def child(src: str, seed: str, out: str) -> int:
                         item.sigma, B=omnibus.DEFAULT_BOOTSTRAP_REPS, seed=0)
                     outputs[item.id]["R_hat"] = R_hat.ravel().tolist()
                 outputs[item.id][FLAGS] = list(flags)
+    outputs[CALLS] = calls
     Path(out).write_text(json.dumps(outputs, indent=1))
     return 0
 
@@ -105,6 +120,7 @@ def _shape(outputs: dict) -> dict:
 
 def compare(base: str, new: str) -> int:
     a, b = (json.loads(Path(path).read_text()) for path in (base, new))
+    calls_a, calls_b = a.pop(CALLS, {}), b.pop(CALLS, {})
     if _shape(a) != _shape(b):
         print("the two files do not hold the same items and outputs")
         return 1
@@ -125,6 +141,11 @@ def compare(base: str, new: str) -> int:
     print(f"outcomes with different flags: {len(flag_diffs)}")
     for item, i, x, y in flag_diffs:
         print(f"{item}\toutcome {i}\t{x!r} -> {y!r}")
+    print("workload\tmethod\tobjective_calls_base\tobjective_calls_new")
+    for workload in sorted(set(calls_a) | set(calls_b)):
+        wa, wb = calls_a.get(workload, {}), calls_b.get(workload, {})
+        for method in sorted(set(wa) | set(wb)):
+            print(f"{workload}\t{method}\t{wa.get(method, 0)}\t{wb.get(method, 0)}")
     return 1 if flag_diffs else 0
 
 

@@ -64,6 +64,8 @@ def _parse_methods(spec: str) -> list[str]:
         if tok not in lookup:
             raise DomainError(f"unknown method {tok!r}; choose from "
                               f"{','.join(lookup)}")
+        if lookup[tok] in out:
+            raise DomainError(f"method {tok!r} is listed twice")
         out.append(lookup[tok])
     if not out:
         raise DomainError("no methods requested")

@@ -333,24 +333,31 @@ def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
 class _BoundSearch:
     """Boundary inversion of one supremum method at one d and power profile.
 
-    The objective rises in t, so each index's root rises with g.  Every g the
+    HC's and BJ's objectives read t only through lam = 2 sf(t), so their
+    roots are taken without a search (``setstats._binomial_roots``): HC's in
+    closed form, BJ's by Newton from HC's.  MinP's one objective, at j = 1,
+    is t itself, so its root is g.  GBJ and GHC search, each from the root
+    of its seed method, BJ for GBJ and HC for GHC.
+
+    The objective rises in t, so each index's root rises with g.  Every g a
     search inverts joins a table of its raw roots (before the monotone
     repair), and a later g brackets each root between the raw roots at its
     nearest inverted neighbours g' < g < g'', taking g' - g and g'' - g as
     the excess there without evaluating it.  A neighbour within
     WARM_BRACKET_GAP (1 + g) of g is passed over, since the objective at its
-    roots equals g' only to within rounding.  Entries without a g'' expand
-    their bracket upward from the lower end.  The objective at the indicator
-    boundary (t_min + 1e-9), where an entry whose objective already reaches
-    g collapses, does not depend on g and is evaluated once.  With an empty
-    table every g takes the cold bracket [t_min + 1e-9, t_min + 1].  MinP's
-    one objective, at j = 1, is t itself, so its root is g without a search.
+    roots equals g' only to within rounding.  An entry without a g'' takes
+    the seed root as its upper end where that lies above its lower end, and
+    expands the upper end until it is no longer short (``_expand``); a short
+    upper end becomes the lower end.  The objective at the indicator boundary
+    (t_min + 1e-9), where an entry whose objective already reaches g
+    collapses, does not depend on g and is evaluated once.
     """
 
     def __init__(self, method: str, d: int, profile: CorrPowerProfile | None):
         if method not in setstats.ALL_METHODS:
             raise DomainError(f"cannot invert method {method!r}")
         self.method, self.d, self.profile = method, d, profile
+        self.seed_method = setstats.BJ if method in (setstats.BJ, setstats.GBJ) else setstats.HC
         if method == setstats.MINP:
             self.js, self.t_min = np.array([1]), np.zeros(1)
         elif d < 2:
@@ -360,7 +367,7 @@ class _BoundSearch:
             self.t_min = ndtri(1.0 - self.js / (2.0 * d))   # indicator boundary per index
         self.t_lo = self.t_min + 1e-9
         self.obj_lo: np.ndarray | None = None
-        self.gs: list[float] = []                       # inverted g > 0, ascending
+        self.gs: list[float] = []                       # searched g > 0, ascending
         self.roots: list[np.ndarray] = []               # their raw roots
 
     def _objective(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -370,9 +377,10 @@ class _BoundSearch:
     def invert(self, gs: np.ndarray) -> list:
         """``invert_bounds`` over a 1-D array of g with one root search.  The
         search runs over (g, index) entries, which it treats independently; a
-        g whose brackets cannot be expanded is taken out and gets its error."""
+        g with an entry whose objective stays below g up to T_MAX gets the
+        error naming the first such index."""
         method, js, t_min = self.method, self.js, self.t_min
-        jmax = js.size
+        searched = method in setstats.PROFILE_METHODS
         roots = np.tile(t_min, (gs.size, 1))    # a g of zero keeps these
         errors: dict[int, NumericalError] = {}
 
@@ -380,55 +388,29 @@ class _BoundSearch:
         if method == setstats.MINP:
             roots[pos, 0] = gs[pos]
         elif pos.size:
-            if self.obj_lo is None:
-                self.obj_lo = self._objective(self.t_lo, np.arange(jmax))
             # entry e is index js[col[e]] of g row[e]
-            row = np.repeat(pos, jmax)
-            col = np.tile(np.arange(jmax), pos.size)
+            row = np.repeat(pos, js.size)
+            col = np.tile(np.arange(js.size), pos.size)
             g_e = gs[row]
-
-            def excess(t, e):
-                return self._objective(t, col[e]) - g_e[e]
-
-            lo = self.t_lo[col]
-            f_lo = self.obj_lo[col] - g_e
-            roots[row, col] = lo
-            open_ = np.nonzero(f_lo < 0.0)[0]   # the rest collapse to lo
-            base = t_min[col]                   # upper brackets expand from here
-            hi = np.full(row.size, np.nan)      # nan until bracketed
-            f_hi = np.zeros(row.size)
-            if self.gs:
-                for k, r in enumerate(pos):
-                    self._warm(float(gs[r]), slice(k * jmax, (k + 1) * jmax),
-                               lo, f_lo, base, hi, f_hi)
-            cold = np.isnan(hi)
-            hi[cold] = np.minimum(base[cold] + 1.0, setstats.T_MAX)
-            short = open_[cold[open_]]
-            while short.size:
-                f_hi[short] = excess(hi[short], short)
-                short = short[f_hi[short] < 0.0]
-                # a g fails at its first entry still short at T_MAX
-                for e in short[hi[short] >= setstats.T_MAX]:
-                    if row[e] not in errors:
-                        errors[row[e]] = NumericalError(
-                            f"{method}: objective never reaches g={gs[row[e]]} by "
-                            f"t={setstats.T_MAX} at index j={js[col[e]]}")
-                short = short[~np.isin(row[short], list(errors))]
-                hi[short] = np.minimum(base[short] + 2.0 * (hi[short] - base[short]),
-                                       setstats.T_MAX)
-            open_ = open_[~np.isin(row[open_], list(errors))]
-            if open_.size:
-                roots[row[open_], col[open_]] = gauss._bracketed_roots(
-                    lambda t, k: excess(t, open_[k]),
-                    lo[open_], hi[open_], f_lo[open_], f_hi[open_],
-                    ftol=OBJECTIVE_ROUNDING * (1.0 + g_e[open_]))
+            seed = np.maximum(setstats._binomial_roots(self.seed_method, g_e, js[col], self.d),
+                              self.t_lo[col])
+            if searched:
+                failed = self._search(row, col, g_e, seed, roots)
+            else:
+                roots[row, col] = seed
+                failed = seed > setstats.T_MAX
+            for e in np.flatnonzero(failed):
+                if row[e] not in errors:
+                    errors[row[e]] = NumericalError(
+                        f"{method}: objective never reaches g={gs[row[e]]} by "
+                        f"t={setstats.T_MAX} at index j={js[col[e]]}")
 
         out: list = []
         for r in range(gs.size):
             if r in errors:
                 out.append(errors[r])
                 continue
-            if gs[r] > 0.0:
+            if searched and gs[r] > 0.0:
                 self._record(float(gs[r]), roots[r])
             b = np.full(self.d, np.inf)
             b[self.d - js] = roots[r]           # index d - j + 1, 0-based d - j
@@ -441,7 +423,84 @@ class _BoundSearch:
             out.append(BoundaryVector(b=b, diagnostics=flags))
         return out
 
-    def _warm(self, g: float, e: slice, lo, f_lo, base, hi, f_hi) -> None:
+    def _search(self, row, col, g_e, seed, roots) -> np.ndarray:
+        """GBJ's or GHC's roots of entries (row, col) at g_e into ``roots``,
+        searched from the seed roots; returns the mask of entries whose
+        objective stays below g up to T_MAX."""
+        jmax = self.js.size
+        if self.obj_lo is None:
+            self.obj_lo = self._objective(self.t_lo, np.arange(jmax))
+
+        def excess(t, e):
+            return self._objective(t, col[e]) - g_e[e]
+
+        lo = self.t_lo[col]
+        f_lo = self.obj_lo[col] - g_e
+        roots[row, col] = lo
+        open_ = np.nonzero(f_lo < 0.0)[0]   # the rest collapse to lo
+        hi = np.full(row.size, np.nan)      # nan until bracketed
+        f_hi = np.zeros(row.size)
+        if self.gs:
+            for k, g in enumerate(g_e[::jmax].tolist()):
+                self._warm(g, slice(k * jmax, (k + 1) * jmax), lo, f_lo, hi, f_hi)
+        cold = np.flatnonzero(np.isnan(hi))
+        hi[cold] = np.minimum(seed[cold], setstats.T_MAX)
+        behind = cold[seed[cold] <= lo[cold]]   # below a g' root, or collapsed
+        hi[behind] = self._expand(lo[behind], f_lo[behind] + g_e[behind], g_e[behind],
+                                  col[behind])
+        failed = np.zeros(row.size, dtype=bool)
+        short = np.intersect1d(open_, cold)
+        while short.size:
+            f_hi[short] = excess(hi[short], short)
+            short = short[f_hi[short] < 0.0]
+            lo[short], f_lo[short] = hi[short], f_hi[short]
+            at_max = hi[short] >= setstats.T_MAX
+            failed[short[at_max]] = True
+            short = short[~at_max]
+            hi[short] = self._expand(hi[short], f_hi[short] + g_e[short], g_e[short], col[short])
+        open_ = open_[~np.isin(row[open_], row[failed])]
+        if not open_.size:
+            return failed
+        # (t, excess) of each entry's last two evaluations
+        last, prev = np.full((2, open_.size), np.nan), np.full((2, open_.size), np.nan)
+
+        def recorded(t, k):
+            f = excess(t, open_[k])
+            prev[:, k] = last[:, k]
+            last[:, k] = t, f
+            return f
+
+        root = gauss._bracketed_roots(recorded, lo[open_], hi[open_], f_lo[open_],
+                                      f_hi[open_], ftol=OBJECTIVE_ROUNDING * (1.0 + g_e[open_]))
+        # a root the search stopped at within ftol takes one more secant
+        # step through its last two points, free of a call, which brings it
+        # to the objective's rounding: a warm and a cold bracket reach the
+        # same root, not two points up to ftol apart
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = last[1] * (last[0] - prev[0]) / (last[1] - prev[1])
+        polish = (root == last[0]) & (np.abs(step) < np.abs(last[0] - prev[0]))
+        roots[row[open_], col[open_]] = np.where(polish, root - step, root)
+        return failed
+
+    def _expand(self, t, obj, g, cols) -> np.ndarray:
+        """Next upper ends past points t whose objective ``obj`` falls short
+        of g, at indices js[cols].  GBJ's and GHC's objectives are BJ's and
+        HC's times a factor that varies slowly in t, GHC's most, so the next
+        end is the seed method's root at G (g / obj)^2, G its objective at
+        t: twice the shortfall in log, past the root where the factor is
+        constant.  It goes no further than twice t's distance from t_min,
+        the step taken where obj is not positive, nor past T_MAX."""
+        js, t_min = self.js[cols], self.t_min[cols]
+        lam = np.maximum(2.0 * gauss.norm_sf(t), setstats._LAM_FLOOR)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            target = setstats._binomial_objective(self.seed_method, np.log(lam), js,
+                                                  self.d) * (g / obj) ** 2
+            ratio = setstats._binomial_roots(self.seed_method,
+                                             np.where(obj > 0.0, target, np.nan), js, self.d)
+        double = t_min + 2.0 * (t - t_min)
+        return np.minimum(np.where(ratio > t, np.minimum(ratio, double), double), setstats.T_MAX)
+
+    def _warm(self, g: float, e: slice, lo, f_lo, hi, f_hi) -> None:
         """Brackets entries ``e`` of g between the raw roots of its nearest
         inverted neighbours, in place."""
         i = bisect.bisect_left(self.gs, g)
@@ -452,7 +511,6 @@ class _BoundSearch:
             warm = below > lo[e]
             lo[e][warm] = below[warm]
             f_lo[e][warm] = self.gs[i - 1] - g
-            base[e][warm] = below[warm]
         if i < len(self.gs) and self.gs[i] - g > gap:
             hi[e] = self.roots[i]
             f_hi[e] = self.gs[i] - g

@@ -340,17 +340,24 @@ def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
     """
     d = L.shape[0]
     q = _SQRT_PRIMES[: d - 1]
-    k = np.arange(1, npts + 1)[:, None]
-    base = np.modf(k * q)[0]
+    base = np.arange(1, npts + 1)[:, None] * q
+    base -= np.floor(base)                      # exact fractional parts
     ests = np.empty(nshift)
     # a lower limit of -inf has CDF 0 whatever the shift, so its ndtr is skipped
     open_lo = np.isneginf(a)
+    # the first coordinate's limits are the same at every point
+    d0, e0 = ndtr(a[0] / L[0, 0]), ndtr(b[0] / L[0, 0])
+    y = np.empty((npts, d - 1))
     for s in range(nshift):
-        w = np.abs(2.0 * np.modf(base + _LATTICE_SHIFTS[s, : d - 1])[0] - 1.0)
-        dcur = np.full(npts, ndtr(a[0] / L[0, 0]))
-        ecur = np.full(npts, ndtr(b[0] / L[0, 0]))
-        f = ecur - dcur
-        y = np.zeros((npts, d - 1))
+        # base and shift lie in [0, 1), so the fractional part of their sum
+        # drops 1 where it reaches 1, exactly
+        w = base + _LATTICE_SHIFTS[s, : d - 1]
+        w -= w >= 1.0
+        w *= 2.0
+        w -= 1.0
+        np.abs(w, out=w)
+        dcur, ecur = d0, e0
+        f = e0 - d0
         for i in range(1, d):
             z = np.clip(dcur + w[:, i - 1] * (ecur - dcur), 1e-16, 1.0 - 1e-16)
             y[:, i - 1] = ndtri(z)

@@ -34,8 +34,9 @@ ALL_METHODS = (GBJ, BJ, HC, GHC, MINP)
 T_MAX = 38.0
 _LAM_FLOOR = 1e-310
 _EPS = float(np.finfo(float).eps)
-# a guard only: _solve_mu_vec converges in 1 to 6 steps from d = 2 to 500
-_MU_MAX_STEPS = 100
+# a guard only: _solve_mu_vec converges in 1 to 6 steps from d = 2 to 500,
+# and _binomial_roots' BJ Newton in 0 to 5 (d = 2 to 500, g = 1e-8 to 1e4)
+_NEWTON_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def _solve_mu_vec(t: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
         mu_quad = np.sqrt((target - 2.0 * gauss.norm_sf(t)) / (t * gauss.norm_pdf(t)))
     mu = np.clip(np.fmin(t + ndtri(target), mu_quad), lo, hi)
     live = np.ones(t.shape, dtype=bool)
-    for _ in range(_MU_MAX_STEPS):
+    for _ in range(_NEWTON_MAX_STEPS):
         f = ndtr(mu - t) + ndtr(-mu - t) - target
         above = f >= 0.0
         hi = np.where(above, mu, hi)
@@ -112,6 +113,57 @@ def _solve_mu_vec(t: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
         if not live.any():
             break
     return mu
+
+
+def _binomial_roots(method: str, g: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
+    """Roots t of HC's or BJ's objective at g on the indicator side, for
+    parallel arrays g > 0 and 1 <= j <= d/2; +inf where the objective at
+    T_MAX (its lam floored as ``objective_values`` floors it) is below g.
+    Both objectives read t only through lam = 2 sf(t), and a root in lam
+    gives t = -ndtri(lam / 2).
+
+    HC's (j - d lam)^2 / (d lam (1 - lam)) = g is a quadratic in lam, whose
+    smaller root is 2 j^2 / (d (2 j + g) + sqrt(d g (4 j (d - j) + d g))), a
+    form without cancellation, taken over 2 d so that no finite g overflows.
+    BJ's d KL(j/d || lam) = g is solved by Newton in u = log lam from HC's
+    root: KL is at most the chi-square divergence that HC's objective is, so
+    BJ's root lies at a smaller lam, and the excess is convex and decreasing
+    in u, so after the first step the iterates rise to the root.  An entry
+    stops once its excess is at the rounding level of its terms, or once a
+    step after the first no longer rises.
+    """
+    lam = j * j / d / (j + 0.5 * g + 0.5 * np.sqrt(g) * np.sqrt(4.0 * j * (d - j) / d + g))
+    lam_cap = max(2.0 * float(gauss.norm_sf(T_MAX)), _LAM_FLOOR)
+    if method == BJ:
+        u = np.log(lam)
+        # the rounding level of the excess: that of its terms at the root,
+        # the log-likelihood of the count j at j/d, and g
+        rounding = 4.0 * _EPS * (-j * np.log(j / d) - (d - j) * np.log1p(-j / d) + g)
+        live = np.ones(g.shape, dtype=bool)
+        for step in range(_NEWTON_MAX_STEPS):
+            f = _binomial_objective(BJ, u, j, d) - g
+            lam = np.exp(u)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = u + f * (1.0 - lam) / (j - d * lam)
+            stop = ~np.isfinite(new) | (np.abs(f) <= rounding)
+            if step:
+                stop |= ~(new > u)
+            u = np.where(live & ~stop, new, u)
+            live &= ~stop
+            if not live.any():
+                break
+        lam = np.exp(u)
+    return np.where(lam < lam_cap, np.inf, -ndtri(0.5 * lam))
+
+
+def _binomial_objective(method: str, u: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
+    """HC's or BJ's objective at lam = exp(u), for parallel arrays u and j:
+    (j - d lam)^2 / (d lam (1 - lam)), or d KL(j/d || lam) taken from u
+    itself, so that it keeps its digits where lam is subnormal or zero."""
+    lam = np.exp(u)
+    if method == HC:
+        return (j - d * lam) ** 2 / (d * lam * (1.0 - lam))
+    return j * (np.log(j / d) - u) + (d - j) * (np.log1p(-j / d) - np.log1p(-lam))
 
 
 def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,

@@ -138,6 +138,8 @@ class SimConfig:
         unknown = [m for m in self.methods if m not in DEFAULT_METHODS]
         if unknown:
             raise DomainError(f"unknown methods {unknown}; choose from {DEFAULT_METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise DomainError(f"each method may be listed once, got {list(self.methods)}")
 
 
 @dataclass(frozen=True)

@@ -493,6 +493,21 @@ def test_unknown_method_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_repeated_method_rejected(command, tmp_path, capsys):
+    # a repeated method would write its row twice, and a study would count
+    # its rejections twice
+    zf = write(tmp_path / "z.tsv", "snp_id\tz\ns1\t2.0\ns2\t1.0\n")
+    cf = write(tmp_path / "c.tsv", "1\t0\n0\t1\n")
+    args = {"test": ["--zstats", zf, "--correlation", cf],
+            "simulate": ["--mode", "size", "--d", "5", "--n", "200", "--reps", "200",
+                         "--alpha", "0.1", "--seed", "3"]}[command]
+    out = str(tmp_path / "r.tsv")
+    assert cli.main([command, *args, "--methods", "minp,MinP,skat", "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: method 'minp' is listed twice"]
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["score", "cov-ref", "region"])
 def test_seed_only_where_something_is_drawn(command, toy_dataset, tmp_path):
     # score, cov-ref and region draw no random number, so they take no --seed

@@ -167,7 +167,8 @@ class TestBatchedInversion:
     def test_bootstrap_sized_inversion_stays_small(self, monkeypatch):
         # the objective holds O(1) values per entry at every d, so the 100
         # replicates of a d = 500 bootstrap share each call and peak near
-        # 28 MiB; EBB prefix tables for them would take about 600 MB
+        # 28 MiB; EBB prefix tables for them would take about 600 MB.  GBJ
+        # searches (BJ's roots take no objective call), here on BJ's law
         d, B = 500, 100
         sizes = []
         objective = setstats.objective_values
@@ -180,7 +181,7 @@ class TestBatchedInversion:
         gs = np.random.default_rng(0).uniform(0.5, 12.0, size=B)
         tracemalloc.start()
         try:
-            out = crossing.invert_bounds("BJ", gs, d, None)
+            out = crossing.invert_bounds("GBJ", gs, d, exceedance.zero_profile(d))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -215,7 +216,9 @@ class TestWarmSearch:
             warm_calls = len(calls)
             calls.clear()
             cold = [crossing.invert_bounds(method, g, d, own) for g in gs]
-            assert warm_calls < len(calls), method
+            # BJ and HC, like MinP, take their roots without a search
+            if method in setstats.PROFILE_METHODS:
+                assert warm_calls < len(calls), method
             for g, got, want in zip(gs, warm, cold):
                 fin = np.isfinite(want.b)
                 assert np.array_equal(np.isfinite(got.b), fin)
@@ -263,6 +266,68 @@ class TestInversionStop:
                 p_got = crossing.crossing_pvalue(a, model)
                 p_want = crossing.crossing_pvalue(b, model)
                 assert p_got == pytest.approx(p_want, rel=1e-10, abs=0), f"{method} g={g}"
+
+
+def record_objective(monkeypatch):
+    """Routes setstats.objective_values through a recorder; returns the list
+    that receives the number of thresholds of each call."""
+    calls = []
+    objective = setstats.objective_values
+
+    def record(method, t, *args, **kwargs):
+        calls.append(np.size(t))
+        return objective(method, t, *args, **kwargs)
+
+    monkeypatch.setattr(setstats, "objective_values", record)
+    return calls
+
+
+class TestClosedFormRoots:
+    """HC's roots in closed form and BJ's by Newton, without a search, and
+    GBJ's and GHC's searches seeded from them."""
+
+    @pytest.mark.parametrize("method", ["HC", "BJ"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 20, 50, 100, 200, 500])
+    def test_objective_at_the_root_is_g(self, method, d, monkeypatch):
+        js = np.arange(1, d // 2 + 1)
+        gs = np.concatenate(([0.0], np.geomspace(1e-6, 300.0, 30)))
+        calls = record_objective(monkeypatch)
+        inverted = crossing.invert_bounds(method, gs, d, None)
+        assert calls == []
+        monkeypatch.undo()
+        for g, bounds in zip(gs, inverted):
+            assert bounds.diagnostics == ()
+            vals, _ = setstats.objective_values(method, bounds.b[d - js], js, d, None)
+            err = np.abs(vals - g)
+            assert np.all(err <= crossing.OBJECTIVE_ROUNDING * (1.0 + g)), (g, err.max())
+
+    def test_unreachable_bj_keeps_its_message(self):
+        # the objective at t = 38 (lam floored at 1e-310) is about 1 * 713 at
+        # j = 1, the smallest over the indices
+        for d, g in ((20, 1e6), (20, 720.0), (500, 1e5)):
+            with pytest.raises(NumericalError) as err:
+                crossing.invert_bounds("BJ", g, d, None)
+            assert str(err.value) == f"BJ: objective never reaches g={g} by t=38.0 at index j=1"
+
+    @pytest.mark.parametrize("method, calls_at", [("GBJ", 7), ("GHC", 6)])
+    def test_seeded_search_calls(self, method, calls_at, monkeypatch):
+        # a scan-like set: four blocks of five, two strong signals among
+        # half-normal quantiles.  With the cold bracket at [t_min + 1e-9,
+        # t_min + 1], these inversions took 10 (GBJ) and 15 (GHC) objective
+        # calls, and BJ and HC 11 and 15.
+        d = 20
+        Sigma = np.eye(d)
+        for k, rho in enumerate((0.2, 0.3, 0.4, 0.5)):
+            Sigma[5 * k:5 * k + 5, 5 * k:5 * k + 5] = rho
+        np.fill_diagonal(Sigma, 1.0)
+        model = exceedance.correlation_model(Sigma)
+        absz = ndtri(1.0 - (np.arange(d) + 0.5) / (2 * d))
+        absz[:2] = (4.5, 5.0)
+        g = setstats.compute_statistic(method, setstats.ZVector(absz), model).statistic
+        calls = record_objective(monkeypatch)
+        crossing.invert_bounds(method, g, d, model.profile)
+        assert len(calls) == calls_at
+
 
 class TestCrossingPvalue:
     def test_single_coordinate(self):

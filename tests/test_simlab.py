@@ -177,6 +177,12 @@ class TestRunStudy:
         # once for the latent block, once for the estimated correlation
         assert calls == [(6, 6), (6, 6)]
 
+    def test_repeated_method_rejected(self):
+        # its rejections are keyed by method, so a repeat would count twice
+        with pytest.raises(DomainError, match="listed once"):
+            SimConfig(structure=BlockStructure(d=4, k=0), reps=10,
+                      methods=("MinP", "SKAT", "MinP"))
+
     def test_mode_validation(self):
         cfg = SimConfig(structure=BlockStructure(d=4, k=0), reps=10, methods=("MinP",))
         with pytest.raises(DomainError):
