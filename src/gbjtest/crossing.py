@@ -29,14 +29,28 @@ from .exceedance import CorrelationModel, CorrPowerProfile, correlation_model
 
 PVALUE_FLOOR = 1e-16
 MONOTONE_REPAIR_FLAG = 1e-6
-# Values per block of stages in the recursion, for the pair tails (atoms
-# times stages per call of the series) and for the EBB log-factor prefixes
-# (3 (d + 1) per stage).  A block or exchangeable design takes the pair
-# tails of all its sets' stages in one call, and a d = 500 set with
-# all-distinct |rho| (124,750 atoms) one stage per call; a d = 500 set
-# builds the prefixes of 43 stages at once.  Either way the blocks keep the
-# peak memory where it was.
+# Values per block of stages in the recursion: for the pair tails, atoms
+# times stages per call of the series; for the count loop, 3 (d + 1) per
+# stage, the EBB log-factor prefixes, and as many again for the
+# exponentials of each stage's one tile.  A block or exchangeable design
+# takes the pair tails of all its sets' stages in one call, and a d = 500
+# set with all-distinct |rho| (124,750 atoms) one stage per call; a d = 500
+# set builds the count factors of 43 stages at once (1 MiB), and a d = 2000
+# set those of 10.
 PAIR_BLOCK_ENTRIES = 1 << 16
+# A count-loop tile (``_count_loop``) is one correlation when the maxima of
+# its three balanced log factors sum to at most COUNT_TILE_WINDOW, and
+# splits otherwise.  Its factors are scaled to at most 1, and q is rescaled
+# by a power of two when its largest entry falls below 2^RESCALE_BELOW_LOG2.
+# So a product below the smallest normal double keeps an absolute error of
+# 2^-1074 (e^-744.4) times e^(window + 11.1) of q's largest entry.  An
+# output entry above 1e-200 (e^-460.5) of the largest, which is at least
+# q's largest over d + 1, then carries under (d + 1)^2 e^(window - 272.8)
+# from such terms: 5e-17 at d = 2000.  A balanced chord leaves about
+# m_max / e, so one tile serves m_max up to about 600 (binomial counts);
+# every calibrate and scan stage takes one tile.
+COUNT_TILE_WINDOW = 220.0
+RESCALE_BELOW_LOG2 = -16
 REGION_REL_TOL = 1e-4           # a rejection region hits alpha within this share
 # The objective equals g at a root only to within its own rounding, which
 # came to at most 1.2e-12 (1 + g) over d = 6 to 500, all four methods; an
@@ -206,32 +220,174 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
         p = float(leaks.sum())
         return (p, CrossingTable(leaks, plan.flags)) if return_table else p
 
-    lam, gamma, m_maxes = plan.lam, plan.gamma, plan.m_maxes
-    q = np.zeros(d + 1)
-    q[d] = 1.0                                  # S(0) = d with certainty
+    law = _CountLaw(np.zeros(d + 1))
+    law.q[d] = 1.0                              # S(0) = d with certainty
+    leaks = _count_loop(law, plan.lam, plan.gamma, plan.m_maxes, caps)
     leak_total = 0.0
-    leaks: list[float] = []
-    log_fact = gammaln(np.arange(d + 1) + 1.0)  # log m! for m = 0 .. d
-    rows = max(1, PAIR_BLOCK_ENTRIES // (3 * (d + 1)))
-    for start in range(0, thresholds.size, rows):
-        block = slice(start, start + rows)
-        # size-d prefixes of a block of stages; a stage reads entries up to
-        # its own m_max only, which its gamma keeps finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pre_a, pre_b, pre_c = ebb._log_factor_prefixes(d, lam[block], gamma[block])
-        for i, (m_max, cap_k) in enumerate(zip(m_maxes[block].tolist(), caps[block].tolist())):
-            # conditional law: S(t_k) | S(t_{k-1}) = m  ~  EBB(m, lam, gamma),
-            # one transition-matrix row per m that carries mass
-            ms = np.nonzero(q[: m_max + 1] > 0.0)[0]
-            q_new = q[ms] @ ebb._pmf_rows(ms, m_max, log_fact, pre_a[i], pre_b[i], pre_c[i])
-            leak = float(q_new[cap_k + 1:].sum())
-            leak_total += leak
-            q = np.zeros(d + 1)
-            q[: cap_k + 1] = q_new[: cap_k + 1]
-            leaks.append(leak)
-
+    for leak in leaks:
+        leak_total += leak
     p = float(min(max(leak_total, 0.0), 1.0))
     return (p, CrossingTable(np.array(leaks), plan.flags)) if return_table else p
+
+
+@dataclass
+class _CountLaw:
+    """The count law between stages of the count loop: Pr(S = m) is
+    q[m] 2^-k for m up to the last stage's cap (entries past it are stale).
+    k moves only when q's largest entry falls below 2^RESCALE_BELOW_LOG2,
+    so the scale carries across stages and never rounds."""
+
+    q: np.ndarray
+    k: int = 0
+
+
+def _count_loop(law: _CountLaw, lam: np.ndarray, gamma: np.ndarray,
+                m_maxes: np.ndarray, caps: np.ndarray) -> list[float]:
+    """Propagates the count law through the given stages and returns the
+    mass each stage leaks past its cap.  Stage k takes S(t_k) | S(t_{k-1})
+    = m ~ EBB(m, lam_k, gamma_k) for m up to m_max_k, the cap before it,
+    and keeps the counts up to cap_k.
+
+    With u[a] = pre_a[a] - log a!, w[j] = pre_b[j] - log j! and
+    v[m] = log m! - pre_c[m] (``ebb._log_factor_prefixes`` at the stage's
+    lam and gamma), the log pmf is u[a] + w[m - a] + v[m], so a stage is a
+    correlation: q_new[a] = e^{u[a]} sum over m >= a of (q[m] e^{v[m]})
+    e^{w[m - a]}, O(d) exponentials and one ``np.correlate`` per tile
+    (``_tile_sum``).  Any beta moves between the factors as U = u + beta a,
+    V = v - beta m and Y = w + beta j without changing their sum; beta is
+    the chord slope of v over the tile's m, which keeps all three in range.
+    beta is a multiple of 2^-20, so beta m is exact, and the factors are
+    formed as pre - (log m! - beta m), which rounds at the size of the
+    balanced factors rather than of log m!.  Each factor is shifted by the
+    ceiling of its maximum, an integer, so the shifts sum exactly.
+
+    The stages run in blocks whose factors are built at once, each stage as
+    one tile over a, m = 0 .. m_max; a stage whose balanced maxima sum past
+    COUNT_TILE_WINDOW takes ``_tiled_sum`` instead.  Every value of a stage
+    is elementwise in its block, so a loop run stage by stage on one law
+    gives the same leaks as one run over all the stages.
+    """
+    n = law.q.size
+    log_fact = gammaln(np.arange(n) + 1.0)     # log m! for m = 0 .. d
+    index = np.arange(n, dtype=float)
+    leaks: list[float] = []
+    q, k = law.q, law.k
+    rows = max(1, PAIR_BLOCK_ENTRIES // (3 * n))
+    for start in range(0, lam.size, rows):
+        block = slice(start, start + rows)
+        m_block = m_maxes[block]
+        factors, one_tile, pre = _stage_factors(lam[block], gamma[block], m_block,
+                                                log_fact, index)
+        for i, (m_max, cap) in enumerate(zip(m_block.tolist(), caps[block].tolist())):
+            n1 = m_max + 1
+            qs = q[:n1]
+            exponent = math.frexp(np.maximum.reduce(qs))[1]
+            if exponent <= RESCALE_BELOW_LOG2:
+                # exact: q's largest entry moves back into [1/2, 1)
+                qs = np.ldexp(qs, -exponent)
+                k -= exponent
+            if one_tile[i]:
+                eu, ey, ev = factors[:, i, :n1]
+                q = _tile_sum(qs, ev, ey, eu, 0)
+            else:
+                q = _tiled_sum(qs, pre[:, i], log_fact, index)
+            leaks.append(math.ldexp(float(np.add.reduce(q[cap + 1:])), -k))
+    law.q, law.k = q, k
+    return leaks
+
+
+def _dyadic(x):
+    """x rounded to a multiple of 2^-20: its products with counts, and their
+    sums with other such values, are exact."""
+    return np.ldexp(np.rint(np.ldexp(x, 20)), -20)
+
+
+def _stage_factors(lam, gamma, m_maxes, log_fact, index):
+    """For a block of stages at size d: each stage's one tile over a, m =
+    0 .. m_max, as the exponentials e^{U + max V + max Y}, e^{Y - max Y}
+    and e^{V - max V} of its balanced factors (see ``_count_loop``) in one
+    (3, stages, d + 1) array; whether the maxima of U, V and Y sum to at
+    most COUNT_TILE_WINDOW; and the prefixes pre_a, pre_b and pre_c for
+    ``_tiled_sum``.  Entries past a stage's own m_max are never read; they
+    may be NaN where its gamma is infeasible at that size."""
+    d = log_fact.size - 1
+    rows = np.arange(m_maxes.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pre = ebb._log_factor_prefixes(d, lam, gamma)
+        # v[0] = 0, so the chord over 0 .. m_max is v[m_max] / m_max
+        beta = _dyadic((log_fact[m_maxes] - pre[2, rows, m_maxes]) / np.maximum(m_maxes, 1))
+        factors = pre - (log_fact - beta[:, None] * index)   # U, Y and -V
+        np.negative(factors[2], out=factors[2])
+        np.copyto(factors, -np.inf, where=index > m_maxes[:, None])
+        top = np.ceil(np.maximum.reduce(factors, axis=2))
+        shift = top.copy()
+        shift[0] = -(top[1] + top[2])
+        factors -= shift[:, :, None]
+        np.exp(factors, out=factors)
+    return factors, top.sum(axis=0) <= COUNT_TILE_WINDOW, pre
+
+
+def _tiled_sum(qs, pre, log_fact, index) -> np.ndarray:
+    """q_new of a stage, in the scale of qs, from tiles over (a, m): the
+    square a, m = 0 .. m_max is halved along its longer side until the
+    balanced maxima of each tile sum to at most COUNT_TILE_WINDOW.  A tile
+    keeps only its pairs with m >= a, and its beta is the chord slope of v
+    over its own m; a single pair is its own log pmf, at most 0, so the
+    halving ends.  ``pre`` holds the stage's pre_a, pre_b and pre_c."""
+    pre_a, pre_b, pre_c = pre
+    m_max = qs.size - 1
+    q_new = np.zeros(m_max + 1)
+    tiles = [(0, m_max, 0, m_max)]
+    while tiles:
+        a0, a1, m0, m1 = tiles.pop()
+        if a0 > m1:
+            continue                            # no pair with m >= a
+        a1, m0 = min(a1, m1), max(m0, a0)
+        j0, j1 = max(m0 - a1, 0), m1 - a0
+        rise = (log_fact[m1] - pre_c[m1]) - (log_fact[m0] - pre_c[m0])
+        beta = _dyadic(rise / (m1 - m0)) if m1 > m0 else 0.0
+        g_a, c_a = _off_line(log_fact, index, beta, a0, a1)
+        g_m, c_m = _off_line(log_fact, index, beta, m0, m1)
+        g_j, c_j = _off_line(log_fact, index, beta, j0, j1)
+        U = pre_a[a0:a1 + 1] - g_a
+        V = g_m - pre_c[m0:m1 + 1]
+        Y = pre_b[j0:j1 + 1] - g_j
+        excess = c_a + c_j - c_m                # U + V + Y - excess is the log pmf
+        u_top, v_top, y_top = np.ceil(U.max()) - excess, np.ceil(V.max()), np.ceil(Y.max())
+        if u_top + v_top + y_top > COUNT_TILE_WINDOW and (a1 > a0 or m1 > m0):
+            if a1 - a0 > m1 - m0:
+                mid = (a0 + a1) // 2
+                tiles += [(a0, mid, m0, m1), (mid + 1, a1, m0, m1)]
+            else:
+                mid = (m0 + m1) // 2
+                tiles += [(a0, a1, m0, mid), (a0, a1, mid + 1, m1)]
+            continue
+        q_new[a0:a1 + 1] += _tile_sum(qs[m0:m1 + 1], np.exp(V - v_top), np.exp(Y - y_top),
+                                      np.exp(U + (v_top + y_top - excess)), m0 - j0 - a0)
+    return q_new
+
+
+def _off_line(log_fact, index, beta, lo: int, hi: int):
+    """log m! less the line of slope beta through its value at the middle
+    of lo .. hi, over lo .. hi, with the line's offset c.  beta and c are
+    multiples of 2^-20, so the line is exact and the difference rounds only
+    at its own size, not at the size of log m!."""
+    mid = (lo + hi) // 2
+    c = _dyadic(log_fact[mid] - beta * mid)
+    return log_fact[lo:hi + 1] - (beta * index[lo:hi + 1] + c), c
+
+
+def _tile_sum(qs, ev, ey, eu, offset: int) -> np.ndarray:
+    """One tile's share of q_new[a] over its a0 .. a1: eu[a] times the sum
+    over its m of qs[m] ev[m] ey[m - a], with qs and ev over the tile's m
+    from m0, ey over j = m - a from j0 and eu over a from a0, and offset
+    m0 - j0 - a0.  One ``np.correlate`` of ey against the products laid out
+    along a + j, zero outside the tile's m."""
+    x = np.zeros(ey.size + eu.size - 1)
+    np.multiply(qs, ev, out=x[offset:offset + qs.size])
+    s = np.correlate(x, ey, "valid")
+    s *= eu
+    return s
 
 
 def _pair_fractions(thresholds: np.ndarray, first: np.ndarray, sf: np.ndarray,

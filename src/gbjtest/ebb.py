@@ -4,9 +4,10 @@ EBB(m, lam, gamma) is the law the GBJ objective and the crossing recursion
 give an exceedance count.  gamma = 0 is exactly binomial, gamma > 0
 overdisperses, and gamma down to ``gamma_floor`` underdisperses.  Its pmf is
 a product of three rising factors, lam + gamma k, 1 - lam + gamma k and
-1 + gamma k.  ``_pmf_rows`` gives its pmf rows for several sizes m at one
-(lam, gamma) from prefix sums of their logs (``_log_factor_prefixes``); the
-crossing recursion calls it with the prefixes of many stages built at once.
+1 + gamma k.  ``_log_factor_prefixes`` gives prefix sums of their logs
+for many (lam, gamma) at once; the crossing recursion's count loop builds
+them for a block of stages and splits each stage's log pmf into factors in
+a, m - a and m from them.
 ``log_kernel`` gives the log pmf at one count per (lam, gamma), less its
 binomial coefficient, which is what the GBJ/BJ objective reads: from the
 prefix sums below CLOSED_FORM_MIN_SIZE, and from closed forms of the three
@@ -53,23 +54,24 @@ def _log_factor_prefixes(size: int, lam, gamma):
         log Pr(V = v) = log C(size, v) + pre_a[v] + pre_b[size - v] - pre_c[size],
 
     and the same prefixes serve every size m <= size.  ``lam`` and ``gamma``
-    broadcast: arrays of shape S give prefixes of shape S + (size + 1,)
-    (pre_c, which does not involve lam, follows gamma's shape).  This kernel
-    does not check feasibility.  Entries up to v are finite when gamma is
-    feasible for size v (above gamma_floor(lam, v)); past that a factor may
-    reach zero or below, and the entries are -inf or NaN with numpy's
-    divide/invalid warning, so a caller that takes prefixes past a stage's
-    own size builds them under ``np.errstate`` and never reads those entries.
+    broadcast to a shape S, and the result is one array of shape
+    (3,) + S + (size + 1,) that holds pre_a, pre_b and pre_c in that order.
+    This kernel does not check feasibility.  Entries up to v are finite when
+    gamma is feasible for size v (above gamma_floor(lam, v)); past that a
+    factor may reach zero or below, and the entries are -inf or NaN with
+    numpy's divide/invalid warning, so a caller that takes prefixes past a
+    stage's own size builds them under ``np.errstate`` and never reads those
+    entries.
     """
     lam = np.asarray(lam, dtype=float)[..., None]
     gk = np.asarray(gamma, dtype=float)[..., None] * np.arange(size, dtype=float)
-
-    def prefix(x):
-        out = np.zeros(x.shape[:-1] + (size + 1,))
-        np.cumsum(x, axis=-1, out=out[..., 1:])
-        return out
-
-    return prefix(np.log(lam + gk)), prefix(_log_one_minus(lam, gk)), prefix(np.log1p(gk))
+    logs = (np.log(lam + gk), _log_one_minus(lam, gk), np.log1p(gk))
+    shape = np.broadcast_shapes(lam.shape, gk.shape)
+    out = np.zeros((3,) + shape[:-1] + (size + 1,))
+    for row, x in zip(out, logs):
+        np.cumsum(x if x.shape == shape else np.broadcast_to(x, shape), axis=-1,
+                  out=row[..., 1:])
+    return out
 
 
 def _log_one_minus(lam: np.ndarray, gk: np.ndarray) -> np.ndarray:
@@ -85,27 +87,6 @@ def _log_one_minus(lam: np.ndarray, gk: np.ndarray) -> np.ndarray:
     np.log1p(u, out=u)
     u[tiny] = low
     return u
-
-
-def _pmf_rows(ms: np.ndarray, m_max: int, log_fact: np.ndarray,
-              pre_a: np.ndarray, pre_b: np.ndarray, pre_c: np.ndarray) -> np.ndarray:
-    """PMF rows of EBB(m, lam, gamma), Pr(V = a) for a = 0 .. m_max and
-    exactly 0 past m, for each size m in ``ms`` (each in 0 .. m_max), from
-    log m! (``log_fact``) and one (lam, gamma)'s 1-D prefix rows, all of
-    length at least m_max + 1; gamma must be feasible for m_max, which this
-    kernel does not check.  Entries past m_max are never read, so the tables
-    may be longer than this call needs and hold anything there.  The log pmf
-    is summed left to right as
-    log m! - log a! - log (m - a)! + pre_a[a] + pre_b[m - a] - pre_c[m]."""
-    n1 = m_max + 1
-    ma = ms[:, None] - np.arange(n1)            # m - a, negative past the support
-    logpmf = log_fact[ms, None] - log_fact[:n1]
-    logpmf -= np.take(log_fact, ma, mode="clip")
-    logpmf += pre_a[:n1]
-    logpmf += np.take(pre_b, ma, mode="clip")
-    logpmf -= pre_c[ms, None]
-    logpmf[ma < 0] = -np.inf
-    return np.exp(logpmf, out=logpmf)
 
 
 def log_kernel(a, size: int, lam, gamma) -> np.ndarray:

@@ -60,8 +60,8 @@ def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
 def transition_reference(ms, size: int, lam: float, gamma: float) -> np.ndarray:
     """EBB(m, lam, gamma) pmf rows over a = 0 .. size for each m in ``ms``,
     the whole log pmf formed in one expression on index arrays clipped into
-    the support: the reference for ``ebb._pmf_rows``, which must equal it
-    bit for bit."""
+    the support: a table of the count loop's transitions, one exp per entry,
+    the way the loop took its steps before it took them as correlations."""
     pre_a, pre_b, pre_c = _log_factor_prefixes(size, lam, gamma)
     log_fact = gammaln(np.arange(size + 1) + 1.0)  # log m! for m = 0 .. size
     m = np.asarray(ms)[:, None]
@@ -71,6 +71,86 @@ def transition_reference(ms, size: int, lam: float, gamma: float) -> np.ndarray:
     logpmf = (log_fact[m] - log_fact[a] - log_fact[ma]
               + pre_a[a] + pre_b[ma] - pre_c[m])
     return np.exp(np.where(below, logpmf, -np.inf))
+
+
+# The longdouble oracle is more accurate than float64 only where longdouble
+# has a wider mantissa; elsewhere the tests that lean on it cannot run.
+LONGDOUBLE_ORACLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="np.longdouble is no wider than float64 here")
+
+
+def table_step(q, size: int, lam: float, gamma: float) -> np.ndarray:
+    """One count step q_new = q @ P from ``transition_reference``'s rows,
+    in blocks of rows; q holds Pr(S = m) for m = 0 .. size along its last
+    axis."""
+    q = np.asarray(q)
+    q_new = np.zeros(q.shape[:-1] + (size + 1,))
+    for lo in range(0, size + 1, 256):
+        ms = np.arange(lo, min(lo + 256, size + 1))
+        q_new += q[..., ms] @ transition_reference(ms, size, lam, gamma)
+    return q_new
+
+
+def oracle_step(q, size: int, lam: float, gamma: float) -> np.ndarray:
+    """One count step by the direct sum over m of q[m] Pr(EBB(m, lam,
+    gamma) = a), every value in ``np.longdouble``: the log pmf is summed
+    from longdouble prefix sums of log k, log(lam + gamma k),
+    log(1 - lam + gamma k) and log(1 + gamma k).  Where longdouble is the
+    x87 extended format (64-bit mantissa; see ``LONGDOUBLE_ORACLE``) its
+    rounding is about 2^-11 of the float64 table's.  q runs over
+    m = 0 .. size along its last axis; returns q_new over a = 0 .. size as
+    longdouble."""
+    ld = np.longdouble
+    lam, gamma = ld(lam), ld(gamma)
+    k = np.arange(size, dtype=ld)
+
+    def prefix(x):
+        return np.concatenate(([ld(0)], np.cumsum(x)))
+
+    log_fact = prefix(np.log(np.arange(1, size + 1, dtype=ld)))
+    pre_a = prefix(np.log(lam + gamma * k))
+    pre_b = prefix(np.log((1 - lam) + gamma * k))
+    pre_c = prefix(np.log1p(gamma * k))
+    a = np.arange(size + 1)
+    q = np.asarray(q, dtype=ld)
+    q_new = np.zeros(q.shape[:-1] + (size + 1,), dtype=ld)
+    for lo in range(0, size + 1, 128):
+        m = np.arange(lo, min(lo + 128, size + 1))[:, None]
+        below = a <= m
+        j = np.where(below, m - a, 0)
+        log_pmf = (log_fact[m] - log_fact[a] - log_fact[j]
+                   + pre_a[a] + pre_b[j] - pre_c[m])
+        pmf = np.where(below, np.exp(np.where(below, log_pmf, 0)), 0)
+        q_new += q[..., m[:, 0]] @ pmf
+    return q_new
+
+
+def oracle_loop(d: int, lam, gamma, m_maxes, caps) -> np.ndarray:
+    """The leaks of the count loop from S(0) = d through the given stages,
+    each step by ``oracle_step``, in longdouble."""
+    q = np.zeros(d + 1, dtype=np.longdouble)
+    q[d] = 1
+    leaks = []
+    for lam_k, gamma_k, m_max, cap in zip(lam, gamma, m_maxes, caps):
+        q_new = oracle_step(q[: m_max + 1], int(m_max), float(lam_k), float(gamma_k))
+        leaks.append(q_new[cap + 1:].sum())
+        q = q_new[: cap + 1]
+    return np.array(leaks, dtype=np.longdouble)
+
+
+def relevant(values) -> np.ndarray:
+    """The entries an oracle comparison holds to: above 1e-200 of the
+    largest and above 1e-290."""
+    values = np.asarray(values)
+    return values > max(1e-200 * values.max(initial=0), 1e-290)
+
+
+def rel_error(got, want, mask) -> float:
+    """Largest relative error of ``got`` against the longdouble ``want``
+    over ``mask``."""
+    want = np.asarray(want, dtype=np.longdouble)[mask]
+    got = np.asarray(got, dtype=np.longdouble)[mask]
+    return float(np.max(np.abs(got - want) / want, initial=0.0))
 
 
 @pytest.fixture

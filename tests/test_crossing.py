@@ -13,7 +13,8 @@ from scipy.stats import binom
 from gbjtest import crossing, ebb, exceedance, gauss, setstats
 from gbjtest.crossing import BoundaryVector
 from gbjtest.errors import DomainError, NumericalError, SizeError
-from tests.conftest import exchangeable, rand_corr, transition_reference
+from tests.conftest import (LONGDOUBLE_ORACLE, exchangeable, oracle_loop, oracle_step, rand_corr,
+                            rel_error, relevant, table_step)
 
 
 def independent_ladder(bounds_vec):
@@ -559,12 +560,15 @@ class TestPairSummary:
         assert self._series_calls(monkeypatch, _distinct_corr(40)) == [(1, 780)] * 4
 
 
-def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False):
+def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False,
+                        table: bool = False):
     """The recursion stage by stage, each stage's pair tails from a scalar
     call of the series: returns (p, leaks, diagnostics).  The pair sums run
     over the pair summary's atoms, or with ``per_pair`` over ``model.pairs``
     one pair at a time, a perfect pair (|rho| = 1 within 1e-12) taking the
-    single-coordinate tail."""
+    single-coordinate tail.  Each count step is the library's count loop run
+    on one stage, carrying its count law from stage to stage, or with
+    ``table`` the product with ``transition_reference``'s rows."""
     model = exceedance.correlation_model(Sigma)
     d = model.d
     thresholds, caps = crossing._stages(bounds)
@@ -579,8 +583,8 @@ def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False):
     flags = list(bounds.diagnostics)
     sf_prev, cap_prev = 0.5, d
     tails_prev = np.ones(n + (n_perfect > 0))
-    q = np.zeros(d + 1)
-    q[d] = 1.0
+    law = crossing._CountLaw(np.zeros(d + 1))
+    law.q[d] = 1.0
     leaks = []
     for t_k, cap_k in zip(thresholds, caps):
         sf_k = float(gauss.norm_sf(t_k))
@@ -615,11 +619,13 @@ def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False):
         gamma, clamped = ebb.match_gamma(lam, frac, max(cap_prev, 1))
         if clamped:
             flags.append("ebb_gamma_clamped")
-        ms = np.nonzero(q[: cap_prev + 1] > 0.0)[0]
-        q_new = q[ms] @ transition_reference(ms, cap_prev, lam, gamma)
-        leaks.append(float(q_new[cap_k + 1:].sum()))
-        q = np.zeros(d + 1)
-        q[: cap_k + 1] = q_new[: cap_k + 1]
+        if table:
+            q_new = table_step(law.q[: cap_prev + 1], cap_prev, lam, gamma)
+            leaks.append(float(q_new[cap_k + 1:].sum()))
+            law.q = q_new
+        else:
+            leaks += crossing._count_loop(law, np.array([lam]), np.array([gamma]),
+                                          np.array([cap_prev]), np.array([cap_k]))
         sf_prev, cap_prev = sf_k, cap_k
     return float(min(max(sum(leaks), 0.0), 1.0)), np.array(leaks), set(flags)
 
@@ -634,9 +640,19 @@ def _reference_bounds(d):
     return BoundaryVector(b=ladder), BoundaryVector(b=deep)
 
 
+def _steep_bounds(d):
+    """A ladder that rises slowly from 0.5 and then jumps: the pair tail at
+    26.0 is a normal double and at 27.5 it is 0, so the last stage's pair
+    fraction is negative and its gamma is clamped."""
+    steep = np.full(d, np.inf)
+    steep[d // 2:] = np.r_[np.linspace(0.5, 0.9, d - d // 2 - 3), 1.0, 26.0, 27.5]
+    return BoundaryVector(b=steep)
+
+
 class TestStagesAtOnce:
     """``crossing_pvalue`` evaluates every stage's pair tails and dispersion
-    before the stage loop; it matches the stage-by-stage recursion exactly."""
+    before the stage loop; it matches the stage-by-stage recursion exactly,
+    and the recursion with table-product count steps within 1e-12."""
 
     def _check(self, S):
         """Compares both bounds of _reference_bounds; returns the deep
@@ -649,6 +665,9 @@ class TestStagesAtOnce:
             assert set(table.diagnostics) == want_flags
             # each flag is named once, however many stages raise it
             assert len(table.diagnostics) == len(set(table.diagnostics))
+            table_p, table_leaks, _ = per_stage_reference(bv, S, table=True)
+            assert p == pytest.approx(table_p, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(table.leaks, table_leaks, rtol=1e-12, atol=0.0)
         return want_flags
 
     @pytest.mark.parametrize("name", sorted(ATOM_MATRICES))
@@ -689,27 +708,170 @@ class TestStagesAtOnce:
 
         monkeypatch.setattr(ebb, "_log_factor_prefixes", record)
         ladder, deep = _reference_bounds(d)
-        steep = np.full(d, np.inf)
-        # the pair tail at 26.0 is a normal double and at 27.5 it is 0, so
-        # the last stage's pair fraction is negative
-        steep[d // 2:] = np.r_[np.linspace(0.5, 0.9, d // 2 - 3), 1.0, 26.0, 27.5]
         cases = {"ladder": (_block_with_zero_blocks(d), ladder),
                  "deep": (exchangeable(d, 1.0), deep),
-                 "steep": (np.eye(d), BoundaryVector(b=steep))}
+                 "steep": (np.eye(d), _steep_bounds(d))}
         flags, blocks, padded_nans = {}, {}, {}
         for name, (S, bv) in cases.items():
             nans.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 p, table = crossing.crossing_pvalue(bv, S, return_table=True)
+            blocks[name], padded_nans[name] = len(nans), sum(nans)
             want_p, want_leaks, flags[name] = per_stage_reference(bv, S)
             assert p == want_p
             np.testing.assert_array_equal(table.leaks, want_leaks)
             assert set(table.diagnostics) == flags[name]
-            blocks[name], padded_nans[name] = len(nans), sum(nans)
         assert blocks == {"ladder": 7, "deep": 2, "steep": 7}
         assert {"lambda_underflow", "ebb_gamma_clamped"} <= flags["deep"]
         assert padded_nans["steep"] > 0
+
+
+def library_step(q, size: int, lam: float, gamma: float) -> np.ndarray:
+    """One count step by the library's count loop, on a law q over m = 0 ..
+    size with nothing past its cap: q_new over a = 0 .. size."""
+    law = crossing._CountLaw(np.array(q, dtype=float))
+    crossing._count_loop(law, np.array([lam]), np.array([gamma]), np.array([size]),
+                         np.array([size]))
+    return np.ldexp(law.q, -law.k)
+
+
+def table_loop(d: int, plan) -> np.ndarray:
+    """The leaks of a stage plan's count loop with ``table_step`` steps."""
+    q = np.zeros(d + 1)
+    q[d] = 1.0
+    leaks = []
+    for lam, gamma, m_max, cap in zip(plan.lam, plan.gamma, plan.m_maxes, plan.caps):
+        q_new = table_step(q[: m_max + 1], int(m_max), float(lam), float(gamma))
+        leaks.append(float(q_new[cap + 1:].sum()))
+        q = q_new[: cap + 1]
+    return np.array(leaks)
+
+
+STRESS_LAMS = (1e-300, 1e-100, 1e-10, 0.01, 0.5, 0.99, 1.0 - 1e-16)
+
+
+def _stress_gammas(lam: float, size: int) -> list[float]:
+    """Just inside the feasibility floor, half of it, binomial, and
+    overdispersion from 1e-3 to 1e12; any gamma is feasible at size <= 1."""
+    floor = float(ebb.gamma_floor(lam, size))
+    near = [floor * (1.0 - ebb.GAMMA_CLAMP_MARGIN), floor / 2] if np.isfinite(floor) else []
+    return near + [0.0, 1e-3, 1.0, 1e3, 1e12]
+
+
+def _stress_laws(size: int) -> np.ndarray:
+    """Count laws over m = 0 .. size: flat, spiked at the top, spiked in the
+    middle, and flat at 1e-200."""
+    n = size + 1
+    top, mid = np.zeros(n), np.zeros(n)
+    top[-1] = mid[n // 2] = 1.0
+    return np.array([np.full(n, 1.0 / n), top, mid, np.full(n, 1e-200)])
+
+
+def _oracle_bound(table_error: float) -> float:
+    """The error a count loop may have against the longdouble oracle: twice
+    that of the float64 table path, or 1e-13."""
+    return max(2.0 * table_error, 1e-13)
+
+
+class TestCountLoop:
+    """The count loop's steps as correlations against a longdouble direct sum
+    (``oracle_step``, ``oracle_loop``): on the entries above 1e-200 of the
+    largest and above 1e-290 (``relevant``), the relative error is at most
+    max(2 x that of ``transition_reference``'s table arithmetic, 1e-13)."""
+
+    @LONGDOUBLE_ORACLE
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 7, 64, 100, 500, 700, 1500])
+    def test_stress_grid_against_the_oracle(self, m_max):
+        # at 700 and 1500 a stage takes several tiles.  At 1500, where a
+        # longdouble step takes about 0.3 s, three lambdas and three gammas
+        lams = STRESS_LAMS if m_max < 1500 else (1e-100, 0.5, 1.0 - 1e-16)
+        laws = _stress_laws(m_max)
+        for lam in lams:
+            gammas = _stress_gammas(lam, m_max)
+            for gamma in (gammas if m_max < 1500 else (gammas[0], 0.0, 1e3)):
+                want = oracle_step(laws, m_max, lam, gamma)
+                table = table_step(laws, m_max, lam, gamma)
+                for q, w, t in zip(laws, want, table):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = library_step(q, m_max, lam, gamma)
+                    mask = relevant(w)
+                    assert mask.any()
+                    err, table_err = rel_error(got, w, mask), rel_error(t, w, mask)
+                    assert err <= _oracle_bound(table_err), (lam, gamma, q[:2], err, table_err)
+
+    @staticmethod
+    def _check_loop(d, model, bv, plan):
+        """p and leaks of one plan against the oracle, within the bound."""
+        p, table = crossing.crossing_pvalue(bv, model, return_table=True, plan=plan)
+        want = oracle_loop(d, plan.lam, plan.gamma, plan.m_maxes, plan.caps)
+        table_leaks = table_loop(d, plan)
+        mask = relevant(want)
+        assert rel_error(table.leaks, want, mask) <= _oracle_bound(
+            rel_error(table_leaks, want, mask))
+        whole = np.array([True])
+        table_p = min(max(sum(table_leaks.tolist()), 0.0), 1.0)
+        assert rel_error([p], [want.sum()], whole) <= _oracle_bound(
+            rel_error([table_p], [want.sum()], whole))
+
+    @LONGDOUBLE_ORACLE
+    @pytest.mark.parametrize("d", [8, 40, 100, 200, 500])
+    def test_loop_against_the_oracle(self, d):
+        sigmas = (exchangeable(d, 0.3), exchangeable(d, 0.9), np.ones((d, d)), np.eye(d),
+                  rand_corr(d, np.random.default_rng(d)))
+        for S in sigmas:
+            model = exceedance.correlation_model(S)
+            bounds = [*_reference_bounds(d), _steep_bounds(d)]
+            for bv, plan in zip(bounds, crossing._stage_plans(bounds, model)):
+                self._check_loop(d, model, bv, plan)
+
+    @LONGDOUBLE_ORACLE
+    @pytest.mark.parametrize("d", [40, 100])
+    def test_split_tiles_stay_within_the_oracle_bound(self, d, monkeypatch):
+        # no ladder at these sizes splits at the module's window; at a window
+        # of 0 every stage with m_max >= 10 splits into several tiles
+        monkeypatch.setattr(crossing, "COUNT_TILE_WINDOW", 0.0)
+        tiles, tiled = [], []
+        tile_sum, tiled_sum = crossing._tile_sum, crossing._tiled_sum
+
+        def record_tile(*args):
+            tiles.append(args[0].size)
+            return tile_sum(*args)
+
+        def record_stage(qs, *args):
+            tiled.append(qs.size - 1)
+            return tiled_sum(qs, *args)
+
+        monkeypatch.setattr(crossing, "_tile_sum", record_tile)
+        monkeypatch.setattr(crossing, "_tiled_sum", record_stage)
+        for S in (exchangeable(d, 0.3), np.eye(d)):
+            model = exceedance.correlation_model(S)
+            bounds = [*_reference_bounds(d), _steep_bounds(d)]
+            for bv, plan in zip(bounds, crossing._stage_plans(bounds, model)):
+                tiles.clear()
+                tiled.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    self._check_loop(d, model, bv, plan)
+                assert set(plan.m_maxes[plan.m_maxes >= 10].tolist()) <= set(tiled)
+                assert len(tiles) >= 4 * len(tiled) > 0
+
+    def test_d2000_ladder_in_little_memory(self):
+        # one (m_max + 1)^2 table of the old count step took 32 MB here; the
+        # loop keeps O(d) per stage and one block of log factors
+        d = 2000
+        model = exceedance.correlation_model(np.eye(d))
+        ladder = _reference_bounds(d)[0]
+        [plan] = crossing._stage_plans([ladder], model)
+        tracemalloc.start()
+        try:
+            p, table = crossing.crossing_pvalue(ladder, model, return_table=True, plan=plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert 0.0 < p < 1.0 and np.all(np.isfinite(table.leaks))
 
 
 def _tail_bounds(d, *ts):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 from scipy.stats import betabinom, binom
 
 from gbjtest import ebb
@@ -28,8 +27,8 @@ def moments(p):
 
 
 class TestLogPmf:
-    """The pmf rows of ``transition_reference``, which ``ebb._pmf_rows``
-    equals bit for bit."""
+    """The pmf rows of ``transition_reference``, the table the count loop's
+    steps are checked against (``tests/test_crossing.py::TestCountLoop``)."""
 
     def test_binomial_case(self):
         p = transition_reference([10], 10, 0.5, 0.0)[0]
@@ -82,24 +81,6 @@ class TestLogPmf:
                     want = betabinom.pmf(np.arange(m + 1), m, lam / gamma, (1.0 - lam) / gamma)
                     np.testing.assert_allclose(rows[m, : m + 1], want, rtol=1e-10)
                     assert np.all(rows[m, m + 1:] == 0.0)
-
-    @pytest.mark.parametrize("size", [0, 1, 2, 7, 64, 100, 500])
-    def test_rows_equal_the_reference(self, size):
-        # bit for bit, contiguous and gapped sizes, binomial, overdispersed
-        # and just above the feasibility floor (any gamma is feasible at
-        # size <= 1, whose floor is -inf)
-        log_fact = gammaln(np.arange(size + 1) + 1.0)
-        contiguous = np.arange(size + 1)
-        gapped = np.unique(np.r_[contiguous[::3], size])[::-1]
-        for lam in (1e-300, 0.3, 0.97):
-            floor = float(gamma_floor(lam, size))
-            near_floor = floor * (1.0 - ebb.GAMMA_CLAMP_MARGIN) if size > 1 else -0.9
-            for gamma in (0.0, 0.37, near_floor):
-                pre = _log_factor_prefixes(size, lam, gamma)
-                for ms in (contiguous, gapped):
-                    want = transition_reference(ms, size, lam, gamma)
-                    assert np.array_equal(ebb._pmf_rows(ms, size, log_fact, *pre), want), (
-                        size, lam, gamma, ms.size)
 
     def test_rows_are_per_size_pmfs(self, rng):
         # one call for many sizes gives each size's own pmf, underdispersed too
