@@ -1,7 +1,7 @@
 """P-value agreement of two checkouts on the benchmark's workloads.
 
     python scripts/agreement.py run CHECKOUT SEED OUT.json
-    python scripts/agreement.py compare BASE.json NEW.json
+    python scripts/agreement.py compare BASE.json NEW.json [RTOL]
 
 ``run`` computes rounds 0 and 1 of the scan, large_set and calibrate
 workloads of ``perfbench.workloads`` at SEED in a fresh process that imports
@@ -22,8 +22,9 @@ every call.
 ``compare`` prints the largest relative difference per workload and
 numeric output, with the item where it occurs, then every outcome whose
 flags differ, then the two files' objective calls side by side.  It exits 1
-when the two files do not hold the same outputs or any flags differ; the
-call counts are a report only.
+when the two files do not hold the same outputs, when any flags differ, or,
+given RTOL, when any output's largest relative difference exceeds RTOL, and
+then names each such output; the call counts are a report only.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _shape(outputs: dict) -> dict:
     return {item: {key: len(v) for key, v in outs.items()} for item, outs in outputs.items()}
 
 
-def compare(base: str, new: str) -> int:
+def compare(base: str, new: str, rtol: str | None = None) -> int:
     a, b = (json.loads(Path(path).read_text()) for path in (base, new))
     calls_a, calls_b = a.pop(CALLS, {}), b.pop(CALLS, {})
     if _shape(a) != _shape(b):
@@ -146,7 +147,11 @@ def compare(base: str, new: str) -> int:
         wa, wb = calls_a.get(workload, {}), calls_b.get(workload, {})
         for method in sorted(set(wa) | set(wb)):
             print(f"{workload}\t{method}\t{wa.get(method, 0)}\t{wb.get(method, 0)}")
-    return 1 if flag_diffs else 0
+    over = [] if rtol is None else [(cell, diff) for cell, (diff, _) in sorted(worst.items())
+                                    if diff > float(rtol)]
+    for (workload, key), diff in over:
+        print(f"{workload}\t{key} differs by {diff:.3g} relative, more than {rtol}")
+    return 1 if flag_diffs or over else 0
 
 
 if __name__ == "__main__":

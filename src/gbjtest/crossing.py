@@ -170,7 +170,7 @@ def _stage_plans(bounds_list: list[BoundaryVector], model: CorrelationModel) -> 
     lam[lam_under] = 1e-300
     lam[lam >= 1.0] = 1.0 - 1e-16
     if d >= 2:
-        frac, pair_under = _pair_fractions(thresholds, first, sf, lam, model)
+        frac, pair_under = _pair_fractions(thresholds, first, sf, sf_prev, lam, model)
     else:
         frac, pair_under = np.zeros_like(lam), np.zeros(lam.size, dtype=bool)
     m_maxes = np.concatenate(([d], caps[:-1]))  # S(t_{k-1}) is at most cap_{k-1}
@@ -220,9 +220,9 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
         p = float(leaks.sum())
         return (p, CrossingTable(leaks, plan.flags)) if return_table else p
 
-    law = _CountLaw(np.zeros(d + 1))
-    law.q[d] = 1.0                              # S(0) = d with certainty
-    leaks = _count_loop(law, plan.lam, plan.gamma, plan.m_maxes, caps)
+    q = np.zeros(d + 1)
+    q[d] = 1.0                                  # S(0) = d with certainty
+    leaks, _, _ = _count_loop(q, 0, plan.lam, plan.gamma, plan.m_maxes, caps)
     leak_total = 0.0
     for leak in leaks:
         leak_total += leak
@@ -230,23 +230,15 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
     return (p, CrossingTable(np.array(leaks), plan.flags)) if return_table else p
 
 
-@dataclass
-class _CountLaw:
-    """The count law between stages of the count loop: Pr(S = m) is
-    q[m] 2^-k for m up to the last stage's cap (entries past it are stale).
-    k moves only when q's largest entry falls below 2^RESCALE_BELOW_LOG2,
-    so the scale carries across stages and never rounds."""
-
-    q: np.ndarray
-    k: int = 0
-
-
-def _count_loop(law: _CountLaw, lam: np.ndarray, gamma: np.ndarray,
-                m_maxes: np.ndarray, caps: np.ndarray) -> list[float]:
-    """Propagates the count law through the given stages and returns the
-    mass each stage leaks past its cap.  Stage k takes S(t_k) | S(t_{k-1})
-    = m ~ EBB(m, lam_k, gamma_k) for m up to m_max_k, the cap before it,
-    and keeps the counts up to cap_k.
+def _count_loop(q: np.ndarray, k: int, lam: np.ndarray, gamma: np.ndarray,
+                m_maxes: np.ndarray, caps: np.ndarray) -> tuple[list[float], np.ndarray, int]:
+    """Propagates the count law Pr(S = m) = q[m] 2^-k through the given
+    stages; returns the mass each stage leaks past its cap and the law after
+    the last stage, as (leaks, q, k).  Stage i takes S(t_i) | S(t_{i-1}) = m
+    ~ EBB(m, lam_i, gamma_i) for m up to m_max_i, the cap before it, and
+    keeps the counts up to cap_i; q's entries past m_max_i are not read.  k
+    moves only when q's largest entry falls below 2^RESCALE_BELOW_LOG2, so
+    the scale carries across stages and never rounds.
 
     With u[a] = pre_a[a] - log a!, w[j] = pre_b[j] - log j! and
     v[m] = log m! - pre_c[m] (``ebb._log_factor_prefixes`` at the stage's
@@ -264,14 +256,14 @@ def _count_loop(law: _CountLaw, lam: np.ndarray, gamma: np.ndarray,
     The stages run in blocks whose factors are built at once, each stage as
     one tile over a, m = 0 .. m_max; a stage whose balanced maxima sum past
     COUNT_TILE_WINDOW takes ``_tiled_sum`` instead.  Every value of a stage
-    is elementwise in its block, so a loop run stage by stage on one law
-    gives the same leaks as one run over all the stages.
+    is elementwise in its block, so a loop run stage by stage, each call
+    taking the law the last one returned, gives the same leaks as one run
+    over all the stages.
     """
-    n = law.q.size
+    n = q.size
     log_fact = gammaln(np.arange(n) + 1.0)     # log m! for m = 0 .. d
     index = np.arange(n, dtype=float)
     leaks: list[float] = []
-    q, k = law.q, law.k
     rows = max(1, PAIR_BLOCK_ENTRIES // (3 * n))
     for start in range(0, lam.size, rows):
         block = slice(start, start + rows)
@@ -292,8 +284,7 @@ def _count_loop(law: _CountLaw, lam: np.ndarray, gamma: np.ndarray,
             else:
                 q = _tiled_sum(qs, pre[:, i], log_fact, index)
             leaks.append(math.ldexp(float(np.add.reduce(q[cap + 1:])), -k))
-    law.q, law.k = q, k
-    return leaks
+    return leaks, q, k
 
 
 def _dyadic(x):
@@ -391,7 +382,8 @@ def _tile_sum(qs, ev, ey, eu, offset: int) -> np.ndarray:
 
 
 def _pair_fractions(thresholds: np.ndarray, first: np.ndarray, sf: np.ndarray,
-                    lam: np.ndarray, model: CorrelationModel) -> tuple[np.ndarray, np.ndarray]:
+                    sf_prev: np.ndarray, lam: np.ndarray,
+                    model: CorrelationModel) -> tuple[np.ndarray, np.ndarray]:
     """Per stage, the pairwise indicator correlation the EBB dispersion
     matches: sum over pairs of (R_k - lam_k^2) over d(d-1)/2 lam_k (1 - lam_k),
     where R_k is a pair's joint tail at t_k over its joint tail at t_{k-1},
@@ -403,59 +395,49 @@ def _pair_fractions(thresholds: np.ndarray, first: np.ndarray, sf: np.ndarray,
     distinct |rho| and stage, in blocks of stages with about
     PAIR_BLOCK_ENTRIES values each: block and exchangeable designs need one
     call for all the sets, and a large set with all-distinct |rho| one stage
-    per call.  Perfect pairs take the last column.  A pair whose tail at
-    t_{k-1} is below the smallest normal double has no usable ratio: it takes
-    lam_k^2, and the stage is marked in the returned mask of pair-tail
-    underflows.
+    per call.  A pair whose tail at t_{k-1} is below the smallest normal
+    double has no usable ratio: it takes lam_k^2, and the stage is marked in
+    the returned mask of pair-tail underflows.
+
+    A perfectly (anti)correlated pair shares one |Z|, so its tails are
+    2 sf(t) and its ratio is sf(t_k) / sf(t_{k-1}), the stage's lam before
+    clipping; it takes no series call.
     """
     d = model.d
     pairs = model.pair_summary
     n = pairs.rhos.size
-    entries = n + (pairs.n_perfect > 0)         # values per stage
-    numer = np.empty(thresholds.size)
+    total = np.zeros(thresholds.size)
     underflow = np.zeros(thresholds.size, dtype=bool)
-    rows = max(1, PAIR_BLOCK_ENTRIES // entries)
-    ratios = np.empty((min(rows, thresholds.size), entries))
     tiny = np.finfo(float).tiny
-    # a perfectly (anti)correlated pair shares one |Z|, so its joint tail is
-    # the single-coordinate tail
-    perfect = np.clip(2.0 * sf, 0.0, 1.0)
-    perfect_prev = np.concatenate(([1.0], perfect[:-1]))
-    perfect_prev[first] = 1.0
-    tails_prev = np.ones(n)
+    lam2 = lam * lam
     with np.errstate(invalid="ignore", divide="ignore"):
-        perfect_ratios = perfect / perfect_prev
-        for start in range(0, thresholds.size, rows):
-            block = slice(start, min(start + rows, thresholds.size))
-            out = ratios[: block.stop - start]
-            tails = gauss.bivar_abs_tail_many(thresholds[block], pairs.rhos) if n else None
-            bad = np.empty(out.shape, dtype=bool)   # denominators below tiny
-            if n:
+        if n:
+            rows = max(1, PAIR_BLOCK_ENTRIES // n)
+            tails_prev = np.ones(n)
+            for start in range(0, thresholds.size, rows):
+                block = slice(start, min(start + rows, thresholds.size))
+                tails = gauss.bivar_abs_tail_many(thresholds[block], pairs.rhos)
                 np.clip(tails, 0.0, 1.0, out=tails)
-                np.divide(tails[0], tails_prev, out=out[0, :n])
-                np.divide(tails[1:], tails[:-1], out=out[1:, :n])
-                np.less(tails_prev, tiny, out=bad[0, :n])
-                np.less(tails[:-1], tiny, out=bad[1:, :n])
-                fresh = np.flatnonzero(first[block])
-                out[fresh, :n] = tails[fresh]   # divided by the tails at t_0
-                bad[fresh, :n] = False
+                out = np.concatenate((tails_prev[None], tails[:-1]))
+                out[first[block]] = 1.0         # the tails at t_0
                 tails_prev = tails[-1]
-            if pairs.n_perfect:
-                out[:, n] = perfect_ratios[block]
-                np.less(perfect_prev[block], tiny, out=bad[:, n])
-            lam2 = lam[block, None] * lam[block, None]
-            if bad.any():
-                underflow[block] = bad.any(axis=1)
-                out[bad] = np.broadcast_to(lam2, out.shape)[bad]
-            np.clip(out, 0.0, 1.0, out=out)
-            out -= lam2
-            # the sum over pairs; vecdot takes one BLAS dot per stage, so a
-            # stage's sum does not depend on the block it arrives in
-            total = np.vecdot(out[:, :n], pairs.counts)
-            if pairs.n_perfect:
-                total += pairs.n_perfect * out[:, n]
-            numer[block] = 2.0 * total
-    return numer / (d * (d - 1) * lam * (1.0 - lam)), underflow
+                bad = out < tiny                # denominators below tiny
+                np.divide(tails, out, out=out)
+                sq = lam2[block, None]
+                if bad.any():
+                    underflow[block] = bad.any(axis=1)
+                    out[bad] = np.broadcast_to(sq, out.shape)[bad]
+                np.clip(out, 0.0, 1.0, out=out)
+                out -= sq
+                # the sum over pairs; vecdot takes one BLAS dot per stage, so
+                # a stage's sum does not depend on the block it arrives in
+                total[block] = np.vecdot(out, pairs.counts)
+        if pairs.n_perfect:
+            under = 2.0 * sf_prev < tiny
+            underflow |= under
+            ratio = np.clip(sf / sf_prev, 0.0, 1.0) - lam2
+            total += pairs.n_perfect * np.where(under, 0.0, ratio)
+    return 2.0 * total / (d * (d - 1) * lam * (1.0 - lam)), underflow
 
 
 def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
@@ -864,7 +846,7 @@ def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationMo
     K = thresholds.size
     if K == 0:
         return 0.0
-    if thresholds[0] <= 0.0 and caps[0] < d:
+    if thresholds[0] <= 0.0:
         return 1.0
     tgrid = np.concatenate(([0.0], np.minimum(thresholds, 38.0), [38.0]))
     caps_list = caps.tolist()

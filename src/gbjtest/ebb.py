@@ -9,7 +9,7 @@ for many (lam, gamma) at once; the crossing recursion's count loop builds
 them for a block of stages and splits each stage's log pmf into factors in
 a, m - a and m from them.
 ``log_kernel`` gives the log pmf at one count per (lam, gamma), less its
-binomial coefficient, which is what the GBJ/BJ objective reads: from the
+binomial coefficient, which is what the GBJ objective reads: from the
 prefix sums below CLOSED_FORM_MIN_SIZE, and from closed forms of the three
 log sums at and above it, which cost O(1) per entry.  ``match_gamma`` gives
 the gamma that reproduces a pairwise indicator correlation, clamped into the

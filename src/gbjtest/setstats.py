@@ -171,42 +171,34 @@ def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
     """Per-index objective for a supremum statistic at thresholds t.
 
     ``t`` and ``j`` are parallel arrays; every entry must satisfy the
-    indicator 2*sf(t) < j/d; only GBJ and GHC read ``profile``.  Returns
-    (values, diagnostics tuple).
+    indicator 2*sf(t) < j/d; only GBJ and GHC read ``profile``.  HC's and
+    BJ's are ``_binomial_objective`` at log lam, the function that
+    ``_binomial_roots`` inverts.  Returns (values, diagnostics tuple).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     j = np.atleast_1d(np.asarray(j, dtype=int))
-    flags: list[str] = []
     lam0 = np.maximum(exceed_prob(t, 0.0), _LAM_FLOOR)
-    if method in (HC, GHC):
-        num = (j - d * lam0) ** 2
-        if method == HC:
-            den = d * lam0 * (1.0 - lam0)
-        else:
-            den = count_variance(t, 0.0, profile)
-        return num / den, tuple(flags)
-    if method not in (GBJ, BJ):
+    if method in (HC, BJ):
+        return _binomial_objective(method, np.log(lam0), j, d), ()
+    if method == GHC:
+        return (j - d * lam0) ** 2 / count_variance(t, 0.0, profile), ()
+    if method != GBJ:
         raise DomainError(f"objective not defined for method {method!r}")
 
     # null rows first, alternative rows (lambda = j/d) second, so that each
     # kernel below runs once per call
     n = t.size
     lam = np.concatenate((lam0, j / float(d)))
-    if method == GBJ:
-        mu = np.concatenate((np.zeros(n), _solve_mu_vec(t, j, d)))
-        # gamma / (1 + gamma) is the indicators' pairwise correlation; taken
-        # from the covariance itself, not from Var S minus its binomial part,
-        # which cancel in deep tails
-        cov = _pair_cov(np.concatenate((t, t)), mu, profile)
-        gamma, clamped = match_gamma(lam, cov / (lam * (1.0 - lam)), d)
-        if np.any(clamped):
-            flags.append("ebb_gamma_clamped")
-    else:
-        gamma = np.zeros(2 * n)
+    mu = np.concatenate((np.zeros(n), _solve_mu_vec(t, j, d)))
+    # gamma / (1 + gamma) is the indicators' pairwise correlation; taken
+    # from the covariance itself, not from Var S minus its binomial part,
+    # which cancel in deep tails
+    cov = _pair_cov(np.concatenate((t, t)), mu, profile)
+    gamma, clamped = match_gamma(lam, cov / (lam * (1.0 - lam)), d)
     # log EBB(d, lam, gamma) pmf at count j, less log C(d, j): both rows
     # carry it, so it cancels in the ratio
     logp = log_kernel(np.concatenate((j, j)), d, lam, gamma)
-    return logp[n:] - logp[:n], tuple(flags)
+    return logp[n:] - logp[:n], ("ebb_gamma_clamped",) if np.any(clamped) else ()
 
 
 def max_index(d: int) -> int:

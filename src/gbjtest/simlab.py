@@ -145,7 +145,6 @@ class SimConfig:
 @dataclass(frozen=True)
 class StudyRow:
     method: str
-    mode: str
     k: int
     d: int
     rho1: float
@@ -263,7 +262,7 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
         r = rejections[method]
         rate = r / config.reps
         se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / config.reps)
-        rows.append(StudyRow(method=method, mode=mode, k=k, d=d, rho1=st.rho1,
+        rows.append(StudyRow(method=method, k=k, d=d, rho1=st.rho1,
                              rho2=st.rho2, rho3=st.rho3, beta=config.beta,
                              alpha=config.alpha, reps=config.reps, rejections=r,
                              rate=rate, se=se))

@@ -302,6 +302,24 @@ class TestClosedFormRoots:
             err = np.abs(vals - g)
             assert np.all(err <= crossing.OBJECTIVE_ROUNDING * (1.0 + g)), (g, err.max())
 
+    @pytest.mark.parametrize("method", ["HC", "BJ"])
+    @pytest.mark.parametrize("d", [5, 20, 50, 200])
+    def test_bound_at_the_achieving_index_is_the_observed_z(self, method, d):
+        # the statistic and its bounds come from one closed form: inverted at
+        # the observed value, the achieving index's bound is its |Z|
+        rng = np.random.default_rng(d)
+        checked = 0
+        for _ in range(25):
+            Z = setstats.ZVector(rng.standard_normal(d) * rng.uniform(1.0, 2.5))
+            out = setstats.compute_statistic(method, Z)
+            if out.achieving_index is None:
+                continue
+            at = d - out.achieving_index
+            b = crossing.invert_bounds(method, out.statistic, d, None).b[at]
+            assert abs(b - Z.abs_order[at]) <= 1e-12 * Z.abs_order[at], (b, Z.abs_order[at])
+            checked += 1
+        assert checked >= 20
+
     def test_unreachable_bj_keeps_its_message(self):
         # the objective at t = 38 (lam floored at 1e-310) is about 1 * 713 at
         # j = 1, the smallest over the indices
@@ -583,8 +601,8 @@ def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False,
     flags = list(bounds.diagnostics)
     sf_prev, cap_prev = 0.5, d
     tails_prev = np.ones(n + (n_perfect > 0))
-    law = crossing._CountLaw(np.zeros(d + 1))
-    law.q[d] = 1.0
+    q, k = np.zeros(d + 1), 0
+    q[d] = 1.0
     leaks = []
     for t_k, cap_k in zip(thresholds, caps):
         sf_k = float(gauss.norm_sf(t_k))
@@ -620,12 +638,12 @@ def per_stage_reference(bounds: BoundaryVector, Sigma, per_pair: bool = False,
         if clamped:
             flags.append("ebb_gamma_clamped")
         if table:
-            q_new = table_step(law.q[: cap_prev + 1], cap_prev, lam, gamma)
-            leaks.append(float(q_new[cap_k + 1:].sum()))
-            law.q = q_new
+            q = table_step(q[: cap_prev + 1], cap_prev, lam, gamma)
+            leaks.append(float(q[cap_k + 1:].sum()))
         else:
-            leaks += crossing._count_loop(law, np.array([lam]), np.array([gamma]),
-                                          np.array([cap_prev]), np.array([cap_k]))
+            leak, q, k = crossing._count_loop(q, k, np.array([lam]), np.array([gamma]),
+                                              np.array([cap_prev]), np.array([cap_k]))
+            leaks += leak
         sf_prev, cap_prev = sf_k, cap_k
     return float(min(max(sum(leaks), 0.0), 1.0)), np.array(leaks), set(flags)
 
@@ -730,10 +748,9 @@ class TestStagesAtOnce:
 def library_step(q, size: int, lam: float, gamma: float) -> np.ndarray:
     """One count step by the library's count loop, on a law q over m = 0 ..
     size with nothing past its cap: q_new over a = 0 .. size."""
-    law = crossing._CountLaw(np.array(q, dtype=float))
-    crossing._count_loop(law, np.array([lam]), np.array([gamma]), np.array([size]),
-                         np.array([size]))
-    return np.ldexp(law.q, -law.k)
+    _, q, k = crossing._count_loop(np.array(q, dtype=float), 0, np.array([lam]),
+                                   np.array([gamma]), np.array([size]), np.array([size]))
+    return np.ldexp(q, -k)
 
 
 def table_loop(d: int, plan) -> np.ndarray:
@@ -902,9 +919,8 @@ class TestStagePlans:
         # 3 and 4 stages per call put block ends between sets and inside them
         S = rand_corr(12, rng)
         model = exceedance.correlation_model(_with_perfect_pair(S) if perfect else S)
-        pairs = model.pair_summary
-        entries = pairs.rhos.size + (pairs.n_perfect > 0)
-        monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES", stages_per_call * entries)
+        monkeypatch.setattr(crossing, "PAIR_BLOCK_ENTRIES",
+                            stages_per_call * model.pair_summary.rhos.size)
         bounds = self._bounds(12)
         want = [crossing.crossing_pvalue(b, model, return_table=True) for b in bounds]
         calls = record_series(monkeypatch)
@@ -924,6 +940,66 @@ class TestStagePlans:
         assert "pair_tail_underflow" in flags[5]
         if not perfect:
             assert "ebb_gamma_clamped" in flags[2]
+
+    @staticmethod
+    def _perfect_column(thresholds, first, sf, lam, model):
+        """The pair fractions and pair-tail underflows with the perfect
+        pairs' tails 2 sf(t) taken as one more column beside the atoms',
+        divided and clipped as theirs are: the reference for taking their
+        ratio from the stage's lam."""
+        pairs = model.pair_summary
+        n, d = pairs.rhos.size, model.d
+        tails = np.column_stack((gauss.bivar_abs_tail_many(thresholds, pairs.rhos)
+                                 .reshape(thresholds.size, n), 2.0 * sf))
+        np.clip(tails, 0.0, 1.0, out=tails)
+        prev = np.vstack((np.ones(n + 1), tails[:-1]))
+        prev[first] = 1.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratios = tails / prev
+        bad = prev < np.finfo(float).tiny
+        lam2 = lam[:, None] * lam[:, None]
+        ratios[bad] = np.broadcast_to(lam2, ratios.shape)[bad]
+        np.clip(ratios, 0.0, 1.0, out=ratios)
+        ratios -= lam2
+        total = np.vecdot(ratios[:, :n], pairs.counts) + pairs.n_perfect * ratios[:, n]
+        return 2.0 * total / (d * (d - 1) * lam * (1.0 - lam)), bad.any(axis=1)
+
+    @pytest.mark.parametrize("atoms", (True, False))
+    def test_perfect_pairs_read_the_stage_lambda(self, atoms, monkeypatch):
+        # Z_0 = Z_1, Z_2 = Z_3 and Z_4 = -Z_5: with atoms, the three pairs of
+        # coordinates at exchangeable 0.3; without, all six share one |Z|
+        A = np.kron(np.eye(3), np.ones((2, 1)))
+        A[5, 2] = -1.0
+        model = exceedance.correlation_model(A @ exchangeable(3, 0.3 if atoms else 1.0) @ A.T)
+        pairs = model.pair_summary
+        assert (pairs.n_perfect, pairs.rhos.size) == ((3, 1) if atoms else (15, 0))
+        fractions = crossing._pair_fractions
+        seen = []
+
+        def record(thresholds, first, sf, sf_prev, lam, model):
+            out = fractions(thresholds, first, sf, sf_prev, lam, model)
+            seen.append(((thresholds, first, sf, lam), out))
+            return out
+
+        monkeypatch.setattr(crossing, "_pair_fractions", record)
+        # the last set's tail at 37.53 is below the smallest normal double,
+        # and twice it is not
+        bounds = self._bounds(6) + [_tail_bounds(6, 1.0, 37.53, 37.6)]
+        calls = record_series(monkeypatch)
+        plans = crossing._stage_plans(bounds, model)
+        assert len(calls) == atoms
+        [((thresholds, first, sf, lam), (frac, under))] = seen
+        want_frac, want_under = self._perfect_column(thresholds, first, sf, lam, model)
+        assert np.all(frac == want_frac)
+        assert np.all(under == want_under)
+        assert under.any() and not under.all()
+        m_maxes = np.concatenate([plan.m_maxes for plan in plans if plan.lam is not None])
+        gamma, _ = ebb.match_gamma(lam, want_frac, np.maximum(m_maxes, 1))
+        assert np.all(np.concatenate([plan.gamma for plan in plans if plan.lam is not None])
+                      == gamma)
+        flags = ["pair_tail_underflow" in plan.flags for plan in plans]
+        assert flags[4] and not flags[0] and not flags[6]   # the deep ladder and two others
+        assert flags[7] == atoms                # an atom's tail there is subnormal
 
     @staticmethod
     def _replicates(n):
