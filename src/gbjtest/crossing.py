@@ -486,9 +486,10 @@ class _BoundSearch:
     roots equals g' only to within rounding.  An entry without a g'' takes
     the seed root as its upper end where that lies above its lower end, and
     expands the upper end until it is no longer short (``_expand``); a short
-    upper end becomes the lower end.  The objective at the indicator boundary
-    (t_min + 1e-9), where an entry whose objective already reaches g
-    collapses, does not depend on g and is evaluated once.
+    upper end becomes the lower end, and an upper end whose excess is within
+    the search's tolerance is the root.  A cold lower end is the indicator
+    boundary t_min + 1e-9, where lambda0 = j/d and every objective is zero
+    to within 1e-8, so its excess is taken as -g without a call.
     """
 
     def __init__(self, method: str, d: int, profile: CorrPowerProfile | None):
@@ -504,7 +505,6 @@ class _BoundSearch:
             self.js = np.arange(1, setstats.max_index(d) + 1)
             self.t_min = ndtri(1.0 - self.js / (2.0 * d))   # indicator boundary per index
         self.t_lo = self.t_min + 1e-9
-        self.obj_lo: np.ndarray | None = None
         self.gs: list[float] = []                       # searched g > 0, ascending
         self.roots: list[np.ndarray] = []               # their raw roots
 
@@ -566,16 +566,12 @@ class _BoundSearch:
         searched from the seed roots; returns the mask of entries whose
         objective stays below g up to T_MAX."""
         jmax = self.js.size
-        if self.obj_lo is None:
-            self.obj_lo = self._objective(self.t_lo, np.arange(jmax))
 
         def excess(t, e):
             return self._objective(t, col[e]) - g_e[e]
 
         lo = self.t_lo[col]
-        f_lo = self.obj_lo[col] - g_e
-        roots[row, col] = lo
-        open_ = np.nonzero(f_lo < 0.0)[0]   # the rest collapse to lo
+        f_lo = -g_e                         # the objectives vanish at t_lo
         hi = np.full(row.size, np.nan)      # nan until bracketed
         f_hi = np.zeros(row.size)
         if self.gs:
@@ -583,20 +579,26 @@ class _BoundSearch:
                 self._warm(g, slice(k * jmax, (k + 1) * jmax), lo, f_lo, hi, f_hi)
         cold = np.flatnonzero(np.isnan(hi))
         hi[cold] = np.minimum(seed[cold], setstats.T_MAX)
-        behind = cold[seed[cold] <= lo[cold]]   # below a g' root, or collapsed
+        behind = cold[seed[cold] <= lo[cold]]   # below a g' root, or at t_lo
         hi[behind] = self._expand(lo[behind], f_lo[behind] + g_e[behind], g_e[behind],
                                   col[behind])
+        ftol = OBJECTIVE_ROUNDING * (1.0 + g_e)
         failed = np.zeros(row.size, dtype=bool)
-        short = np.intersect1d(open_, cold)
+        # an upper end within ftol of g is the root; with one evaluated
+        # point it takes no secant polish
+        done = np.zeros(row.size, dtype=bool)
+        short = cold
         while short.size:
             f_hi[short] = excess(hi[short], short)
-            short = short[f_hi[short] < 0.0]
+            done[short] = np.abs(f_hi[short]) <= ftol[short]
+            short = short[(f_hi[short] < 0.0) & ~done[short]]
             lo[short], f_lo[short] = hi[short], f_hi[short]
             at_max = hi[short] >= setstats.T_MAX
             failed[short[at_max]] = True
             short = short[~at_max]
             hi[short] = self._expand(hi[short], f_hi[short] + g_e[short], g_e[short], col[short])
-        open_ = open_[~np.isin(row[open_], row[failed])]
+        roots[row[done], col[done]] = hi[done]
+        open_ = np.flatnonzero(~(done | np.isin(row, row[failed])))
         if not open_.size:
             return failed
         # (t, excess) of each entry's last two evaluations
@@ -609,7 +611,7 @@ class _BoundSearch:
             return f
 
         root = gauss._bracketed_roots(recorded, lo[open_], hi[open_], f_lo[open_],
-                                      f_hi[open_], ftol=OBJECTIVE_ROUNDING * (1.0 + g_e[open_]))
+                                      f_hi[open_], ftol=ftol[open_])
         # a root the search stopped at within ftol takes one more secant
         # step through its last two points, free of a call, which brings it
         # to the objective's rounding: a warm and a cold bracket reach the

@@ -9,7 +9,7 @@ correlation-adjusted supremum statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,23 +65,24 @@ class PairSummary:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:
-    """A correlation matrix validated once by ``gauss.check_correlation``,
-    with the eigenvalues that check computes (non-increasing; they give the
-    quadratic-form component its null law).  The power profile at
-    DEFAULT_R_MAX, the off-diagonal pairs and their summary are computed on
-    first use."""
+    """A correlation matrix validated once by ``gauss.check_correlation``.
+    Its eigenvalues, the power profile at DEFAULT_R_MAX, the off-diagonal
+    pairs and their summary are computed on first use."""
 
     matrix: np.ndarray
-    eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix, eigvals = gauss.check_correlation(self.matrix)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "eigvals", eigvals)
+        object.__setattr__(self, "matrix", gauss.check_correlation(self.matrix))
 
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigvals(self) -> np.ndarray:
+        """Eigenvalues of the matrix's symmetric part, non-increasing; they
+        give the quadratic-form component its null law."""
+        return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[::-1]
 
     @cached_property
     def profile(self) -> CorrPowerProfile:
@@ -166,15 +167,15 @@ def count_variance(t, mu, profile: CorrPowerProfile):
 def _pair_cov(t, mu, profile: CorrPowerProfile):
     """Average covariance of two exceedance indicators, Var S(t) = d lam
     (1 - lam) + d (d - 1) _pair_cov, by the Hermite series truncated at the
-    profile's r_max.  Vectorized over t and mu."""
-    # a = t - mu and b = -t - mu as the two rows of one flat array
-    ab = np.stack(np.broadcast_arrays(t - mu, -t - mu))
+    profile's r_max: the sum over r of rbar_r / r times the square of
+    phi(a) h_{r-1}(a) - phi(b) h_{r-1}(b), with a = t - mu and b = -t - mu.
+    Vectorized over t and mu."""
+    ab = np.stack((t - mu, -t - mu))
     shape = ab.shape[1:]
     ab = ab.reshape(2, -1)
     rmax = profile.r_max
-    h = gauss.hermite_normalized(rmax, ab)      # h_{r-1}(a), h_{r-1}(b) at index r-1
-    ha, hb = h[:, 0], h[:, 1]
-    w = profile.rbar * (1.0 / np.arange(1, rmax + 1))
-    sA, sB, sC = w @ (ha * ha), w @ (hb * hb), w @ (ha * hb)
-    phia, phib = gauss.norm_pdf(ab)
-    return (phia * phia * sA + phib * phib * sB - 2.0 * phia * phib * sC).reshape(shape)
+    q = gauss.hermite_normalized(rmax, ab)      # h_{r-1}(a), h_{r-1}(b) at index r-1
+    q *= np.exp(-0.5 * ab * ab)                 # times sqrt(2 pi) phi
+    diff = q[:, 0] - q[:, 1]
+    w = profile.rbar / (2.0 * np.pi * np.arange(1, rmax + 1))
+    return (w @ (diff * diff)).reshape(shape)

@@ -1,17 +1,19 @@
 """Gaussian kernels.
 
-The standard normal survival function and density, normalized Hermite
+The standard normal survival function, normalized Hermite
 polynomials, the joint absolute tail of a bivariate normal at many
 correlations, the correlation-matrix check, a deterministic integrator for
 low-dimension multivariate normal rectangles, and bracketed root-finding.
 The slow scalar references these kernels are tested against live with the
-tests.  Everything here is a pure function; nothing caches mutable state, so
-concurrent use is unrestricted.
+tests.  Everything here is a pure function; the one cache, the Gauss-Legendre
+rule of ``bvn_cdf``, is built once and never changed, so concurrent use is
+unrestricted.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -25,8 +27,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # integrator, plus a fixed table of shifts so results never depend on an RNG.
 _SQRT_PRIMES = np.sqrt(np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37], dtype=float))
 _LATTICE_SHIFTS = np.random.default_rng(20240501).uniform(size=(12, 12))
-
-_GL_NODES, _GL_WEIGHTS = roots_legendre(96)
 
 PAIR_SERIES_RTOL = 1e-12
 PAIR_SERIES_MAX_ORDER = 1000
@@ -56,11 +56,6 @@ def norm_sf(t):
     return out
 
 
-def norm_pdf(t):
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.5 * t * t) / _SQRT_2PI
-
-
 def hermite_normalized(r_max: int, t):
     """h_r(t) = H_r(t) / sqrt(r!) for r = 0 .. r_max - 1, vectorized in t.
 
@@ -69,12 +64,15 @@ def hermite_normalized(r_max: int, t):
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((r_max,) + t.shape)
-    prev = np.zeros_like(t)
-    curr = np.ones_like(t)
-    for r in range(r_max):
-        out[r] = curr
-        nxt = t * curr / math.sqrt(r + 1) - prev * math.sqrt(r / (r + 1))
-        prev, curr = curr, nxt
+    h = out.reshape(r_max, -1)          # one row per order, filled in place
+    x = t.reshape(-1)
+    h[0] = 1.0
+    if r_max > 1:
+        h[1] = x
+    for r in range(1, r_max - 1):
+        nxt = np.multiply(x, h[r], out=h[r + 1])
+        nxt /= math.sqrt(r + 1)
+        nxt -= h[r - 1] * math.sqrt(r / (r + 1))
     return out
 
 
@@ -217,11 +215,11 @@ def _series_coefs_many(t_list: list, bases: list, scales: list, x_max: float) ->
     return coef.T
 
 
-def check_correlation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_correlation(R: np.ndarray) -> np.ndarray:
     """Validate a correlation matrix: square, finite, symmetric within 1e-10,
     unit diagonal within 1e-8, entries in [-1, 1] within 1e-8, and PSD within
-    -1e-8.  Returns the matrix as a float array and the eigenvalues of its
-    symmetric part in non-increasing order."""
+    -1e-8: its symmetric part plus 1e-8 I has a Cholesky factor.  Returns the
+    matrix as a float array."""
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.size == 0:
         raise DomainError(f"correlation matrix must be square and non-empty, got shape {R.shape}")
@@ -230,16 +228,19 @@ def check_correlation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work = R - R.T                  # the one d x d temporary of the check
     if np.abs(work, out=work).max() > 1e-10:
         raise DomainError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(R), 1.0, rtol=0.0, atol=1e-8):
+    if np.abs(np.diag(R) - 1.0).max() > 1e-8:
         raise DomainError("correlation matrix must have unit diagonal")
     if np.abs(R, out=work).max() > 1.0 + 1e-8:
         raise DomainError("correlation entries must lie in [-1, 1]")
     np.add(R, R.T, out=work)
     work *= 0.5
-    eigvals = np.linalg.eigvalsh(work)[::-1]
-    if eigvals[-1] < -1e-8:
-        raise DomainError(f"correlation matrix not PSD (min eigenvalue {eigvals[-1]:.3e})")
-    return R, eigvals
+    work.flat[::R.shape[0] + 1] += 1e-8
+    try:
+        np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(work)[0] - 1e-8
+        raise DomainError(f"correlation matrix not PSD (min eigenvalue {low:.3e})") from None
+    return R
 
 
 def bvn_cdf(x: float, y: float, rho: float) -> float:
@@ -254,11 +255,19 @@ def bvn_cdf(x: float, y: float, rho: float) -> float:
         return float(ndtr(min(x, y)))
     if rho <= -1.0 + 1e-14:
         return float(max(0.0, ndtr(x) - ndtr(-y)))
-    r = 0.5 * rho * (_GL_NODES + 1.0)
+    nodes, weights = _gauss_legendre()
+    r = 0.5 * rho * (nodes + 1.0)
     det = 1.0 - r * r
     dens = np.exp(-(x * x - 2.0 * r * x * y + y * y) / (2.0 * det)) / (2.0 * np.pi * np.sqrt(det))
-    val = float(ndtr(x) * ndtr(y) + 0.5 * rho * np.dot(_GL_WEIGHTS, dens))
+    val = float(ndtr(x) * ndtr(y) + 0.5 * rho * np.dot(weights, dens))
     return min(1.0, max(0.0, val))
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """``bvn_cdf``'s 96-point Gauss-Legendre rule, built on first use:
+    ``roots_legendre`` loads ``scipy.linalg``, which nothing else needs."""
+    return roots_legendre(96)
 
 
 def _cholesky_reordered(lower, upper, sigma):

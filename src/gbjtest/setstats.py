@@ -18,7 +18,7 @@ from . import gauss
 from .ebb import log_kernel, match_gamma
 from .errors import DegenerateInputError, DomainError
 from .exceedance import (CorrelationModel, CorrPowerProfile, _pair_cov, correlation_model,
-                         count_variance, exceed_prob)
+                         count_variance)
 
 GBJ = "GBJ"
 BJ = "BJ"
@@ -34,8 +34,9 @@ ALL_METHODS = (GBJ, BJ, HC, GHC, MINP)
 T_MAX = 38.0
 _LAM_FLOOR = 1e-310
 _EPS = float(np.finfo(float).eps)
-# a guard only: _solve_mu_vec converges in 1 to 6 steps from d = 2 to 500,
-# and _binomial_roots' BJ Newton in 0 to 5 (d = 2 to 500, g = 1e-8 to 1e4)
+# a guard only: _solve_mu_vec takes 1 to 5 evaluations of its function per
+# entry (d = 2 to 500, t from t_min + 1e-9 to T_MAX), and _binomial_roots'
+# BJ Newton 0 to 5 steps (d = 2 to 500, g = 1e-8 to 1e4)
 _NEWTON_MAX_STEPS = 100
 
 
@@ -82,36 +83,43 @@ def _solve_mu_vec(t: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
 
     Newton on f(mu) = Phi(mu - t) + Phi(-mu - t) - j/d, whose derivative is
     phi(mu - t) - phi(mu + t) = -phi(mu - t) expm1(-2 mu t) > 0.  The start is
-    the smaller of t + ndtri(j/d) (exact when Phi(-mu - t) is negligible) and
-    the root of the quadratic expansion of f at mu = 0 (close near the
-    indicator boundary, where the derivative vanishes).  Every iterate
-    narrows the bracket [lo, hi] and a step that leaves it is replaced by
-    bisection.  An entry stops once |f| is at the rounding level of its
-    terms, or once a step lands on a bracket end (it is below the spacing of
-    the floats there).
+    the smaller of two estimates.  One is the root of f without its term
+    Phi(-mu - t), t + ndtri(j/d), moved by one fixed-point step on that
+    term, t + ndtri(j/d - Phi(-mu - t)); both lie above the root, the second
+    closer by a factor of about exp(-2 mu t).  The other is the root of the
+    quadratic expansion of f at mu = 0, close near the indicator boundary,
+    where the derivative vanishes.  Every iterate narrows the bracket
+    [lo, hi], which starts at [0, twice the first estimate], and a step that
+    leaves it is replaced by bisection.  An entry stops once |f| is at the
+    rounding level of its terms, or once a step lands on a bracket end (it
+    is below the spacing of the floats there).
     """
     t = np.asarray(t, dtype=float)
     target = np.asarray(j, dtype=float) / d
-    lo = np.zeros_like(t)
-    hi = t + ndtri(1.0 - target / 2.0) + 10.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mu_quad = np.sqrt((target - 2.0 * gauss.norm_sf(t)) / (t * gauss.norm_pdf(t)))
-    mu = np.clip(np.fmin(t + ndtri(target), mu_quad), lo, hi)
+    tol = 4.0 * _EPS * target
+    mt, t2 = -t, -2.0 * t
     live = np.ones(t.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX_STEPS):
-        f = ndtr(mu - t) + ndtr(-mu - t) - target
-        above = f >= 0.0
-        hi = np.where(above, mu, hi)
-        lo = np.where(above, lo, mu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = mu + f / (gauss.norm_pdf(mu - t) * np.expm1(-2.0 * mu * t))
-        solved = np.abs(f) <= 4.0 * _EPS * target
-        on_end = (new == lo) | (new == hi)
-        new = np.where(((new > lo) & (new < hi)) | on_end, new, 0.5 * (lo + hi))
-        mu = np.where(live & ~solved, new, mu)
-        live &= ~(solved | on_end)
-        if not live.any():
-            break
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        above_root = t + ndtri(target)
+        above_root = t + ndtri(target - ndtr(mt - above_root))
+        mu_quad = np.sqrt((target - 2.0 * ndtr(mt)) * gauss._SQRT_2PI / (t * np.exp(-0.5 * t * t)))
+        mu = np.fmin(above_root, mu_quad)
+        lo, hi = np.zeros_like(t), 2.0 * above_root
+        for _ in range(_NEWTON_MAX_STEPS):
+            x = mu - t
+            f = ndtr(x) + ndtr(mt - mu) - target
+            above = f >= 0.0
+            hi = np.where(above, mu, hi)
+            lo = np.where(above, lo, mu)
+            new = mu + f * gauss._SQRT_2PI / (np.exp(-0.5 * x * x) * np.expm1(t2 * mu))
+            live &= np.abs(f) > tol
+            inside = (new > lo) & (new < hi)
+            if not inside[live].all():
+                live &= (new != lo) & (new != hi)
+                new = np.where(inside, new, 0.5 * (lo + hi))
+            if not live.any():
+                break
+            mu = np.where(live, new, mu)
     return mu
 
 
@@ -177,7 +185,7 @@ def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     j = np.atleast_1d(np.asarray(j, dtype=int))
-    lam0 = np.maximum(exceed_prob(t, 0.0), _LAM_FLOOR)
+    lam0 = np.maximum(2.0 * gauss.norm_sf(t), _LAM_FLOOR)
     if method in (HC, BJ):
         return _binomial_objective(method, np.log(lam0), j, d), ()
     if method == GHC:

@@ -328,12 +328,13 @@ class TestClosedFormRoots:
                 crossing.invert_bounds("BJ", g, d, None)
             assert str(err.value) == f"BJ: objective never reaches g={g} by t=38.0 at index j=1"
 
-    @pytest.mark.parametrize("method, calls_at", [("GBJ", 7), ("GHC", 6)])
+    @pytest.mark.parametrize("method, calls_at", [("GBJ", 6), ("GHC", 5)])
     def test_seeded_search_calls(self, method, calls_at, monkeypatch):
         # a scan-like set: four blocks of five, two strong signals among
         # half-normal quantiles.  With the cold bracket at [t_min + 1e-9,
         # t_min + 1], these inversions took 10 (GBJ) and 15 (GHC) objective
-        # calls, and BJ and HC 11 and 15.
+        # calls, and BJ and HC 11 and 15; with a call for the objective at
+        # t_min + 1e-9, 7 and 6.
         d = 20
         Sigma = np.eye(d)
         for k, rho in enumerate((0.2, 0.3, 0.4, 0.5)):
@@ -346,6 +347,76 @@ class TestClosedFormRoots:
         calls = record_objective(monkeypatch)
         crossing.invert_bounds(method, g, d, model.profile)
         assert len(calls) == calls_at
+
+
+def _two_factor(d, max_rho, rng):
+    """A rank-2 factor correlation whose largest off-diagonal |rho| is max_rho."""
+    U = rng.standard_normal((d, 2))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    C = U @ U.T
+    c = max_rho / np.max(np.abs(C - np.eye(d)))
+    return c * C + (1.0 - c) * np.eye(d)
+
+
+def _boundary_models(d):
+    rng = np.random.default_rng(d)
+    return {"identity": np.eye(d), "exchangeable 0.3": exchangeable(d, 0.3),
+            "exchangeable 0.9": exchangeable(d, 0.9), "two-factor": _two_factor(d, 0.6, rng)}
+
+
+class TestIndicatorBoundary:
+    """A search takes the excess at the indicator boundary t_min + 1e-9 as
+    -g, without evaluating the objective there: every objective is within
+    1e-8 of zero at that point."""
+
+    @pytest.mark.parametrize("d", [2, 5, 20, 100, 500])
+    def test_objectives_vanish_at_the_boundary(self, d):
+        js = np.arange(1, d // 2 + 1)
+        t_lo = ndtri(1.0 - js / (2.0 * d)) + 1e-9
+        for name, Sigma in _boundary_models(d).items():
+            profile = exceedance.correlation_model(Sigma).profile
+            np.testing.assert_array_equal(crossing._BoundSearch("GBJ", d, profile).t_lo, t_lo)
+            for method in ("GBJ", "BJ", "HC", "GHC"):
+                vals, _ = setstats.objective_values(method, t_lo, js, d, profile)
+                assert np.max(np.abs(vals)) <= 1e-8, (name, method)
+
+    @pytest.mark.parametrize("d", [5, 20, 100])
+    def test_g_below_the_boundary_objective_stays_at_the_boundary(self, d):
+        # on the two-factor Sigma GBJ's objective at t_min + 1e-9 is about
+        # 2e-9 to 5e-9 at every index, so a g of 1e-10 is reached there:
+        # a search that once evaluated the boundary returned it exactly
+        g = 1e-10
+        model = exceedance.correlation_model(_two_factor(d, 0.6, np.random.default_rng(d)))
+        js = np.arange(1, d // 2 + 1)
+        t_lo = crossing._BoundSearch("GBJ", d, model.profile).t_lo
+        vals, _ = setstats.objective_values("GBJ", t_lo, js, d, model.profile)
+        assert np.all(vals >= g)
+        bounds = crossing.invert_bounds("GBJ", g, d, model.profile)
+        assert np.max(np.abs(bounds.b[d - js] - t_lo)) <= 1e-9
+        at_boundary = np.full(d, np.inf)
+        at_boundary[d - js] = t_lo
+        want = crossing.crossing_pvalue(BoundaryVector(at_boundary), model)
+        assert crossing.crossing_pvalue(bounds, model) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d, ceilings", [(5, (6, 6, 4, 5)), (20, (7, 8, 6, 6)),
+                                             (50, (8, 8, 7, 9))])
+    def test_inversion_call_ceilings(self, d, ceilings, monkeypatch):
+        # GBJ and GHC on exchangeable 0.3 and on a two-factor Sigma (largest
+        # |rho| 0.6), at the statistic of two strong signals among half-normal
+        # quantiles; the ceilings are the calls these inversions take, one
+        # fewer each than with a call for the objective at t_min + 1e-9
+        absz = ndtri(1.0 - (np.arange(d) + 0.5) / (2 * d))
+        absz[:2] = (4.5, 5.0)
+        Z = setstats.ZVector(absz)
+        sigmas = (exchangeable(d, 0.3), _two_factor(d, 0.6, np.random.default_rng(d)))
+        cases = [(method, Sigma) for method in ("GBJ", "GHC") for Sigma in sigmas]
+        for (method, Sigma), ceiling in zip(cases, ceilings):
+            model = exceedance.correlation_model(Sigma)
+            g = setstats.compute_statistic(method, Z, model).statistic
+            calls = record_objective(monkeypatch)
+            crossing.invert_bounds(method, g, d, model.profile)
+            monkeypatch.undo()
+            assert len(calls) <= ceiling, (method, len(calls))
 
 
 class TestCrossingPvalue:

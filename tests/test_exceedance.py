@@ -33,6 +33,15 @@ class TestCorrelationModel:
             got = exceedance.correlation_model(np.array([[1.0, rho], [rho, 1.0]])).eigvals
             np.testing.assert_allclose(got, [1 + abs(rho), 1 - abs(rho)], atol=1e-12)
 
+    def test_eigenvalues_on_first_use(self):
+        S = exchangeable(6, 0.3)
+        model = exceedance.correlation_model(S)
+        crossing.pvalue("GBJ", setstats.ZVector(np.linspace(-1.0, 3.0, 6)), model)
+        assert "eigvals" not in vars(model)
+        omnibus.skat_lite(setstats.ZVector(np.linspace(-1.0, 3.0, 6)), model)
+        np.testing.assert_array_equal(vars(model)["eigvals"],
+                                      np.linalg.eigvalsh(S)[::-1])
+
     def test_eigenvalues_non_increasing_and_sum_to_d(self, rng):
         vals = exceedance.correlation_model(rand_corr(6, rng, factor=1)).eigvals
         assert np.all(np.diff(vals) <= 0.0)

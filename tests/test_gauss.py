@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, roots_legendre
 
 from gbjtest import gauss
+from gbjtest.exceedance import correlation_model
 from gbjtest.errors import BracketError, DomainError
 from tests.conftest import bivar_abs_tail_quadrature, hermite
 
@@ -29,12 +33,11 @@ def normal_quantile_oracle(p):
 
 
 class TestStdNormal:
-    """``norm_sf`` and ``norm_pdf``; the CDF is norm_sf(-t)."""
+    """``norm_sf``; the CDF is norm_sf(-t)."""
 
     def test_at_zero(self):
         assert gauss.norm_sf(-0.0) == 0.5
         assert gauss.norm_sf(0.0) == 0.5
-        assert abs(gauss.norm_pdf(0.0) - 0.3989422804014327) < 1e-15
 
     def test_tail_value_against_quadrature(self):
         # sf(1.959964) from quadrature of the density
@@ -46,7 +49,6 @@ class TestStdNormal:
     def test_symmetry(self, rng):
         for t in rng.uniform(-8, 8, size=50):
             assert gauss.norm_sf(-t) == ndtr(t)
-            assert gauss.norm_pdf(-t) == gauss.norm_pdf(t)
 
     def test_complement_identity(self, rng):
         t = rng.uniform(-10, 10, size=1_000_000)
@@ -294,6 +296,35 @@ class TestMvnCdfSmall:
             gauss.mvn_cdf_small(0.0, bad)
 
 
+class TestBvnCdf:
+    def test_values_of_the_96_point_rule(self, rng):
+        nodes, weights = roots_legendre(96)
+        for x, y, rho in rng.uniform((-3.0, -3.0, -0.99), (3.0, 3.0, 0.99), size=(20, 3)):
+            r = 0.5 * rho * (nodes + 1.0)
+            det = 1.0 - r * r
+            dens = (np.exp(-(x * x - 2.0 * r * x * y + y * y) / (2.0 * det))
+                    / (2.0 * np.pi * np.sqrt(det)))
+            want = min(1.0, max(0.0, float(ndtr(x) * ndtr(y) + 0.5 * rho * np.dot(weights, dens))))
+            assert gauss.bvn_cdf(x, y, rho) == want
+
+    def test_rule_built_on_first_use(self):
+        # a fresh interpreter: a GBJ p-value needs no Gauss-Legendre rule, so
+        # scipy.linalg, which building it loads, stays out
+        import gbjtest
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gbjtest.__file__)))
+        code = ("import sys; import numpy as np; import gbjtest; "
+                "S = np.full((5, 5), 0.3); np.fill_diagonal(S, 1.0); "
+                "z = gbjtest.ZVector(np.array([2.5, 1.0, 0.3, -1.2, 3.1])); "
+                "gbjtest.pvalue('GBJ', z, S); "
+                "print('scipy.linalg' in sys.modules); "
+                "gbjtest.gauss.bvn_cdf(0.3, -0.2, 0.5); "
+                "print('scipy.linalg' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "True"]
+
+
 class TestMvnRect:
     def test_bitwise_deterministic(self, rng):
         from tests.conftest import rand_corr
@@ -342,21 +373,43 @@ class TestCheckCorrelation:
         with pytest.raises(DomainError, match="finite"):
             gauss.check_correlation(np.full((2, 2), np.nan))
 
+    @pytest.mark.parametrize("d", [3, 10, 50])
+    def test_psd_within_1e8(self, d):
+        # exchangeable with rho = -(1 + delta) / (d - 1): its smallest
+        # eigenvalue is 1 + (d - 1) rho = -delta
+        for delta, accepted in ((-1e-6, True), (0.0, True), (0.8e-8, True),
+                                (1.2e-8, False), (1e-6, False)):
+            rho = -(1.0 + delta) / (d - 1)
+            R = np.full((d, d), rho)
+            np.fill_diagonal(R, 1.0)
+            assert np.linalg.eigvalsh(R)[0] == pytest.approx(-delta, abs=1e-13)
+            if accepted:
+                assert gauss.check_correlation(R) is not None
+            else:
+                with pytest.raises(DomainError, match="not PSD"):
+                    gauss.check_correlation(R)
+
+    def test_returns_the_matrix_as_floats(self):
+        R = np.array([[1, 0], [0, 1]])
+        out = gauss.check_correlation(R)
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, np.eye(2))
+
 
 class TestSymEigvals:
-    """Eigenvalues returned by check_correlation, non-increasing."""
+    """Eigenvalues of ``CorrelationModel.eigvals``, non-increasing."""
 
     def test_identity(self):
-        np.testing.assert_allclose(gauss.check_correlation(np.eye(3))[1], [1, 1, 1])
+        np.testing.assert_allclose(correlation_model(np.eye(3)).eigvals, [1, 1, 1])
 
     def test_diagonal_ordering(self):
         # Blocks {0} and {1, 2} with rho = 0.8: eigenvalues 1, 1.8, 0.2.
         R = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.8], [0.0, 0.8, 1.0]])
-        np.testing.assert_allclose(gauss.check_correlation(R)[1], [1.8, 1.0, 0.2], atol=1e-12)
+        np.testing.assert_allclose(correlation_model(R).eigvals, [1.8, 1.0, 0.2], atol=1e-12)
 
     def test_two_by_two_closed_form(self):
         for rho in (-0.6, 0.2, 0.9):
-            _, got = gauss.check_correlation(np.array([[1.0, rho], [rho, 1.0]]))
+            got = correlation_model(np.array([[1.0, rho], [rho, 1.0]])).eigvals
             np.testing.assert_allclose(got, [1 + abs(rho), 1 - abs(rho)], atol=1e-12)
 
     def test_trace_identity(self, rng):
@@ -364,7 +417,7 @@ class TestSymEigvals:
         S = W @ W.T
         dh = 1.0 / np.sqrt(np.diag(S))
         R = S * dh[:, None] * dh[None, :]
-        vals = gauss.check_correlation(R)[1]
+        vals = correlation_model(R).eigvals
         assert abs(vals.sum() - np.trace(R)) < 1e-8
 
 
