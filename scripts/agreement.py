@@ -9,7 +9,9 @@ gbjtest from CHECKOUT/src, and writes every item's outputs (p-values,
 simulated (rate, se) pairs and region bounds) as JSON.  Each calibrate
 omnibus item also records ``R_hat``, the flattened bootstrap correlation of
 its Sigma at the library's default B (``omnibus.DEFAULT_BOOTSTRAP_REPS``)
-and seed 0, since the workload itself runs the bootstrap at a smaller B.
+and seed 0, since the workload itself runs the bootstrap at a smaller B,
+and ``c_star``, the omnibus cutoff ``omnibus.omni_threshold(0.01, R_hat)``
+on that R_hat, so that ``compare`` reports how the cutoff search moved it.
 Every item also records ``flags``: one entry per outcome of each
 ``gbjtest.crossing.pvalue`` call it makes, bootstrap lists included, naming
 the method and its diagnostics, or the error of a set that failed.  The
@@ -105,6 +107,7 @@ def child(src: str, seed: str, out: str) -> int:
                     R_hat, _ = omnibus.bootstrap_corr(
                         item.sigma, B=omnibus.DEFAULT_BOOTSTRAP_REPS, seed=0)
                     outputs[item.id]["R_hat"] = R_hat.ravel().tolist()
+                    outputs[item.id]["c_star"] = [omnibus.omni_threshold(0.01, R_hat)]
                 outputs[item.id][FLAGS] = list(flags)
     outputs[CALLS] = calls
     Path(out).write_text(json.dumps(outputs, indent=1))

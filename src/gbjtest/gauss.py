@@ -5,8 +5,9 @@ polynomials, the joint absolute tail of a bivariate normal at many
 correlations, the correlation-matrix check, a deterministic integrator for
 low-dimension multivariate normal rectangles, and bracketed root-finding.
 The slow scalar references these kernels are tested against live with the
-tests.  Everything here is a pure function; the one cache, the Gauss-Legendre
-rule of ``bvn_cdf``, is built once and never changed, so concurrent use is
+tests.  Everything here is a pure function; the two caches, the
+Gauss-Legendre rule of ``bvn_cdf`` and the lattice points of
+``mvn_cdf_small``, are built once and never changed, so concurrent use is
 unrestricted.
 """
 
@@ -36,8 +37,12 @@ PAIR_SERIES_MAX_ORDER = 1000
 # 512 x PAIR_SERIES_MAX_ORDER / 2 coefficients (2 MiB) at a time
 PAIR_VECTOR_MIN_THRESHOLDS = 16
 PAIR_VECTOR_MAX_THRESHOLDS = 512
-# lattice points per shift of the small-dimension normal CDF
+# lattice points per shift of the small-dimension normal CDF; its points
+# are kept once built for this many shifts and coordinates (3 MiB), enough
+# for the 4-dimensional copula
 MVN_SMALL_NPTS = 16384
+_CACHED_SHIFTS = 8
+_CACHED_COORDS = 3
 
 
 def norm_sf(t):
@@ -339,7 +344,7 @@ def mvn_rect(lower, upper, sigma, npts: int = 8192, nshift: int = 8) -> float:
 
 
 def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
-                     nshift: int) -> tuple[float, float]:
+                      nshift: int) -> tuple[float, float]:
     """Pr(a <= L W <= b) for W ~ MVN(0, I) and lower-triangular L, with the
     coordinates already in integration order (``_cholesky_reordered``).
 
@@ -348,34 +353,65 @@ def _lattice_integral(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
     standard error of the shifts' spread.
     """
     d = L.shape[0]
-    q = _SQRT_PRIMES[: d - 1]
-    base = np.arange(1, npts + 1)[:, None] * q
-    base -= np.floor(base)                      # exact fractional parts
+    if (npts, nshift) == (MVN_SMALL_NPTS, _CACHED_SHIFTS) and d - 1 <= _CACHED_COORDS:
+        points = _small_lattice_points()
+    else:
+        base = _lattice_base(npts, d - 1)
+        points = (_shifted_points(base, s) for s in range(nshift))
     ests = np.empty(nshift)
-    # a lower limit of -inf has CDF 0 whatever the shift, so its ndtr is skipped
+    # a lower limit of -inf has CDF 0 whatever the shift, so its ndtr, and
+    # the adding and subtracting of that 0, are skipped
     open_lo = np.isneginf(a)
     # the first coordinate's limits are the same at every point
     d0, e0 = ndtr(a[0] / L[0, 0]), ndtr(b[0] / L[0, 0])
     y = np.empty((npts, d - 1))
-    for s in range(nshift):
-        # base and shift lie in [0, 1), so the fractional part of their sum
-        # drops 1 where it reaches 1, exactly
-        w = base + _LATTICE_SHIFTS[s, : d - 1]
-        w -= w >= 1.0
-        w *= 2.0
-        w -= 1.0
-        np.abs(w, out=w)
+    for s, w in enumerate(points):
         dcur, ecur = d0, e0
-        f = e0 - d0
+        f = np.full(npts, e0 - d0)
         for i in range(1, d):
-            z = np.clip(dcur + w[:, i - 1] * (ecur - dcur), 1e-16, 1.0 - 1e-16)
-            y[:, i - 1] = ndtri(z)
+            z = w[i - 1] * ecur if open_lo[i - 1] else dcur + w[i - 1] * (ecur - dcur)
+            np.clip(z, 1e-16, 1.0 - 1e-16, out=z)
+            ndtri(z, out=y[:, i - 1])
             mu = y[:, :i] @ L[i, :i]
-            dcur = 0.0 if open_lo[i] else ndtr((a[i] - mu) / L[i, i])
-            ecur = ndtr((b[i] - mu) / L[i, i])
-            f = f * (ecur - dcur)
+            if not open_lo[i]:
+                dcur = np.subtract(a[i], mu)
+                dcur /= L[i, i]
+                ndtr(dcur, out=dcur)
+            ecur = np.subtract(b[i], mu, out=mu)
+            ecur /= L[i, i]
+            ndtr(ecur, out=ecur)
+            f *= ecur if open_lo[i] else ecur - dcur
         ests[s] = f.mean()
     return float(np.clip(ests.mean(), 0.0, 1.0)), float(ests.std(ddof=1) / math.sqrt(nshift))
+
+
+def _lattice_base(npts: int, ncoord: int) -> np.ndarray:
+    """The unshifted ``npts``-point Richtmyer lattice in its first ``ncoord``
+    coordinates, one row per coordinate."""
+    base = _SQRT_PRIMES[:ncoord, None] * np.arange(1, npts + 1)
+    base -= np.floor(base)                      # exact fractional parts
+    return base
+
+
+def _shifted_points(base: np.ndarray, s: int) -> np.ndarray:
+    """The lattice ``base`` under shift s, tent-mapped."""
+    # base and shift lie in [0, 1), so the fractional part of their sum
+    # drops 1 where it reaches 1, exactly
+    w = base + _LATTICE_SHIFTS[s, : base.shape[0], None]
+    w -= w >= 1.0
+    w *= 2.0
+    w -= 1.0
+    return np.abs(w, out=w)
+
+
+@cache
+def _small_lattice_points() -> np.ndarray:
+    """The tent-mapped points of ``mvn_cdf_small``'s lattice, built on first
+    use and kept, read-only: shape (shift, coordinate, point)."""
+    base = _lattice_base(MVN_SMALL_NPTS, _CACHED_COORDS)
+    points = np.stack([_shifted_points(base, s) for s in range(_CACHED_SHIFTS)])
+    points.setflags(write=False)
+    return points
 
 
 def _dedup_perfect(z: float, R: np.ndarray):
@@ -430,20 +466,21 @@ def mvn_cdf_small(z: float, R) -> float:
     return mvn_rect(lower, upper, Rsub, npts=MVN_SMALL_NPTS)
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10,
+              ftol: float = 0.0) -> float:
     """Root of a continuous function on a bracketing interval [lo, hi],
-    within tol plus a few ulps."""
+    within tol plus a few ulps, or the first point found where |f| <= ftol."""
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
+    if abs(flo) <= ftol:
         return lo
-    if fhi == 0.0:
+    if abs(fhi) <= ftol:
         return hi
     if flo * fhi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
     sign = 1.0 if flo < 0.0 else -1.0            # the search needs f increasing
     root = _bracketed_roots(lambda x, k: np.array([sign * f(float(x[0]))]),
                             np.array([float(lo)]), np.array([float(hi)]),
-                            np.array([sign * flo]), np.array([sign * fhi]), xtol=tol)
+                            np.array([sign * flo]), np.array([sign * fhi]), xtol=tol, ftol=ftol)
     return float(root[0])
 
 

@@ -144,13 +144,14 @@ def _binomial_roots(method: str, g: np.ndarray, j: np.ndarray, d: int) -> np.nda
     lam_cap = max(2.0 * float(gauss.norm_sf(T_MAX)), _LAM_FLOOR)
     if method == BJ:
         u = np.log(lam)
+        log_q, log_1mq = np.log(j / d), np.log1p(-j / d)
         # the rounding level of the excess: that of its terms at the root,
         # the log-likelihood of the count j at j/d, and g
-        rounding = 4.0 * _EPS * (-j * np.log(j / d) - (d - j) * np.log1p(-j / d) + g)
+        rounding = 4.0 * _EPS * (-j * log_q - (d - j) * log_1mq + g)
         live = np.ones(g.shape, dtype=bool)
         for step in range(_NEWTON_MAX_STEPS):
-            f = _binomial_objective(BJ, u, j, d) - g
             lam = np.exp(u)
+            f = _kl_objective(u, lam, j, d, log_q, log_1mq) - g
             with np.errstate(divide="ignore", invalid="ignore"):
                 new = u + f * (1.0 - lam) / (j - d * lam)
             stop = ~np.isfinite(new) | (np.abs(f) <= rounding)
@@ -171,7 +172,14 @@ def _binomial_objective(method: str, u: np.ndarray, j: np.ndarray, d: int) -> np
     lam = np.exp(u)
     if method == HC:
         return (j - d * lam) ** 2 / (d * lam * (1.0 - lam))
-    return j * (np.log(j / d) - u) + (d - j) * (np.log1p(-j / d) - np.log1p(-lam))
+    return _kl_objective(u, lam, j, d, np.log(j / d), np.log1p(-j / d))
+
+
+def _kl_objective(u, lam, j, d: int, log_q, log_1mq) -> np.ndarray:
+    """d KL(j/d || lam) at lam = exp(u), given BJ's per-index constants
+    log(j/d) and log1p(-j/d), which ``_binomial_roots`` takes once per
+    call, not once per Newton step."""
+    return j * (log_q - u) + (d - j) * (log_1mq - np.log1p(-lam))
 
 
 def objective_values(method: str, t: np.ndarray, j: np.ndarray, d: int,

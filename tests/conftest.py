@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr, ndtri
 
 from gbjtest.ebb import _log_factor_prefixes
 from gbjtest.errors import DomainError
+from gbjtest.gauss import _LATTICE_SHIFTS, _SQRT_PRIMES
 
 
 def rand_corr(d, rng, factor=4):
@@ -55,6 +56,49 @@ def bivar_abs_tail_quadrature(t: float, rho: float) -> float:
                              epsabs=1e-12, epsrel=1e-11)
             total += val
     return total
+
+
+def lattice_integral_reference(L: np.ndarray, a: np.ndarray, b: np.ndarray, npts: int,
+                               nshift: int) -> tuple[float, float]:
+    """Pr(a <= L W <= b) for W ~ MVN(0, I) and lower-triangular L, with the
+    coordinates already in integration order (``_cholesky_reordered``).
+
+    The Genz sequential transform over ``nshift`` shifts of an ``npts``-point
+    tent-mapped Richtmyer lattice.  Returns the mean estimate and the
+    standard error of the shifts' spread.
+
+    The reference for ``gauss._lattice_integral``: the kernel as it was
+    before it kept its points, building each shift's points on every call.
+    """
+    d = L.shape[0]
+    q = _SQRT_PRIMES[: d - 1]
+    base = np.arange(1, npts + 1)[:, None] * q
+    base -= np.floor(base)                      # exact fractional parts
+    ests = np.empty(nshift)
+    # a lower limit of -inf has CDF 0 whatever the shift, so its ndtr is skipped
+    open_lo = np.isneginf(a)
+    # the first coordinate's limits are the same at every point
+    d0, e0 = ndtr(a[0] / L[0, 0]), ndtr(b[0] / L[0, 0])
+    y = np.empty((npts, d - 1))
+    for s in range(nshift):
+        # base and shift lie in [0, 1), so the fractional part of their sum
+        # drops 1 where it reaches 1, exactly
+        w = base + _LATTICE_SHIFTS[s, : d - 1]
+        w -= w >= 1.0
+        w *= 2.0
+        w -= 1.0
+        np.abs(w, out=w)
+        dcur, ecur = d0, e0
+        f = e0 - d0
+        for i in range(1, d):
+            z = np.clip(dcur + w[:, i - 1] * (ecur - dcur), 1e-16, 1.0 - 1e-16)
+            y[:, i - 1] = ndtri(z)
+            mu = y[:, :i] @ L[i, :i]
+            dcur = 0.0 if open_lo[i] else ndtr((a[i] - mu) / L[i, i])
+            ecur = ndtr((b[i] - mu) / L[i, i])
+            f = f * (ecur - dcur)
+        ests[s] = f.mean()
+    return float(np.clip(ests.mean(), 0.0, 1.0)), float(ests.std(ddof=1) / math.sqrt(nshift))
 
 
 def transition_reference(ms, size: int, lam: float, gamma: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from scipy.special import ndtr, ndtri, roots_legendre
 from gbjtest import gauss
 from gbjtest.exceedance import correlation_model
 from gbjtest.errors import BracketError, DomainError
-from tests.conftest import bivar_abs_tail_quadrature, hermite
+from tests.conftest import (bivar_abs_tail_quadrature, hermite, lattice_integral_reference,
+                            rand_corr)
 
 
 def normal_quantile_oracle(p):
@@ -294,6 +296,38 @@ class TestMvnCdfSmall:
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(DomainError):
             gauss.mvn_cdf_small(0.0, bad)
+
+
+class TestLatticeIntegral:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_matches_the_reference_bit_for_bit(self, d):
+        # the kernel that built every shift's points on each call; d <= 4
+        # at 16,384 points and 8 shifts reads the kept points
+        rng = np.random.default_rng(100 + d)
+        R = rand_corr(d, rng, factor=1 + d % 3)
+        upper = rng.uniform(-1.0, 2.5, d)
+        for lower in (np.full(d, -np.inf), np.full(d, -38.0)):
+            L, a, b = gauss._cholesky_reordered(lower, upper, R)
+            for npts in (8192, gauss.MVN_SMALL_NPTS):
+                for nshift in (8, 12):
+                    want = lattice_integral_reference(L, a, b, npts, nshift)
+                    assert gauss._lattice_integral(L, a, b, npts, nshift) == want
+
+    def test_keeps_only_the_copula_points(self, rng):
+        R = rand_corr(8, rng)
+        L, a, b = gauss._cholesky_reordered(np.full(8, -np.inf), np.full(8, 1.2), R)
+        gauss._lattice_integral(L[:4, :4], a[:4], b[:4], gauss.MVN_SMALL_NPTS, 8)
+        assert gauss._small_lattice_points().shape == (8, 3, gauss.MVN_SMALL_NPTS)
+        # an oracle-sized call builds its 7 x 131,072 points per shift and
+        # keeps none of them: kept, all 12 shifts would be 84 MiB
+        tracemalloc.start()
+        try:
+            gauss._lattice_integral(L, a, b, 131072, 12)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        assert gauss._small_lattice_points.cache_info().currsize == 1
 
 
 class TestBvnCdf:

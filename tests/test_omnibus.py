@@ -8,7 +8,7 @@ import pytest
 from scipy.special import chdtrc, ndtri
 from scipy.stats import chi2
 
-from gbjtest import crossing, gauss, omnibus, scores, setstats
+from gbjtest import crossing, gauss, omnibus, scores, setstats, simlab
 from gbjtest.errors import (DegenerateInputError, DomainError, GBJError, ModelError,
                             NumericalError)
 from gbjtest.exceedance import correlation_model
@@ -412,9 +412,71 @@ class TestOmniPvalue:
             return cdf(z, *args, **kwargs)
 
         monkeypatch.setattr(gauss, "mvn_cdf_small", counted)
-        # the cutoff of the search that integrated some cutoffs twice
-        assert omnibus.omni_threshold(0.01, R) == 0.002789348151590082
+        # the cutoff of the search on [alpha/5, alpha] that stops at
+        # |log(p/alpha)| <= 1e-10
+        assert omnibus.omni_threshold(0.01, R) == 0.0027893481516004315
         assert len(zs) == len(set(zs))
+        assert len(zs) <= 5
+
+
+def _one_negative_entry():
+    R = exchangeable(4, 0.4)
+    R[0, 3] = R[3, 0] = -0.2
+    return R
+
+
+def _bootstrap_r_hat(structure, seed):
+    return omnibus.bootstrap_corr(simlab.block_sigma(structure), B=20, seed=seed)[0]
+
+
+# cutoffs at alpha = 0.01 of the search that bracketed from alpha/64 and
+# stopped at a 1e-14 bracket in c; the search from alpha/5 that stops at
+# |log(p/alpha)| <= 1e-10 moved them by at most 4.1e-12 relative
+THRESHOLD_CASES = {
+    "exchangeable 0.5": (lambda: exchangeable(4, 0.5), 0.002789348151590082),
+    "exchangeable 0.9": (lambda: exchangeable(4, 0.9), 0.00474106365022432),
+    "exchangeable -0.3": (lambda: exchangeable(4, -0.3), 0.0024947813883464368),
+    "identity": (lambda: np.eye(4), 0.0025094300663192023),
+    "all ones": (lambda: np.ones((4, 4)), 0.009999999999999992),
+    "one negative entry": (_one_negative_entry, 0.002643944596952742),
+    "bootstrap d8": (lambda: _bootstrap_r_hat(simlab.BlockStructure(d=8, k=0, rho3=0.3), 0),
+                     0.003950859554444611),
+    "bootstrap d12": (lambda: _bootstrap_r_hat(
+        simlab.BlockStructure(d=12, k=3, rho1=0.4, rho2=0.1, rho3=0.5), 1), 0.004280232719421604),
+}
+
+
+class TestOmniThreshold:
+    @pytest.mark.parametrize("name", list(THRESHOLD_CASES))
+    def test_cutoff_in_five_distinct_integrals(self, name, monkeypatch):
+        make, want = THRESHOLD_CASES[name]
+        R = make()
+        zs = []
+        cdf = gauss.mvn_cdf_small
+
+        def counted(z, *args, **kwargs):
+            zs.append(z)
+            return cdf(z, *args, **kwargs)
+
+        monkeypatch.setattr(gauss, "mvn_cdf_small", counted)
+        c = omnibus.omni_threshold(0.01, R)
+        monkeypatch.undo()
+        assert c == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert len(zs) <= 5
+        assert len(zs) == len(set(zs))
+        res = omnibus.omni_pvalue({comp: c for comp in omnibus.OMNI_COMPONENTS}, R)
+        assert res.p_omni == pytest.approx(0.01, rel=1e-8, abs=0.0)
+
+    def test_identity_closed_form(self):
+        # independent components: p(c) = 1 - (1 - c)^4, which the lattice
+        # takes as a product of constants
+        c = omnibus.omni_threshold(0.01, np.eye(4))
+        assert c == pytest.approx(1.0 - 0.99 ** 0.25, rel=1e-12, abs=0.0)
+
+    def test_perfect_dependence_is_alpha(self):
+        # one component in four copies: p(c) = c
+        assert omnibus.omni_threshold(0.01, np.ones((4, 4))) == pytest.approx(0.01, rel=1e-12,
+                                                                               abs=0.0)
 
 
 class TestOmnibusPipeline:
