@@ -12,14 +12,17 @@ its Sigma at the library's default B (``omnibus.DEFAULT_BOOTSTRAP_REPS``)
 and seed 0, since the workload itself runs the bootstrap at a smaller B,
 and ``c_star``, the omnibus cutoff ``omnibus.omni_threshold(0.01, R_hat)``
 on that R_hat, so that ``compare`` reports how the cutoff search moved it.
-Every item also records ``flags``: one entry per outcome of each
-``gbjtest.crossing.pvalue`` call it makes, bootstrap lists included, naming
-the method and its diagnostics, or the error of a set that failed.  The
-file's ``objective_calls`` entry counts the ``setstats.objective_values``
-calls of each workload per method, statistics and boundary inversions
-alike.  The workloads and the library look ``crossing.pvalue`` and
-``setstats.objective_values`` up at call time, so a wrapper put there sees
-every call.
+Every item also records ``flags``: one entry per (method, set) outcome,
+bootstrap lists included, naming the method and its diagnostics, or the
+error of a set that failed.  A checkout that has ``crossing._pvalues`` is
+recorded there, one method after another, each failed set once, at the
+method that failed; an older checkout is recorded at ``crossing.pvalue``,
+one call after another.  Both give the same entries in the same order, so
+``compare`` covers every outcome across the change.  The file's
+``objective_calls`` entry counts the ``setstats.objective_values`` calls of
+each workload per method, statistics and boundary inversions alike.  The
+workloads and the library look these functions up at call time, so a
+wrapper put there sees every call.
 
 ``compare`` prints the largest relative difference per workload and
 numeric output, with the item where it occurs, then every outcome whose
@@ -79,21 +82,40 @@ def child(src: str, seed: str, out: str) -> int:
     flags: list[str] = []
     calls: dict[str, dict[str, int]] = {}      # per workload, then method
     counts: dict[str, int] = {}                # the running workload's
-    pvalue = crossing.pvalue
     objective = setstats.objective_values
 
-    def recording(*args, **kwargs):
-        out = pvalue(*args, **kwargs)
-        for o in out if isinstance(out, list) else [out]:
+    def record(outcomes):
+        for o in outcomes:
             flags.append(f"{type(o).__name__}: {o}" if isinstance(o, GBJError)
                          else f"{o.method}: {','.join(o.diagnostics)}")
-        return out
+
+    if hasattr(crossing, "_pvalues"):
+        pvalues = crossing._pvalues
+
+        def recording(methods, *args):
+            out = pvalues(methods, *args)
+            seen: set[int] = set()
+            for method in methods:
+                # a failed set's error repeats in every later method
+                record(o for o in out[method] if id(o) not in seen)
+                seen.update(map(id, out[method]))
+            return out
+
+        crossing._pvalues = recording
+    else:
+        pvalue = crossing.pvalue
+
+        def recording(*args, **kwargs):
+            out = pvalue(*args, **kwargs)
+            record(out if isinstance(out, list) else [out])
+            return out
+
+        crossing.pvalue = recording
 
     def counting(method, *args, **kwargs):
         counts[method] = counts.get(method, 0) + 1
         return objective(method, *args, **kwargs)
 
-    crossing.pvalue = recording
     setstats.objective_values = counting
     outputs = {}
     for workload in WORKLOADS:

@@ -111,29 +111,29 @@ def cmd_test(args, manifest: RunManifest) -> None:
     if model.d != z.size:
         raise fileio.ParseError(f"{z.size} statistics but {model.d}x{model.d} correlation")
     Z = setstats.ZVector(z)
+    outcomes = crossing._pvalues([m for m in methods if m in setstats.ALL_METHODS], [Z], model)
     lines = ["method\tstatistic\tpvalue\tachieving_index\tflags"]
     for method in methods:
+        idx = None
         if method == "SKAT":
-            q = omnibus.skat_statistic(Z)
-            p = omnibus.skat_lite(Z, model)
-            lines.append(f"SKAT\t{q:.10g}\t{p:.6g}\tNA\t-")
+            stat, p, flags = omnibus.skat_statistic(Z), omnibus.skat_lite(Z, model), []
         elif method == "OMNI":
             manifest.seed = args.seed or 0      # the seed drawn with, so a rerun can match
-            res = omnibus.omnibus_test(Z, model, B=args.bootstrap_reps,
-                                       seed=manifest.seed)
-            flags = list(res.diagnostics)
-            flags.append(f"bootstrap_reps={res.bootstrap_reps}")
+            res = omnibus.omnibus_test(Z, model, B=args.bootstrap_reps, seed=manifest.seed)
+            stat, p = res.omni_stat, res.p_omni
+            flags = [*res.diagnostics, f"bootstrap_reps={res.bootstrap_reps}"]
             if res.dropped_replicates:
                 flags.append(f"bootstrap_dropped={res.dropped_replicates}")
             manifest.warnings.extend(res.diagnostics)
-            lines.append(f"OMNI\t{res.omni_stat:.10g}\t{res.p_omni:.6g}\tNA\t"
-                         + ";".join(flags))
         else:
-            out = crossing.pvalue(method, Z, model)
-            idx = "NA" if out.achieving_index is None else str(out.achieving_index)
-            flags = ";".join(sorted(out.diagnostics)) if out.diagnostics else "-"
+            [out] = outcomes[method]
+            if isinstance(out, GBJError):
+                raise out
+            stat, p, idx = out.statistic, out.pvalue, out.achieving_index
+            flags = sorted(out.diagnostics)
             manifest.warnings.extend(out.diagnostics)
-            lines.append(f"{method}\t{out.statistic:.10g}\t{out.pvalue:.6g}\t{idx}\t{flags}")
+        lines.append(f"{method}\t{stat:.10g}\t{p:.6g}\t{'NA' if idx is None else idx}\t"
+                     f"{';'.join(flags) or '-'}")
     _emit("\n".join(lines) + "\n", args.out)
 
 

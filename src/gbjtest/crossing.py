@@ -205,7 +205,7 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
         Also return the CrossingTable: the mass leaked at each stage and the
         diagnostic flags, the bounds' own first.
     plan : _StagePlan, optional
-        The stage plan of ``bounds`` on this model, as ``pvalue`` builds
+        The stage plan of ``bounds`` on this model, as ``_pvalues`` builds
         it with ``_stage_plans``; built here the same way when not given.
     """
     model = correlation_model(Sigma)
@@ -460,12 +460,15 @@ def invert_bounds(method: str, g, d: int, profile: CorrPowerProfile | None):
         raise DomainError(f"invert_bounds takes a scalar or 1-D g, got shape {gs.shape}")
     if not np.all(gs >= 0):
         raise DomainError(f"invert_bounds requires g >= 0, got {g!r}")
-    out = _BoundSearch(method, d, profile).invert(gs.reshape(-1))
-    if gs.ndim == 1:
-        return out
-    if isinstance(out[0], NumericalError):
+    return _one_or_list(_BoundSearch(method, d, profile).invert(gs.reshape(-1)), gs.ndim == 0)
+
+
+def _one_or_list(out: list, single: bool):
+    """A list call's entries, or a scalar call's one entry, raised when it is
+    an error."""
+    if single and isinstance(out[0], GBJError):
         raise out[0]
-    return out[0]
+    return out[0] if single else out
 
 
 class _BoundSearch:
@@ -671,47 +674,53 @@ def pvalue(method: str, Z: setstats.ZVector | list[setstats.ZVector],
 
     A list of ZVectors on the one ``Sigma`` gives a list with one entry per
     set: its TestOutcome, or the GBJError that a call with that set alone
-    raises.  The bounds of all positive statistics are inverted in one
-    ``invert_bounds`` call, and their stage plans built by one
-    ``_stage_plans`` call, so the sets share their calls of the pair series;
-    each set then runs its own count loop through ``crossing_pvalue``, which
-    raises nothing once it has a plan.  One set gives its scalar call's
-    outcome bit for bit.
+    raises.  The sets go through ``_pvalues`` together.  One set gives its
+    scalar call's outcome bit for bit.
     """
-    model = correlation_model(Sigma)
     single = isinstance(Z, setstats.ZVector)
-    out: list = []
-    pending = []
-    for z in [Z] if single else Z:
-        try:
-            outcome = setstats.compute_statistic(method, z, model)
-        except GBJError as err:
-            out.append(err)
-            continue
-        if outcome.statistic > 0.0:
-            pending.append(len(out))
-        else:
-            outcome.pvalue = 1.0
-        out.append(outcome)
-    if pending:
-        profile = model.profile if method in setstats.PROFILE_METHODS else None
-        stats = np.array([out[i].statistic for i in pending])
-        inverted = []
-        for i, bounds in zip(pending, invert_bounds(method, stats, model.d, profile)):
-            if isinstance(bounds, GBJError):
-                out[i] = bounds
-            else:
-                inverted.append((i, bounds))
-        plans = _stage_plans([bounds for _, bounds in inverted], model)
-        for (i, bounds), plan in zip(inverted, plans):
-            p, table = crossing_pvalue(bounds, model, return_table=True, plan=plan)
-            out[i].pvalue = float(min(1.0, max(PVALUE_FLOOR, p)))
-            out[i].diagnostics = tuple(sorted(set(out[i].diagnostics) | set(table.diagnostics)))
-    if not single:
-        return out
-    if isinstance(out[0], GBJError):
-        raise out[0]
-    return out[0]
+    out = _pvalues((method,), [Z] if single else Z, correlation_model(Sigma))[method]
+    return _one_or_list(out, single)
+
+
+def _pvalues(methods, Zs: list[setstats.ZVector], model: CorrelationModel) -> dict[str, list]:
+    """Each method's outcome on each set of one model: {method: one entry per
+    set}, its TestOutcome or GBJError.  A set whose method fails takes that
+    error as its entry in every later method too.  Per method in order, the
+    live sets take their statistics, and the positive ones are inverted in
+    one ``invert_bounds`` call.  Then one ``_stage_plans`` call builds the
+    plans of every inverted (method, set), which so share their calls of the
+    pair series, and each runs its own count loop (``crossing_pvalue``,
+    which raises nothing once it has a plan).  Plans are elementwise, so an
+    outcome does not depend on the methods or sets beside it."""
+    failed: dict[int, GBJError] = {}
+    out: dict[str, list] = {}
+    inverted: list = []                         # (outcome, bounds)
+    for method in methods:
+        entries = out[method] = []
+        for k, z in enumerate(Zs):
+            if k not in failed:
+                try:
+                    entries.append(setstats.compute_statistic(method, z, model))
+                    entries[-1].pvalue = 1.0    # a positive statistic's is set below
+                    continue
+                except GBJError as err:
+                    failed[k] = err
+            entries.append(failed[k])
+        pending = [k for k, o in enumerate(entries) if k not in failed and o.statistic > 0.0]
+        if pending:
+            profile = model.profile if method in setstats.PROFILE_METHODS else None
+            stats = np.array([entries[k].statistic for k in pending])
+            for k, bounds in zip(pending, invert_bounds(method, stats, model.d, profile)):
+                if isinstance(bounds, GBJError):
+                    entries[k] = failed[k] = bounds
+                else:
+                    inverted.append((entries[k], bounds))
+    plans = _stage_plans([bounds for _, bounds in inverted], model)
+    for (outcome, bounds), plan in zip(inverted, plans):
+        p, table = crossing_pvalue(bounds, model, return_table=True, plan=plan)
+        outcome.pvalue = float(min(1.0, max(PVALUE_FLOOR, p)))
+        outcome.diagnostics = tuple(sorted(set(outcome.diagnostics) | set(table.diagnostics)))
+    return out
 
 
 def rejection_region(method: str, alpha: float | np.ndarray, d: int,

@@ -96,40 +96,29 @@ def component_pvalues(Z: setstats.ZVector | list[setstats.ZVector],
 
     A list of ZVectors on the one ``Sigma`` gives a list with one entry per
     set: its dict, or the GBJError that its first failing component raised.
-    Each supremum method takes the sets that have not failed in one
-    ``crossing.pvalue`` call.
+    The supremum methods take all the sets in one ``crossing._pvalues`` call.
     """
     model = correlation_model(Sigma)
     single = isinstance(Z, setstats.ZVector)
     Zs = [Z] if single else Z
-    out: list = [{} for _ in Zs]
+    out: list = [None] * len(Zs)
     live = []
     for i, z in enumerate(Zs):
-        if z.d != model.d:
-            out[i] = DomainError(f"dimension mismatch: {z.d} statistics vs "
-                                 f"{model.d}x{model.d} correlation")
-        elif z.d == 1:
+        if z.d == model.d == 1:     # a size mismatch fails in the GBJ statistic
             p1 = float(min(1.0, 2.0 * gauss.norm_sf(abs(z.z[0]))))
             out[i] = dict.fromkeys(OMNI_COMPONENTS, p1)
         else:
             live.append(i)
-    for method in (setstats.GBJ, setstats.GHC, setstats.MINP):
-        for i, outcome in zip(live, crossing.pvalue(method, [Zs[i] for i in live], model)):
-            if isinstance(outcome, GBJError):
-                out[i] = outcome
-            else:
-                out[i][method] = outcome.pvalue
-        live = [i for i in live if isinstance(out[i], dict)]
-    for i in live:
-        try:
+    methods = (setstats.GBJ, setstats.GHC, setstats.MINP)
+    outcomes = crossing._pvalues(methods, [Zs[i] for i in live], model)
+    for k, i in enumerate(live):
+        last = outcomes[methods[-1]][k]         # a failed set's error carries to here
+        if isinstance(last, GBJError):
+            out[i] = last
+        else:
+            out[i] = {m: outcomes[m][k].pvalue for m in methods}
             out[i]["SKAT"] = skat_lite(Zs[i], model)
-        except GBJError as err:
-            out[i] = err
-    if not single:
-        return out
-    if isinstance(out[0], GBJError):
-        raise out[0]
-    return out[0]
+    return crossing._one_or_list(out, single)
 
 
 def repair_correlation(R: np.ndarray) -> np.ndarray:

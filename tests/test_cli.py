@@ -23,6 +23,16 @@ GOLDEN_EXPECTED = {
     "SKAT": (33.02689765, 0.007885848682005973, "NA"),
 }
 
+# ``test --methods gbj,bj,hc,ghc,minp,skat`` on the golden set, as printed
+# when each boundary method took its own ``crossing.pvalue`` call
+GOLDEN_TSV = ("method\tstatistic\tpvalue\tachieving_index\tflags\n"
+              "GBJ\t5.081507645\t0.0044189\t1\t-\n"
+              "BJ\t5.575637741\t0.0228847\t1\t-\n"
+              "HC\t678.4185354\t0.00158034\t1\t-\n"
+              "GHC\t658.9748728\t0.00157019\t1\t-\n"
+              "MinP\t3.7961\t0.00144764\tNA\t-\n"
+              "SKAT\t33.02689765\t0.00788585\tNA\t-\n")
+
 
 def write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
@@ -248,6 +258,35 @@ class TestTestCommand:
             assert float(stat) == pytest.approx(want_stat, abs=1e-6)
             assert float(pval) == pytest.approx(want_p, abs=1e-6)
             assert idx == want_idx
+
+    def test_golden_fixture_tsv_is_unchanged(self, tmp_path):
+        # every boundary method from one pass prints what a call per method
+        # printed, byte for byte
+        out = str(tmp_path / "res.tsv")
+        assert cli.main(["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),
+                         "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                         "--methods", "gbj,bj,hc,ghc,minp,skat", "--out", out]) == 0
+        with open(out) as fh:
+            assert fh.read() == GOLDEN_TSV
+
+    @pytest.mark.parametrize("methods, named", [("ghc,gbj", "GHC"), ("gbj,ghc", "GBJ"),
+                                                ("minp,skat,gbj,ghc", "GBJ")])
+    def test_d1_error_names_the_first_failing_method(self, methods, named, tmp_path, capsys):
+        zf = write(tmp_path / "z.tsv", "snp_id\tz\ns1\t2.0\n")
+        cf = write(tmp_path / "c.tsv", "1\n")
+        assert cli.main(["test", "--zstats", zf, "--correlation", cf,
+                         "--methods", methods, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (f"error: {named} requires d >= 2; "
+                                           "only MinP is defined at d=1\n")
+
+    def test_default_methods_on_a_set_in_perfect_ld(self, tmp_path):
+        zf = write(tmp_path / "z.tsv", "snp_id\tz\ns1\t2.5\ns2\t2.5\n")
+        cf = write(tmp_path / "c.tsv", "1\t1\n1\t1\n")
+        out = str(tmp_path / "r.tsv")
+        assert cli.main(["test", "--zstats", zf, "--correlation", cf, "--out", out]) == 0
+        with open(out) as fh:
+            rows = [ln.split("\t") for ln in fh.read().strip().split("\n")[1:]]
+        assert rows[-1][0] == "OMNI" and 0.0 < float(rows[-1][2]) < 1.0
 
     def test_identity_gbj_equals_bj(self, tmp_path, rng):
         d = 8

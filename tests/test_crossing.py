@@ -12,7 +12,7 @@ from scipy.stats import binom
 
 from gbjtest import crossing, ebb, exceedance, gauss, setstats
 from gbjtest.crossing import BoundaryVector
-from gbjtest.errors import DomainError, NumericalError, SizeError
+from gbjtest.errors import DomainError, GBJError, NumericalError, SizeError
 from tests.conftest import (LONGDOUBLE_ORACLE, exchangeable, oracle_loop, oracle_step, rand_corr,
                             rel_error, relevant, table_step)
 
@@ -1378,6 +1378,90 @@ class TestPvalueList:
         calls = self.count_inversions(monkeypatch)
         assert crossing.pvalue("GBJ", [], np.eye(3)) == []
         assert calls == []
+
+
+def _block(d: int) -> np.ndarray:
+    """Blocks of five (the last may be shorter), exchangeable 0.5 within."""
+    S = np.eye(d)
+    for lo in range(0, d, 5):
+        S[lo:lo + 5, lo:lo + 5] = exchangeable(min(5, d - lo), 0.5)
+    return S
+
+
+ONE_PASS_SIGMAS = {
+    "identity": lambda d, rng: np.eye(d),
+    "exchangeable": lambda d, rng: exchangeable(d, 0.3),
+    "block": lambda d, rng: _block(d),
+    "two_factor": lambda d, rng: _two_factor(d, 0.6, rng),
+}
+
+
+class TestPvaluesOnePass:
+    """``_pvalues`` over all five methods gives, per method, the outcomes of
+    one ``pvalue`` call on the sets still live at that method, bit for bit:
+    statistic, p-value, achieving index and flags, or the error's type and
+    message.  A set whose method fails carries that error through every
+    later method."""
+
+    @staticmethod
+    def same(got, want) -> bool:
+        if isinstance(want, GBJError):
+            return type(got) is type(want) and str(got) == str(want)
+        return got == want
+
+    @pytest.mark.parametrize("kind", sorted(ONE_PASS_SIGMAS))
+    @pytest.mark.parametrize("d", [2, 5, 20, 100])
+    def test_matches_per_method_calls(self, kind, d, rng, monkeypatch):
+        model = exceedance.correlation_model(ONE_PASS_SIGMAS[kind](d, rng))
+        L = np.linalg.cholesky(model.matrix)
+        zs = [L @ rng.standard_normal(d) * 1.6 for _ in range(3)]
+        zs[0][0] = 4.0                                  # GBJ fails on this set
+        zs[2][0] = 6.0
+        zs.insert(1, np.full(d, 0.05))                  # zero statistic but MinP's
+        zs.insert(3, np.zeros(d))                       # zero statistic for all five
+        Zs = [setstats.ZVector(z) for z in zs]
+        Zs.append(setstats.ZVector(np.ones(d + 1)))     # fails: wrong dimension
+        methods = setstats.ALL_METHODS
+
+        for method in methods:
+            one = crossing._pvalues(methods, [Zs[4]], model)[method][0]
+            assert one == crossing.pvalue(method, Zs[4], model), method
+
+        poisoned = crossing.pvalue(setstats.GBJ, Zs[0], model).statistic
+        invert = crossing.invert_bounds
+
+        def failing(method, gs, *args):
+            return [NumericalError("injected failure")
+                    if method == setstats.GBJ and g == poisoned else bounds
+                    for g, bounds in zip(gs, invert(method, gs, *args))]
+
+        monkeypatch.setattr(crossing, "invert_bounds", failing)
+        got = crossing._pvalues(methods, Zs, model)
+        live = list(range(len(Zs)))
+        for i, method in enumerate(methods):
+            want = crossing.pvalue(method, [Zs[k] for k in live], model)
+            assert all(self.same(got[method][k], w) for k, w in zip(live, want)), method
+            failed = [k for k in live if isinstance(got[method][k], GBJError)]
+            for k in failed:
+                assert all(got[m][k] is got[method][k] for m in methods[i + 1:])
+            live = [k for k in live if k not in failed]
+        assert isinstance(got[setstats.GBJ][0], NumericalError)
+        assert isinstance(got[setstats.GBJ][-1], DomainError)
+        assert live == [1, 2, 3, 4]
+        assert got[setstats.GBJ][1].statistic == 0.0 < got[setstats.MINP][1].statistic
+        assert got[setstats.MINP][3].pvalue == 1.0
+
+    def test_one_series_pass_for_all_methods(self, monkeypatch):
+        # the five methods' stages fill each call of the pair series in turn,
+        # where a call per method would take five
+        Sigma = _distinct_corr(40)
+        Z = setstats.ZVector(np.linspace(-1.0, 4.0, 40))
+        calls = record_series(monkeypatch)
+        crossing._pvalues(setstats.ALL_METHODS, [Z], exceedance.correlation_model(Sigma))
+        stages = sum(n for n, _ in calls)
+        rows = crossing.PAIR_BLOCK_ENTRIES // 780
+        assert [n for n, _ in calls] == [min(rows, stages - lo) for lo in range(0, stages, rows)]
+        assert len(calls) < 5
 
 
 class TestRejectionRegion:

@@ -268,6 +268,17 @@ class TestMvnCdfSmall:
         for z, v in zip(zs, vals):
             assert v <= ndtr(z) + 1e-9
 
+    def test_measured_error_near_the_union_bound(self):
+        # the error its docstring states: 1 - cdf is 2.16e-5 above the lower
+        # bound 4c - 6 Pr(Z1 > z, Z2 > z), itself short of the true value
+        # only by the positive triple terms
+        c = 0.0025
+        z = float(ndtri(1.0 - c))
+        R = -0.3 * np.ones((4, 4)) + 1.3 * np.eye(4)
+        pair = 1.0 - 2.0 * (1.0 - c) + gauss.bvn_cdf(z, z, -0.3)
+        lower = 4.0 * c - 6.0 * pair
+        assert abs((1.0 - gauss.mvn_cdf_small(z, R)) - lower) <= 3e-5
+
     def test_effective_error_recorded(self, rng):
         from tests.conftest import rand_corr
         R = rand_corr(3, rng)

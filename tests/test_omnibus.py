@@ -498,6 +498,20 @@ class TestOmnibusPipeline:
         assert isinstance(got[0], DomainError)
         assert set(got[1]) == set(omnibus.OMNI_COMPONENTS)
 
+    @pytest.mark.parametrize("Sigma, z", [
+        (np.ones((2, 2)), [2.5, 2.5]),
+        (np.array([[1.0, -1.0], [-1.0, 1.0]]), [2.5, -2.5]),
+        (np.ones((3, 3)), [2.0, 2.0, 2.0]),
+    ], ids=["d2_rho_1", "d2_rho_minus_1", "d3_all_ones"])
+    def test_all_snps_in_perfect_ld(self, Sigma, z):
+        # every component is one function of |z|, so the bootstrap puts two of
+        # them within about 1e-11 of perfect correlation; the copula merges
+        # them rather than refusing R_hat as singular
+        res = omnibus.omnibus_test(setstats.ZVector(np.array(z)), Sigma)
+        assert math.isfinite(res.p_omni)
+        assert res.omni_stat <= res.p_omni <= 1.0 - (1.0 - res.omni_stat) ** 4
+        assert res.diagnostics == ()
+
     def test_full_pipeline(self, rng):
         d = 10
         Sigma = exchangeable(d, 0.2)
