@@ -14,11 +14,8 @@ and ``c_star``, the omnibus cutoff ``omnibus.omni_threshold(0.01, R_hat)``
 on that R_hat, so that ``compare`` reports how the cutoff search moved it.
 Every item also records ``flags``: one entry per (method, set) outcome,
 bootstrap lists included, naming the method and its diagnostics, or the
-error of a set that failed.  A checkout that has ``crossing._pvalues`` is
-recorded there, one method after another, each failed set once, at the
-method that failed; an older checkout is recorded at ``crossing.pvalue``,
-one call after another.  Both give the same entries in the same order, so
-``compare`` covers every outcome across the change.  The file's
+error of a set that failed, recorded at ``crossing._pvalues``, one method
+after another, each failed set once, at the method that failed.  The file's
 ``objective_calls`` entry counts the ``setstats.objective_values`` calls of
 each workload per method, statistics and boundary inversions alike.  The
 workloads and the library look these functions up at call time, so a
@@ -89,28 +86,18 @@ def child(src: str, seed: str, out: str) -> int:
             flags.append(f"{type(o).__name__}: {o}" if isinstance(o, GBJError)
                          else f"{o.method}: {','.join(o.diagnostics)}")
 
-    if hasattr(crossing, "_pvalues"):
-        pvalues = crossing._pvalues
+    pvalues = crossing._pvalues
 
-        def recording(methods, *args):
-            out = pvalues(methods, *args)
-            seen: set[int] = set()
-            for method in methods:
-                # a failed set's error repeats in every later method
-                record(o for o in out[method] if id(o) not in seen)
-                seen.update(map(id, out[method]))
-            return out
+    def recording(methods, *args):
+        out = pvalues(methods, *args)
+        seen: set[int] = set()
+        for method in methods:
+            # a failed set's error repeats in every later method
+            record(o for o in out[method] if id(o) not in seen)
+            seen.update(map(id, out[method]))
+        return out
 
-        crossing._pvalues = recording
-    else:
-        pvalue = crossing.pvalue
-
-        def recording(*args, **kwargs):
-            out = pvalue(*args, **kwargs)
-            record(out if isinstance(out, list) else [out])
-            return out
-
-        crossing.pvalue = recording
+    crossing._pvalues = recording
 
     def counting(method, *args, **kwargs):
         counts[method] = counts.get(method, 0) + 1

@@ -115,9 +115,9 @@ def cmd_test(args, manifest: RunManifest) -> None:
     lines = ["method\tstatistic\tpvalue\tachieving_index\tflags"]
     for method in methods:
         idx = None
-        if method == "SKAT":
+        if method == omnibus.SKAT:
             stat, p, flags = omnibus.skat_statistic(Z), omnibus.skat_lite(Z, model), []
-        elif method == "OMNI":
+        elif method == omnibus.OMNI:
             manifest.seed = args.seed or 0      # the seed drawn with, so a rerun can match
             res = omnibus.omnibus_test(Z, model, B=args.bootstrap_reps, seed=manifest.seed)
             stat, p = res.omni_stat, res.p_omni
@@ -142,7 +142,7 @@ def cmd_region(args, manifest: RunManifest) -> None:
     if len(methods) > 1:
         raise DomainError(f"region takes one method, got {','.join(methods)}")
     method = methods[0]
-    if method in ("SKAT", "OMNI"):
+    if method not in setstats.ALL_METHODS:
         raise DomainError("region applies to the boundary methods "
                           "(gbj, bj, hc, ghc, minp)")
     manifest.methods = [method]

@@ -125,8 +125,8 @@ class _StagePlan:
     """One set's recursion before its count loop: the distinct finite
     thresholds with their caps (``_stages``) and the flags so far, the
     bounds' own first.  When the first threshold is positive, also each
-    stage's lam, the cap m_max of the count entering it and the EBB gamma
-    matched to its pair fraction."""
+    stage's lam, the cap m_max of the count entering it and, unless the set
+    is in complete dependence, the EBB gamma matched to its pair fraction."""
 
     thresholds: np.ndarray
     caps: np.ndarray
@@ -169,23 +169,21 @@ def _stage_plans(bounds_list: list[BoundaryVector], model: CorrelationModel) -> 
     lam_under = lam <= 0.0
     lam[lam_under] = 1e-300
     lam[lam >= 1.0] = 1.0 - 1e-16
-    if d >= 2:
-        frac, pair_under = _pair_fractions(thresholds, first, sf, sf_prev, lam, model)
-    else:
-        frac, pair_under = np.zeros_like(lam), np.zeros(lam.size, dtype=bool)
     m_maxes = np.concatenate(([d], caps[:-1]))  # S(t_{k-1}) is at most cap_{k-1}
     m_maxes[first] = d
-    gamma, clamped = ebb.match_gamma(lam, frac, np.maximum(m_maxes, 1))
+    masks = [("lambda_underflow", lam_under)]
+    gamma = None
+    if model.pair_summary.n_perfect < d * (d - 1) // 2:
+        frac, pair_under = _pair_fractions(thresholds, first, sf, sf_prev, lam, model)
+        gamma, clamped = ebb.match_gamma(lam, frac, np.maximum(m_maxes, 1))
+        masks += [("pair_tail_underflow", pair_under), ("ebb_gamma_clamped", clamped)]
 
-    named = [(name, np.logical_or.reduceat(mask, starts).tolist())
-             for name, mask in (("lambda_underflow", lam_under),
-                                ("pair_tail_underflow", pair_under),
-                                ("ebb_gamma_clamped", clamped))]
+    named = [(name, np.logical_or.reduceat(mask, starts).tolist()) for name, mask in masks]
     for k, (i, lo, n) in enumerate(zip(run, starts.tolist(), sizes.tolist())):
         own = slice(lo, lo + n)
         flags = plans[i].flags + tuple(name for name, raised in named if raised[k])
-        plans[i] = _StagePlan(plans[i].thresholds, plans[i].caps, flags,
-                              lam[own], m_maxes[own], gamma[own])
+        plans[i] = _StagePlan(plans[i].thresholds, plans[i].caps, flags, lam[own],
+                              m_maxes[own], None if gamma is None else gamma[own])
     return plans
 
 
@@ -220,9 +218,16 @@ def crossing_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel
         p = float(leaks.sum())
         return (p, CrossingTable(leaks, plan.flags)) if return_table else p
 
-    q = np.zeros(d + 1)
-    q[d] = 1.0                                  # S(0) = d with certainty
-    leaks, _, _ = _count_loop(q, 0, plan.lam, plan.gamma, plan.m_maxes, caps)
+    if plan.gamma is None:
+        # complete dependence (every pair perfect, or d = 1): every |Z_i| is
+        # one |Z|, so S(t) is 0 or d, and d is above every cap: the first
+        # stage leaks 2 sf(t_1), exactly, and no later stage leaks
+        leaks = [0.0] * thresholds.size
+        leaks[0] = float(2.0 * gauss.norm_sf(thresholds[0]))
+    else:
+        q = np.zeros(d + 1)
+        q[d] = 1.0                              # S(0) = d with certainty
+        leaks, _, _ = _count_loop(q, 0, plan.lam, plan.gamma, plan.m_maxes, caps)
     leak_total = 0.0
     for leak in leaks:
         leak_total += leak
@@ -511,10 +516,6 @@ class _BoundSearch:
         self.gs: list[float] = []                       # searched g > 0, ascending
         self.roots: list[np.ndarray] = []               # their raw roots
 
-    def _objective(self, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return setstats.objective_values(self.method, t, self.js[cols], self.d,
-                                         self.profile)[0]
-
     def invert(self, gs: np.ndarray) -> list:
         """``invert_bounds`` over a 1-D array of g with one root search.  The
         search runs over (g, index) entries, which it treats independently; a
@@ -571,7 +572,8 @@ class _BoundSearch:
         jmax = self.js.size
 
         def excess(t, e):
-            return self._objective(t, col[e]) - g_e[e]
+            return setstats.objective_values(self.method, t, self.js[col[e]], self.d,
+                                             self.profile)[0] - g_e[e]
 
         lo = self.t_lo[col]
         f_lo = -g_e                         # the objectives vanish at t_lo
@@ -776,10 +778,6 @@ def _region(method: str, alpha: float, g_lo: float, g_hi: float, evaluate) -> Bo
         return evaluate(g)[1]
 
     la = math.log(alpha)
-
-    def log_excess(p: float) -> float:
-        return la - math.log(max(p, 1e-300))
-
     p_hi = pv(g_hi)
     if p_hi < alpha:
         g_prev, p_prev = g_lo, pv(g_lo)
@@ -801,11 +799,9 @@ def _region(method: str, alpha: float, g_lo: float, g_hi: float, evaluate) -> Bo
             raise NumericalError(f"{method}: could not bracket alpha={alpha}")
 
     # the search in log p stops at a g whose p is within 0.2 REGION_REL_TOL
-    # of alpha
-    g_star = float(gauss._bracketed_roots(
-        lambda g, k: np.array([log_excess(pv(float(g[0])))]),
-        np.array([g_prev]), np.array([g_hi]), np.array([log_excess(p_prev)]),
-        np.array([log_excess(p_hi)]), ftol=0.2 * REGION_REL_TOL)[0])
+    # of alpha; both rungs are evaluated already
+    g_star = gauss.find_root(lambda g: la - math.log(max(pv(g), 1e-300)), g_prev, g_hi,
+                             tol=0.0, ftol=0.2 * REGION_REL_TOL)
     bounds, achieved = evaluate(g_star)
     if abs(achieved - alpha) > REGION_REL_TOL * alpha:
         raise NumericalError(f"{method}: rejection region missed alpha "
@@ -838,14 +834,24 @@ def _admissible(sorted_shells, caps) -> bool:
 
 def exact_small_pvalue(bounds: BoundaryVector, Sigma: np.ndarray | CorrelationModel,
                        npts: int = 8192, nshift: int = 8) -> float:
-    """Exact crossing probability for small sets (d <= 8).
+    """Crossing probability for small sets (d <= 8), exact but for the
+    lattice error of its rectangles.
 
     Partitions space by the shell (between consecutive thresholds) of every
     coordinate magnitude; the non-crossing event is the union of the
     count-admissible cells.  Telescoping the cell sum leaves a short signed
     combination of symmetric-rectangle probabilities Pr(-u <= Z <= u), each
-    evaluated by deterministic numerical integration.  At d = 2 this reduces
-    to the classical two-term permutation formula.
+    evaluated by deterministic numerical integration (``npts`` points times
+    ``nshift`` shifts from d = 3).  At d = 2 this reduces to the classical
+    two-term permutation formula.
+
+    Each rectangle keeps the lattice's absolute error while the signed sum
+    cancels down to p, so the relative error grows as p falls.  Against a
+    131,072-point, 12-shift lattice, the default reads GBJ's rejection
+    region on exchangeable 0.5, d = 6, 0.07% low at alpha = 0.01 and 9.0%
+    low at 1e-4, and MinP's 1.4% low at 1e-4; GBJ at 1e-4 was off by 15% on
+    a random one-factor Sigma at d = 6 and by 58% on exchangeable 0.3 at
+    d = 8.
     """
     Sigma = correlation_model(Sigma).matrix
     d = Sigma.shape[0]

@@ -19,9 +19,11 @@ from . import crossing, gauss, scores, setstats
 from .errors import DegenerateInputError, DomainError, GBJError, NumericalError
 from .exceedance import CorrelationModel, correlation_model
 
-OMNI_COMPONENTS = (setstats.GBJ, setstats.GHC, "SKAT", setstats.MINP)
+SKAT = "SKAT"
+OMNI = "OMNI"
+OMNI_COMPONENTS = (setstats.GBJ, setstats.GHC, SKAT, setstats.MINP)
+SUPREMUM_COMPONENTS = tuple(c for c in OMNI_COMPONENTS if c != SKAT)
 DEFAULT_BOOTSTRAP_REPS = 100
-_P_CLIP = 1e-16
 # the least eigenvalue repair_correlation leaves in a broken estimate
 REPAIR_EIG_FLOOR = 1e-6
 # the omnibus cutoff's search stops once |log(p/alpha)| is at most this
@@ -109,15 +111,14 @@ def component_pvalues(Z: setstats.ZVector | list[setstats.ZVector],
             out[i] = dict.fromkeys(OMNI_COMPONENTS, p1)
         else:
             live.append(i)
-    methods = (setstats.GBJ, setstats.GHC, setstats.MINP)
-    outcomes = crossing._pvalues(methods, [Zs[i] for i in live], model)
+    outcomes = crossing._pvalues(SUPREMUM_COMPONENTS, [Zs[i] for i in live], model)
     for k, i in enumerate(live):
-        last = outcomes[methods[-1]][k]         # a failed set's error carries to here
+        last = outcomes[SUPREMUM_COMPONENTS[-1]][k]     # a failed set's error carries to here
         if isinstance(last, GBJError):
             out[i] = last
         else:
-            out[i] = {m: outcomes[m][k].pvalue for m in methods}
-            out[i]["SKAT"] = skat_lite(Zs[i], model)
+            out[i] = {m: outcomes[m][k].pvalue for m in SUPREMUM_COMPONENTS}
+            out[i][SKAT] = skat_lite(Zs[i], model)
     return crossing._one_or_list(out, single)
 
 
@@ -141,7 +142,7 @@ def repair_correlation(R: np.ndarray) -> np.ndarray:
 
 
 def _transformed(pvals: np.ndarray) -> np.ndarray:
-    return ndtri(1.0 - np.clip(pvals, _P_CLIP, 1.0 - _P_CLIP))
+    return ndtri(1.0 - np.clip(pvals, crossing.PVALUE_FLOOR, 1.0 - crossing.PVALUE_FLOOR))
 
 
 def _correlate_columns(X: np.ndarray) -> np.ndarray:
@@ -250,7 +251,7 @@ def omni_pvalue(component_pvals: dict, R_hat: np.ndarray,
         raise DomainError(f"R_hat must be 4x4, got {R_hat.shape}")
     R_hat = repair_correlation(R_hat)
     omni = float(min(component_pvals[c] for c in OMNI_COMPONENTS))
-    omni_c = min(max(omni, _P_CLIP), 1.0 - _P_CLIP)
+    omni_c = min(max(omni, crossing.PVALUE_FLOOR), 1.0 - crossing.PVALUE_FLOOR)
     z = float(ndtri(1.0 - omni_c))
     p = 1.0 - gauss.mvn_cdf_small(z, R_hat)
     flags = []

@@ -71,7 +71,6 @@ class TestOutcome:
     statistic: float
     pvalue: float | None = None
     achieving_index: int | None = None
-    indicator_ever_true: bool = False
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -241,8 +240,7 @@ def compute_statistic(method: str, Z: ZVector,
                               f"{model.d}x{model.d} correlation")
 
     if method == MINP:
-        return TestOutcome(method=MINP, statistic=float(Z.abs_order[-1]),
-                           indicator_ever_true=True)
+        return TestOutcome(method=MINP, statistic=float(Z.abs_order[-1]))
     if d < 2:
         raise DegenerateInputError(f"{method} requires d >= 2; only MinP is defined at d=1")
 
@@ -260,8 +258,7 @@ def compute_statistic(method: str, Z: ZVector,
     ts = Z.abs_order[d - js]                       # t_j = |Z|_(d-j+1)
     qualifies = 2.0 * gauss.norm_sf(ts) < js / d
     if not np.any(qualifies):
-        return TestOutcome(method=method, statistic=0.0, indicator_ever_true=False,
-                           diagnostics=tuple(flags))
+        return TestOutcome(method=method, statistic=0.0, diagnostics=tuple(flags))
 
     jq = js[qualifies]
     tq = ts[qualifies]
@@ -273,8 +270,6 @@ def compute_statistic(method: str, Z: ZVector,
         # indicator form: non-qualifying indices contribute exactly zero to
         # the max, so a lone negative qualifying objective floors it at zero
         return TestOutcome(method=method, statistic=0.0, achieving_index=None,
-                           indicator_ever_true=True,
                            diagnostics=tuple(flags + ["objective_floor"]))
-    return TestOutcome(method=method, statistic=stat,
-                       achieving_index=int(jq[best]),
-                       indicator_ever_true=True, diagnostics=tuple(flags))
+    return TestOutcome(method=method, statistic=stat, achieving_index=int(jq[best]),
+                       diagnostics=tuple(flags))

@@ -30,7 +30,7 @@ from .scores import GenotypeMatrix, column_corr
 
 SIZE = "size"
 POWER = "power"
-DEFAULT_METHODS = ("GBJ", "BJ", "HC", "GHC", "MinP", "SKAT", "OMNI")
+DEFAULT_METHODS = (*setstats.ALL_METHODS, omnibus.SKAT, omnibus.OMNI)
 CHUNK = 5000  # outcome replicates per RNG stream (seed, 1, chunk); seeded results depend on it
 ROW_BLOCK = 100  # subjects per outcome draw: 3.8 MiB at CHUNK replicates
 
@@ -192,22 +192,22 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
 
     diagnostics: list[str] = []
     skat_cut = omni_skat_cut = None
-    if "SKAT" in config.methods:
+    if omnibus.SKAT in config.methods:
         skat_cut = omnibus.skat_threshold(config.alpha, Sigma_hat)
     # the bootstrap draws from its own seed stream, so c* can come first and
     # each method's regions at alpha and at c* share one search
     omni_methods: tuple[str, ...] = ()
-    if "OMNI" in config.methods:
+    if omnibus.OMNI in config.methods:
         R_hat, dropped = omnibus.bootstrap_corr(
             Sigma_hat, B=config.bootstrap_reps, seed=_component_seed(config.seed, 2))
         if dropped:
             diagnostics.append(f"omnibus_bootstrap_dropped={dropped}")
         c_star = omnibus.omni_threshold(config.alpha, R_hat)
-        omni_methods = (setstats.GBJ, setstats.GHC, setstats.MINP)
+        omni_methods = omnibus.SUPREMUM_COMPONENTS
         omni_skat_cut = omnibus.skat_threshold(c_star, Sigma_hat)
     bound_sets: dict[str, np.ndarray] = {}
     omni_bounds: list[np.ndarray] = []
-    own = [m for m in config.methods if m not in ("SKAT", "OMNI")]
+    own = [m for m in config.methods if m in setstats.ALL_METHODS]
     for method in dict.fromkeys(own + list(omni_methods)):
         alphas = (([config.alpha] if method in own else [])
                   + ([c_star] if method in omni_methods else []))
@@ -245,9 +245,9 @@ def run_study(config: SimConfig, mode: str) -> StudyResult:
         sortz = np.sort(np.abs(z), axis=0)
         q = np.einsum("ij,ij->j", z, z)
         for method in config.methods:
-            if method == "SKAT":
+            if method == omnibus.SKAT:
                 rej = q > skat_cut
-            elif method == "OMNI":
+            elif method == omnibus.OMNI:
                 rej = q > omni_skat_cut
                 for b in omni_bounds:
                     rej |= np.any(sortz > b[:, None], axis=0)

@@ -269,6 +269,17 @@ class TestTestCommand:
         with open(out) as fh:
             assert fh.read() == GOLDEN_TSV
 
+    def test_omnibus_output_matches_its_fixture(self, tmp_path):
+        # every method, the omnibus included, prints its frozen output byte
+        # for byte
+        out = str(tmp_path / "res.tsv")
+        assert cli.main(["test", "--zstats", os.path.join(FIXTURES, "golden_zstats.tsv"),
+                         "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                         "--methods", "gbj,bj,hc,ghc,minp,skat,omni", "--seed", "1",
+                         "--bootstrap-reps", "20", "--out", out]) == 0
+        with open(out) as fh, open(os.path.join(FIXTURES, "golden_test_omni.tsv")) as want:
+            assert fh.read() == want.read()
+
     @pytest.mark.parametrize("methods, named", [("ghc,gbj", "GHC"), ("gbj,ghc", "GBJ"),
                                                 ("minp,skat,gbj,ghc", "GBJ")])
     def test_d1_error_names_the_first_failing_method(self, methods, named, tmp_path, capsys):
@@ -411,6 +422,23 @@ class TestRegionCommand:
         per = 1 - (1 - alpha) ** (1 / d)
         want = ndtri(1 - per / 2)
         assert float(lines[-1].split("\t")[1]) == pytest.approx(want, abs=1e-4)
+
+    def test_ghc_region_matches_its_fixture(self, tmp_path):
+        # the region prints its frozen output byte for byte
+        out = str(tmp_path / "region.tsv")
+        assert cli.main(["region", "--method", "ghc", "--alpha", "0.01",
+                         "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                         "--out", out]) == 0
+        with open(out) as fh, open(os.path.join(FIXTURES, "golden_region_ghc.tsv")) as want:
+            assert fh.read() == want.read()
+
+    @pytest.mark.parametrize("method", ["skat", "omni"])
+    def test_non_boundary_method_rejected(self, method, tmp_path, capsys):
+        assert cli.main(["region", "--method", method, "--alpha", "0.01",
+                         "--correlation", os.path.join(FIXTURES, "golden_cor.tsv"),
+                         "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: region applies to the boundary methods (gbj, bj, hc, ghc, minp)"]
 
     def test_unreachable_alpha_numerical_failure(self, tmp_path):
         d = 6

@@ -562,6 +562,57 @@ def _with_perfect_pair(S):
     return S
 
 
+class TestCompleteDependence:
+    """A set whose pairs are all perfect shares one |Z|: S(t) is 0 or d, so
+    the first stage leaks 2 sf(t_1) and no later stage leaks anything."""
+
+    MATRICES = {"d2_plus": np.ones((2, 2)),
+                "d2_minus": np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                "d3_ones": np.ones((3, 3)),
+                "d6_signed": _flipped(np.ones((6, 6)), [1, -1, 1, 1, -1, 1])}
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    @pytest.mark.parametrize("z", (1.0, 2.5, 4.0, 6.0))
+    def test_every_method_takes_the_exact_law(self, name, z):
+        model = exceedance.correlation_model(self.MATRICES[name])
+        Z = setstats.ZVector(z * np.sign(model.matrix[0]))
+        for method in setstats.ALL_METHODS:
+            out = crossing.pvalue(method, Z, model)
+            profile = model.profile if method in setstats.PROFILE_METHODS else None
+            b = crossing.invert_bounds(method, out.statistic, model.d, profile).b
+            b1 = b[np.isfinite(b)][0]
+            # a statistic of zero reports p = 1 without a recursion
+            want = max(2.0 * gauss.norm_sf(b1), crossing.PVALUE_FLOOR) if out.statistic else 1.0
+            assert out.pvalue == want
+            assert "ebb_gamma_clamped" not in out.diagnostics
+            assert ("high_correlation" in out.diagnostics) == (method in setstats.PROFILE_METHODS)
+        assert crossing.pvalue("MinP", Z, model).pvalue == 2.0 * gauss.norm_sf(z)
+
+    def test_table_leaks_at_the_first_stage_only(self):
+        bv = BoundaryVector(b=np.array([np.inf, 1.5, 2.0, 3.0]))
+        p, table = crossing.crossing_pvalue(bv, np.ones((4, 4)), return_table=True)
+        assert p == 2.0 * gauss.norm_sf(1.5)
+        np.testing.assert_array_equal(table.leaks, [p, 0.0, 0.0])
+        assert table.diagnostics == ()
+
+    @pytest.mark.parametrize("z", (1.0, 2.5, 4.0, 6.0))
+    def test_one_coordinate(self, z):
+        # d = 1 has no pair, so it is complete too
+        out = crossing.pvalue("MinP", setstats.ZVector(np.array([z])), np.eye(1))
+        assert out.pvalue == 2.0 * gauss.norm_sf(z)
+
+    def test_one_perfect_pair_is_not_complete(self):
+        # frozen p-values of a d = 6 set with one perfect pair, which keeps
+        # its matched EBB law
+        S = _with_perfect_pair(exchangeable(6, 0.4))
+        Z = setstats.ZVector(np.array([2.9, 2.9, -1.2, 2.1, 0.4, -2.6]))
+        want = {"GBJ": 0.005693888162987231, "BJ": 0.002876384259104599,
+                "HC": 0.008071860160402029, "GHC": 0.008248431686112258,
+                "MinP": 0.017790932994738797}
+        for method, p in want.items():
+            assert crossing.pvalue(method, Z, S).pvalue == p
+
+
 def _block_with_zero_blocks(d):
     S = np.eye(d)
     for start in range(0, d, 10):
@@ -798,7 +849,7 @@ class TestStagesAtOnce:
         monkeypatch.setattr(ebb, "_log_factor_prefixes", record)
         ladder, deep = _reference_bounds(d)
         cases = {"ladder": (_block_with_zero_blocks(d), ladder),
-                 "deep": (exchangeable(d, 1.0), deep),
+                 "deep": (exchangeable(d, 0.9), deep),
                  "steep": (np.eye(d), _steep_bounds(d))}
         flags, blocks, padded_nans = {}, {}, {}
         for name, (S, bv) in cases.items():
@@ -812,7 +863,7 @@ class TestStagesAtOnce:
             np.testing.assert_array_equal(table.leaks, want_leaks)
             assert set(table.diagnostics) == flags[name]
         assert blocks == {"ladder": 7, "deep": 2, "steep": 7}
-        assert {"lambda_underflow", "ebb_gamma_clamped"} <= flags["deep"]
+        assert {"lambda_underflow", "pair_tail_underflow"} <= flags["deep"]
         assert padded_nans["steep"] > 0
 
 
@@ -906,7 +957,11 @@ class TestCountLoop:
     @LONGDOUBLE_ORACLE
     @pytest.mark.parametrize("d", [8, 40, 100, 200, 500])
     def test_loop_against_the_oracle(self, d):
-        sigmas = (exchangeable(d, 0.3), exchangeable(d, 0.9), np.ones((d, d)), np.eye(d),
+        # all ones but one coordinate at 0.9: the most dependent law short of
+        # complete dependence, which takes no count loop
+        one_apart = np.ones((d, d))
+        one_apart[-1, :-1] = one_apart[:-1, -1] = 0.9
+        sigmas = (exchangeable(d, 0.3), exchangeable(d, 0.9), one_apart, np.eye(d),
                   rand_corr(d, np.random.default_rng(d)))
         for S in sigmas:
             model = exceedance.correlation_model(S)
@@ -1038,7 +1093,8 @@ class TestStagePlans:
     @pytest.mark.parametrize("atoms", (True, False))
     def test_perfect_pairs_read_the_stage_lambda(self, atoms, monkeypatch):
         # Z_0 = Z_1, Z_2 = Z_3 and Z_4 = -Z_5: with atoms, the three pairs of
-        # coordinates at exchangeable 0.3; without, all six share one |Z|
+        # coordinates at exchangeable 0.3; without, all six share one |Z|, a
+        # set in complete dependence, whose exact law needs no pair fraction
         A = np.kron(np.eye(3), np.ones((2, 1)))
         A[5, 2] = -1.0
         model = exceedance.correlation_model(A @ exchangeable(3, 0.3 if atoms else 1.0) @ A.T)
@@ -1059,6 +1115,12 @@ class TestStagePlans:
         calls = record_series(monkeypatch)
         plans = crossing._stage_plans(bounds, model)
         assert len(calls) == atoms
+        if not atoms:
+            assert not seen
+            assert all(plan.gamma is None for plan in plans)
+            assert not any({"pair_tail_underflow", "ebb_gamma_clamped"} & set(plan.flags)
+                           for plan in plans)
+            return
         [((thresholds, first, sf, lam), (frac, under))] = seen
         want_frac, want_under = self._perfect_column(thresholds, first, sf, lam, model)
         assert np.all(frac == want_frac)

@@ -145,7 +145,7 @@ class TestComputeStatistic:
         for method in ("GBJ", "BJ", "HC", "GHC"):
             out = setstats.compute_statistic(method, Z, np.eye(4))
             assert out.statistic == 0.0
-            assert not out.indicator_ever_true
+            assert "objective_floor" not in out.diagnostics
             assert out.achieving_index is None
 
     def test_gbj_equals_bj_under_independence(self, rng):
@@ -223,7 +223,7 @@ class TestComputeStatistic:
         prof = exceedance.corr_powers(Sigma)
         Z = setstats.ZVector(rng.multivariate_normal(np.zeros(d), Sigma) + 1.0)
         out = setstats.compute_statistic("GBJ", Z, Sigma)
-        if out.indicator_ever_true:
+        if out.statistic > 0.0 or "objective_floor" in out.diagnostics:
             # non-qualifying indices contribute zero through the indicator
             vals = {}
             for j in range(1, d // 2 + 1):
